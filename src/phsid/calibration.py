@@ -2,9 +2,11 @@
 
 The loop fits v = (J, R, w0) to reference output data by repeating
 
-    1. simulate the state with explicit Euler,
-    2. solve the sensitivity ODE for every tangent-basis direction and
-       assemble the cost gradient from the directional derivatives,
+    1. simulate the state with explicit Euler (the states of an accepted
+       candidate are reused, not integrated again),
+    2. advance the sensitivity recurrences of all tangent-basis directions
+       together, in memory-bounded passes, and assemble the cost gradient
+       from the directional derivatives,
     3. find a step size with Armijo backtracking (start at sigma_init,
        halve until the decrease beats gamma * sigma * |g|^2),
     4. update v <- retract(v - sigma * g),
@@ -37,12 +39,13 @@ from .sensitivity import (
     STRUCTURES,
     Gradient,
     ParameterPoint,
-    _mismatch_cost,
+    _output_cost,
     assemble_gradient,
     sensitivity_coefficients,
     tangent_basis,
 )
-from .systems import ReducedPHSystem, Signal, output, simulate_euler
+from .systems import ReducedPHSystem, Signal, Trajectory, _euler_states, output
+from .systems import simulate_euler  # noqa: F401 -- perfbench/tracing.py wraps it at this name
 
 PSD_PROJECT = "project"
 PSD_NONE = "none"
@@ -110,19 +113,25 @@ class ArmijoStep(NamedTuple):
     cost: float
 
 
-def cost(sys: ReducedPHSystem, u: Signal, y_data: Signal) -> float:
-    """Output mismatch 1/2 * sum_{j<K} h * |B^T w_j - y_data_j|^2 under explicit Euler."""
+def _states_and_cost(sys: ReducedPHSystem, u: Signal,
+                     y_data: Signal) -> tuple[np.ndarray, float]:
+    """Explicit Euler states of ``sys`` under ``u`` and their output mismatch cost."""
     if u.grid != y_data.grid:
         raise DimensionMismatchError("input and data grids differ")
     if u.k != sys.k or y_data.k != sys.k:
         raise DimensionMismatchError("port counts of system, input and data differ")
     try:
-        return _mismatch_cost(sys.J.array, sys.R.array, sys.B, sys.w_hat,
-                              u.values, y_data.values, u.grid.h)
+        states = _euler_states(sys.drift(), sys.B, sys.w_hat, u.values, u.grid.h)
     except DivergenceError as exc:
         err = DivergenceError(exc.step, "cost evaluation")
         err.parameters = (sys.J.array, sys.R.array, sys.w_hat)
         raise err from None
+    return states, _output_cost(states, sys.B, y_data.values, u.grid.h)
+
+
+def cost(sys: ReducedPHSystem, u: Signal, y_data: Signal) -> float:
+    """Output mismatch 1/2 * sum_{j<K} h * |B^T w_j - y_data_j|^2 under explicit Euler."""
+    return _states_and_cost(sys, u, y_data)[1]
 
 
 def _candidate_blocks(v: ParameterPoint, g: Gradient, sigma: float):
@@ -196,15 +205,20 @@ def calibrate(v0: ParameterPoint, u: Signal, y_data: Signal, b,
 
     h = u.grid.h
     basis = tangent_basis(v0.n, cfg.structure)
+    candidate_states = None
 
     def evaluate(j_arr, r_arr, w0):
+        # armijo_search returns right after the candidate it accepts, so the
+        # states kept here are the accepted iterate's
+        nonlocal candidate_states
         try:
-            return _mismatch_cost(j_arr, r_arr, b, w0, u.values, y_data.values, h)
+            candidate_states = _euler_states(j_arr - r_arr, b, w0, u.values, h)
         except DivergenceError:
             return np.inf
+        return _output_cost(candidate_states, b, y_data.values, h)
 
     v = v0
-    current = cost(v.to_system(b), u, y_data)
+    states, current = _states_and_cost(v.to_system(b), u, y_data)
     history = [current]
     sigmas: list[float] = []
     grad_sq: list[float] = []
@@ -214,7 +228,7 @@ def calibrate(v0: ParameterPoint, u: Signal, y_data: Signal, b,
 
     while current > cfg.eps_stop and iterations < cfg.max_iter:
         sys = v.to_system(b)
-        traj = simulate_euler(sys, u)
+        traj = Trajectory(u.grid, states)
         coeffs = sensitivity_coefficients(sys, traj, y_data, basis)
         g = assemble_gradient(coeffs, basis)
         if g.norm_sq == 0.0:
@@ -229,6 +243,7 @@ def calibrate(v0: ParameterPoint, u: Signal, y_data: Signal, b,
             message = f"iterate left the admissible set (psd_mode='{cfg.psd_mode}'): {exc}"
             break
         v = step.point
+        states = candidate_states
         current = step.cost
         iterations += 1
         history.append(current)
@@ -239,8 +254,7 @@ def calibrate(v0: ParameterPoint, u: Signal, y_data: Signal, b,
     converged = current <= cfg.eps_stop
     if not converged and not message:
         message = f"iteration limit reached ({cfg.max_iter})"
-    final_sys = v.to_system(b)
-    y_opt = output(final_sys, simulate_euler(final_sys, u))
+    y_opt = output(v.to_system(b), Trajectory(u.grid, states))
     return CalibrationResult(
         v_opt=v,
         cost_history=tuple(history),

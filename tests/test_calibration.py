@@ -280,6 +280,36 @@ class TestCalibrate:
         np.testing.assert_array_equal(r1.v_opt.w_hat, r2.v_opt.w_hat)
         np.testing.assert_array_equal(r1.y_opt.values, r2.y_opt.values)
 
+    def test_one_euler_sweep_per_candidate(self, oscillator, guess_point, monkeypatch):
+        # the start point and every Armijo candidate are integrated once; the
+        # gradients and y_opt reuse those states
+        import phsid.calibration as calibration
+        grid = p.TimeGrid(1.0, 1000)
+        u, y_data = p.generate_reference(oscillator, grid, p.NoiseSpec(seed=30))
+        sweeps = []
+        evaluations = []
+        euler_states = calibration._euler_states
+        armijo_search = calibration.armijo_search
+
+        def counting_states(*args):
+            sweeps.append(1)
+            return euler_states(*args)
+
+        def counting_search(v, g, cost_at_v, evaluator, cfg):
+            def counted(*args):
+                evaluations.append(1)
+                return evaluator(*args)
+            return armijo_search(v, g, cost_at_v, counted, cfg)
+
+        monkeypatch.setattr(calibration, "_euler_states", counting_states)
+        monkeypatch.setattr(calibration, "armijo_search", counting_search)
+        res = p.calibrate(guess_point, u, y_data, oscillator.B, p.CalibrationConfig(max_iter=3))
+        assert res.iterations == 3
+        assert len(sweeps) == 1 + len(evaluations)
+        final = res.v_opt.to_system(oscillator.B)
+        np.testing.assert_array_equal(res.y_opt.values,
+                                      p.output(final, p.simulate_euler(final, u)).values)
+
     def test_first_step_regression_fixture(self, oscillator, guess_point):
         # frozen record of the first accepted step on the seed-7 data
         with open(FIXTURES / "first_step_seed7.json", encoding="utf-8") as fh:

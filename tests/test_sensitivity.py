@@ -1,11 +1,18 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phsid as p
+import phsid.sensitivity as sensitivity
 from conftest import (
     oscillator_guess,
     oscillator_system,
     philox,
+    random_psd,
     random_reduced_system,
     random_signal,
 )
@@ -270,25 +277,93 @@ class TestFiniteDifferenceGradient:
                                          p.tangent_basis(2, "full"), eps=0.0)
 
 
+def _random_problem(seed, n, k, steps):
+    """A random system, input and unrelated output data on a unit-time grid."""
+    rng = philox(seed)
+    sys = random_reduced_system(rng, n, k)
+    grid = p.TimeGrid(1.0, steps)
+    u = random_signal(rng, grid, k)
+    y_data = random_signal(rng, grid, k)
+    return sys, p.simulate_euler(sys, u), y_data
+
+
+def _per_direction(sys, traj, y_data, basis):
+    """The reference route: one sensitivity solve per basis direction."""
+    return np.array([
+        p.directional_derivative(sys, traj, p.solve_sensitivity(sys, traj, d, traj.grid), y_data)
+        for d in basis
+    ])
+
+
+class TestStackedCoefficients:
+    # derandomized so that every run of the suite draws the same examples
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 6), k=st.integers(1, 3), structure=st.sampled_from(p.STRUCTURES),
+           steps=st.integers(1, 300), pass_bytes=st.integers(1, 1 << 16),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_per_direction_solves(self, n, k, structure, steps,
+                                                   pass_bytes, seed):
+        # a small pass bound splits the basis into several passes and leaves
+        # a narrower last one
+        sys, traj, y_data = _random_problem(seed, n, k, steps)
+        basis = p.tangent_basis(n, structure)
+        with mock.patch.object(sensitivity, "_PASS_BYTES", pass_bytes):
+            stacked = p.sensitivity_coefficients(sys, traj, y_data, basis)
+        assert np.array_equal(stacked, _per_direction(sys, traj, y_data, basis))
+
+    def test_bit_identical_over_several_default_passes(self):
+        sys, traj, y_data = _random_problem(41, 8, 2, 1000)
+        basis = p.tangent_basis(8, "full")
+        assert sensitivity._pass_width(1001, 8, len(basis)) == 16  # 72 directions, 5 passes
+        assert sensitivity._pass_width(1001, 2, 6) == 6
+        stacked = p.sensitivity_coefficients(sys, traj, y_data, basis)
+        assert np.array_equal(stacked, _per_direction(sys, traj, y_data, basis))
+
+    @settings(derandomize=True)
+    @given(num_nodes=st.integers(2, 10**6), n=st.integers(1, 64), count=st.integers(1, 5000))
+    def test_pass_buffer_within_bound(self, num_nodes, n, count):
+        width = sensitivity._pass_width(num_nodes, n, count)
+        assert 1 <= width <= count
+        assert width == 1 or width * num_nodes * n * 8 <= sensitivity._PASS_BYTES
+
+    def test_peak_memory_stays_near_the_pass_bound(self):
+        # all 20 directions stacked at once would take 3.2 MB
+        sys, traj, y_data = _random_problem(42, 4, 1, 5000)
+        basis = p.tangent_basis(4, "full")
+        tracemalloc.start()
+        try:
+            p.sensitivity_coefficients(sys, traj, y_data, basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sensitivity._PASS_BYTES
+
+    def test_grid_mismatch_rejected(self, oscillator):
+        traj = p.simulate_euler(oscillator, p.Signal.zeros(p.TimeGrid(1.0, 10), 1))
+        with pytest.raises(p.DimensionMismatchError):
+            p.sensitivity_coefficients(oscillator, traj, p.Signal.zeros(p.TimeGrid(1.0, 20), 1),
+                                       p.tangent_basis(2, "full"))
+
+
 class TestGradientAgreement:
-    def test_random_instances(self):
-        rng = philox(33)
-        for _ in range(15):
-            n = int(rng.integers(2, 5))
-            k = int(rng.integers(1, 3))
-            sys_true = random_reduced_system(rng, n, k)
-            grid = p.TimeGrid(1.0, 150)
-            u = random_signal(rng, grid, k)
-            y_data = p.output(sys_true, p.simulate_euler(sys_true, u))
-            v = p.ParameterPoint(
-                p.SkewSymmetricMatrix.from_strict_lower(
-                    sys_true.J.array + 0.2 * np.tril(rng.normal(size=(n, n)), -1)),
-                sys_true.R,
-                sys_true.w_hat + 0.1 * rng.normal(size=n))
-            sys_v = v.to_system(sys_true.B)
-            traj = p.simulate_euler(sys_v, u)
-            basis = p.tangent_basis(n, "full")
-            sens = p.sensitivity_coefficients(sys_v, traj, y_data, basis)
-            fd = p.finite_difference_gradient(v, sys_true.B, u, y_data, basis)
-            for s, f in zip(sens, fd):
-                assert p.coefficients_agree(s, f)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4), k=st.integers(1, 2), structure=st.sampled_from(p.STRUCTURES),
+           steps=st.integers(180, 220), seed=st.integers(0, 2**32 - 1))
+    def test_random_instances(self, n, k, structure, steps, seed):
+        rng = philox(seed)
+        sys_true = random_reduced_system(rng, n, k)
+        grid = p.TimeGrid(1.0, steps)
+        u = random_signal(rng, grid, k)
+        y_data = p.output(sys_true, p.simulate_euler(sys_true, u))
+        v = p.ParameterPoint(
+            p.SkewSymmetricMatrix.from_strict_lower(
+                sys_true.J.array + 0.2 * np.tril(rng.normal(size=(n, n)), -1)),
+            random_psd(rng, n),
+            sys_true.w_hat + 0.1 * rng.normal(size=n))
+        sys_v = v.to_system(sys_true.B)
+        traj = p.simulate_euler(sys_v, u)
+        basis = p.tangent_basis(n, structure)
+        sens = p.sensitivity_coefficients(sys_v, traj, y_data, basis)
+        fd = p.finite_difference_gradient(v, sys_true.B, u, y_data, basis)
+        for s, f in zip(sens, fd):
+            assert p.coefficients_agree(s, f)
