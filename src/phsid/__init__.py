@@ -35,7 +35,6 @@ from .errors import (
     LineSearchError,
     MalformedFileError,
     PhsidError,
-    SingularStepError,
     UnsupportedDirectionError,
 )
 from .matrices import (

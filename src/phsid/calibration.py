@@ -8,7 +8,11 @@ The loop fits v = (J, R, w0) to reference output data by repeating
        together, in memory-bounded passes, and assemble the cost gradient
        from the directional derivatives,
     3. find a step size with Armijo backtracking (start at sigma_init,
-       halve until the decrease beats gamma * sigma * |g|^2),
+       halve until the decrease beats gamma * sigma * |g|^2); the candidates
+       sigma_init, sigma_init/2, ... are integrated in batches of up to
+       ``_BATCH_WIDTH``, one stacked Euler sweep per batch, and the first
+       one in that order that passes the test is accepted, exactly as a
+       one-at-a-time search would,
     4. update v <- retract(v - sigma * g),
 
 until the cost drops below ``eps_stop`` or a guard (iteration cap, halving
@@ -27,6 +31,8 @@ breaks descent.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -40,6 +46,7 @@ from .sensitivity import (
     Gradient,
     ParameterPoint,
     _output_cost,
+    _pass_width,
     assemble_gradient,
     sensitivity_coefficients,
     tangent_basis,
@@ -50,6 +57,14 @@ from .systems import simulate_euler  # noqa: F401 -- perfbench/tracing.py wraps 
 PSD_PROJECT = "project"
 PSD_NONE = "none"
 PSD_MODES = (PSD_PROJECT, PSD_NONE)
+
+# Most step-size candidates armijo_search hands to the cost evaluator at once.
+_BATCH_WIDTH = 8
+
+
+def _is_integer(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and int(value) == value)
 
 
 @dataclass(frozen=True)
@@ -65,16 +80,17 @@ class CalibrationConfig:
     psd_mode: str = PSD_PROJECT
 
     def __post_init__(self):
-        if not self.sigma_init > 0:
-            raise ValueError("sigma_init must be positive")
+        if not (self.sigma_init > 0 and math.isfinite(self.sigma_init)):
+            raise ValueError("sigma_init must be positive and finite")
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
-        if not self.eps_stop > 0:
-            raise ValueError("eps_stop must be positive")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
-        if self.max_halvings < 0:
-            raise ValueError("max_halvings must be nonnegative")
+        if not (self.eps_stop > 0 and math.isfinite(self.eps_stop)):
+            raise ValueError("eps_stop must be positive and finite")
+        for name in ("max_iter", "max_halvings"):
+            value = getattr(self, name)
+            if not (_is_integer(value) and value >= 0):
+                raise ValueError(f"{name} must be a nonnegative integer")
+            object.__setattr__(self, name, int(value))
         if self.structure not in STRUCTURES:
             raise ValueError(f"unknown structure {self.structure!r}")
         if self.psd_mode not in PSD_MODES:
@@ -146,8 +162,33 @@ def _candidate_blocks(v: ParameterPoint, g: Gradient, sigma: float):
     return j_new, r_sym, w_new
 
 
+class _Candidate(NamedTuple):
+    sigma: float
+    j: SkewSymmetricMatrix
+    r_sym: SymmetricMatrix
+    r_block: SymmetricMatrix | PSDMatrix   # the R the cost is evaluated at
+    w: np.ndarray
+
+
+def _candidates(v: ParameterPoint, g: Gradient, cfg: CalibrationConfig):
+    """Yield (sigma, candidate) for sigma = sigma_init, sigma_init/2, ... over
+    ``max_halvings`` halvings; the candidate is None where the trial point
+    overflowed, which rejects that step size."""
+    sigma = cfg.sigma_init
+    for _ in range(cfg.max_halvings + 1):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                j_new, r_sym, w_new = _candidate_blocks(v, g, sigma)
+        except InvalidModelError:
+            yield sigma, None
+        else:
+            r_block = project_psd(r_sym) if cfg.psd_mode == PSD_PROJECT else r_sym
+            yield sigma, _Candidate(sigma, j_new, r_sym, r_block, w_new)
+        sigma *= 0.5
+
+
 def armijo_search(v: ParameterPoint, g: Gradient, cost_at_v: float,
-                  cost_evaluator: Callable[[np.ndarray, np.ndarray, np.ndarray], float],
+                  cost_evaluator: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
                   cfg: CalibrationConfig) -> ArmijoStep:
     """Backtracking step size search.
 
@@ -156,36 +197,83 @@ def armijo_search(v: ParameterPoint, g: Gradient, cost_at_v: float,
 
         cost(v') - cost(v) <= -gamma * sigma * |g|^2.
 
-    ``cost_evaluator`` receives the candidate blocks as raw arrays and may
-    return +inf to signal an unusable candidate.  Raises
-    :class:`LineSearchError` once ``max_halvings`` halvings are exhausted.
+    Candidates are built in that order and handed to ``cost_evaluator`` in
+    batches of up to ``_BATCH_WIDTH``: stacked J (m, n, n), R (m, n, n) and
+    w0 (m, n) blocks as raw arrays.  The evaluator returns the costs of the
+    first m' of them, 1 <= m' <= m (all m unless it bounds its memory), and
+    may return +inf to signal an unusable candidate; the candidates it left
+    out lead the next batch.  The first candidate in order that passes the
+    test is accepted, so the result is that of trying one sigma at a time.
+    Raises :class:`LineSearchError` once ``max_halvings`` halvings are
+    exhausted.
     """
     g_sq = g.norm_sq
+    trials = _candidates(v, g, cfg)
+    pending: list[_Candidate] = []
     sigma = cfg.sigma_init
-    halvings = 0
     while True:
-        try:
-            j_new, r_sym, w_new = _candidate_blocks(v, g, sigma)
-        except InvalidModelError:
-            j_new = None  # trial point overflowed; reject and halve
-        if j_new is not None:
-            if cfg.psd_mode == PSD_PROJECT:
-                r_block = project_psd(r_sym)
-            else:
-                r_block = r_sym
-            cand_cost = cost_evaluator(j_new.array, r_block.array, w_new)
-            if np.isfinite(cand_cost) and cand_cost - cost_at_v <= -cfg.gamma * sigma * g_sq:
-                if isinstance(r_block, PSDMatrix):
-                    r_new = r_block
+        for sigma, candidate in trials:
+            if candidate is not None:
+                pending.append(candidate)
+                if len(pending) == _BATCH_WIDTH:
+                    break
+        if not pending:
+            raise LineSearchError(sigma, cfg.max_halvings)
+        costs = cost_evaluator(np.stack([c.j.array for c in pending]),
+                               np.stack([c.r_block.array for c in pending]),
+                               np.stack([c.w for c in pending]))
+        if not 0 < len(costs) <= len(pending):
+            raise ValueError(f"cost evaluator returned {len(costs)} costs "
+                             f"for {len(pending)} candidates")
+        for c, cand_cost in zip(pending, costs):
+            if np.isfinite(cand_cost) and cand_cost - cost_at_v <= -cfg.gamma * c.sigma * g_sq:
+                if isinstance(c.r_block, PSDMatrix):
+                    r_new = c.r_block
                 else:
                     # psd_mode="none": the accepted iterate must still be admissible
-                    r_new = PSDMatrix(r_sym)
-                return ArmijoStep(sigma, ParameterPoint(j_new, r_new, w_new),
-                                  float(cand_cost))
-        if halvings >= cfg.max_halvings:
-            raise LineSearchError(sigma, halvings)
-        sigma *= 0.5
-        halvings += 1
+                    r_new = PSDMatrix(c.r_sym)
+                return ArmijoStep(c.sigma, ParameterPoint(c.j, r_new, c.w), float(cand_cost))
+        del pending[:len(costs)]
+
+
+class _BatchEvaluator:
+    """The cost evaluator ``calibrate`` hands to :func:`armijo_search`.
+
+    A call integrates as many of the candidates as fit in ``_PASS_BYTES`` of
+    stacked states (at least one) in one Euler sweep and returns their costs,
+    +inf for a candidate that diverged.  Each candidate's cost is formed from
+    its own contiguous (K+1, n) states, as :func:`cost` forms it, so it
+    equals a one-candidate evaluation bit for bit.  The sweep of the last
+    call is kept, so the accepted candidate's states need no second sweep.
+    """
+
+    def __init__(self, b: np.ndarray, u: Signal, y_data: Signal):
+        self.b, self.u_values, self.y_values = b, u.values, y_data.values
+        self.h = u.grid.h
+        self._last = None
+
+    def __call__(self, j_stack, r_stack, w_stack) -> np.ndarray:
+        num_nodes, n = self.u_values.shape[0], w_stack.shape[1]
+        m = _pass_width(num_nodes, n, w_stack.shape[0])
+        drifts, w0 = j_stack[:m] - r_stack[:m], w_stack[:m]
+        states = _euler_states(drifts, self.b, w0, self.u_values, self.h)
+        costs = np.full(m, np.inf)
+        for i in range(m):
+            own = np.ascontiguousarray(states[:, i])
+            if np.isfinite(own).all():
+                costs[i] = _output_cost(own, self.b, self.y_values, self.h)
+        self._last = (drifts, w0, states)
+        return costs
+
+    def states_of(self, point: ParameterPoint) -> np.ndarray:
+        """Euler states of ``point``, a candidate of the last call."""
+        drifts, w0, states = self._last
+        drift = point.J.array - point.R.array
+        for i in range(len(w0)):
+            # candidates with equal parameters have equal states
+            if np.array_equal(drifts[i], drift) and np.array_equal(w0[i], point.w_hat):
+                return np.ascontiguousarray(states[:, i])
+        raise ValueError("point was not a candidate of the last evaluation")
 
 
 def calibrate(v0: ParameterPoint, u: Signal, y_data: Signal, b,
@@ -203,19 +291,8 @@ def calibrate(v0: ParameterPoint, u: Signal, y_data: Signal, b,
     if u.k != b.shape[1] or y_data.k != b.shape[1]:
         raise DimensionMismatchError("port counts of B, input and data differ")
 
-    h = u.grid.h
     basis = tangent_basis(v0.n, cfg.structure)
-    candidate_states = None
-
-    def evaluate(j_arr, r_arr, w0):
-        # armijo_search returns right after the candidate it accepts, so the
-        # states kept here are the accepted iterate's
-        nonlocal candidate_states
-        try:
-            candidate_states = _euler_states(j_arr - r_arr, b, w0, u.values, h)
-        except DivergenceError:
-            return np.inf
-        return _output_cost(candidate_states, b, y_data.values, h)
+    evaluate = _BatchEvaluator(b, u, y_data)
 
     v = v0
     states, current = _states_and_cost(v.to_system(b), u, y_data)
@@ -243,7 +320,7 @@ def calibrate(v0: ParameterPoint, u: Signal, y_data: Signal, b,
             message = f"iterate left the admissible set (psd_mode='{cfg.psd_mode}'): {exc}"
             break
         v = step.point
-        states = candidate_states
+        states = evaluate.states_of(v)
         current = step.cost
         iterations += 1
         history.append(current)

@@ -40,7 +40,6 @@ from .errors import (
     LineSearchError,
     MalformedFileError,
     PhsidError,
-    SingularStepError,
 )
 from .sensitivity import (
     ParameterPoint,
@@ -269,7 +268,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DivergenceError, SingularStepError, LineSearchError) as exc:
+    except (DivergenceError, LineSearchError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (MalformedFileError, InvalidModelError, PhsidError, ValueError, OSError) as exc:

@@ -42,14 +42,6 @@ class DivergenceError(PhsidError):
         super().__init__(msg)
 
 
-class SingularStepError(PhsidError):
-    """The implicit step matrix could not be factorized.
-
-    Unreachable for a valid dissipation matrix (the step matrix is positive
-    definite); raised only on internal inconsistency.
-    """
-
-
 class UnsupportedDirectionError(PhsidError):
     """A tangent direction with zero or several nonzero blocks was passed
     where a pure (single-block) direction is required."""

@@ -57,7 +57,9 @@ STRUCTURE_FULL = "full"
 STRUCTURE_DIAGONAL_R = "diagonal_R"
 STRUCTURES = (STRUCTURE_FULL, STRUCTURE_DIAGONAL_R)
 
-# Bytes of one pass's stacked sensitivity states, (K+1) x n floats per direction.
+# Bytes of one pass's stacked states, (K+1) x n floats per stacked sweep: the
+# sensitivity directions here, the line search's step-size candidates in
+# calibration.
 _PASS_BYTES = 1 << 20
 
 
@@ -299,7 +301,8 @@ def assemble_gradient(coefficients, basis: BasisSet) -> Gradient:
 
 
 def _pass_width(num_nodes: int, n: int, count: int) -> int:
-    """Directions per pass: as many as fit in ``_PASS_BYTES``, at least one."""
+    """Sweeps per pass, of ``count`` wanted: as many as fit in ``_PASS_BYTES``,
+    at least one."""
     return max(1, min(count, _PASS_BYTES // (num_nodes * n * 8)))
 
 
@@ -378,9 +381,14 @@ def _mismatch_cost(j_arr: np.ndarray, r_arr: np.ndarray, b: np.ndarray,
 
 
 def _output_cost(states: np.ndarray, b: np.ndarray, y_values: np.ndarray, h: float) -> float:
-    """1/2 * sum_{j<K} h * |B^T w_j - y_data_j|^2 for given Euler states."""
-    residual = states[:-1] @ b - y_values[:-1]
-    return float(0.5 * h * np.sum(residual * residual))
+    """1/2 * sum_{j<K} h * |B^T w_j - y_data_j|^2 for given Euler states.
+
+    Evaluated under the Euler loop's error state: finite states too large
+    to square give +inf, not a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = states[:-1] @ b - y_values[:-1]
+        return float(0.5 * h * np.sum(residual * residual))
 
 
 def finite_difference_gradient(v: ParameterPoint, b: np.ndarray, u: Signal,

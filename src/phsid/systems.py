@@ -31,12 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DivergenceError,
-    InvalidModelError,
-    SingularStepError,
-)
+from .errors import DimensionMismatchError, DivergenceError, InvalidModelError
 from .matrices import (
     PSDMatrix,
     SPDMatrix,
@@ -215,26 +210,55 @@ def cholesky_reduce(sys: PHSystem) -> ReducedPHSystem:
 
 def _euler_states(a: np.ndarray, b: np.ndarray, w0: np.ndarray,
                   u_values: np.ndarray, h: float) -> np.ndarray:
-    """Explicit Euler recursion w_{j+1} = w_j + h*(a w_j + b u_j), vector per row.
+    """Explicit Euler recursion w_{j+1} = w_j + h*(a w_j + b u_j), for one drift or a stack.
 
-    Raises DivergenceError with the first offending step index if the state
-    leaves the finite range.
+    One drift ``a`` (n, n) with ``w0`` (n,) gives states (K+1, n); a stack of
+    m drifts (m, n, n) with initial states (m, n) gives (K+1, m, n).  Every
+    stack element goes through the same matrix-vector product and addition
+    as a single drift, and the forcing h B u_j is formed once per step for
+    the whole stack, so each element's states equal its own sweep bit for
+    bit.  A stack of one steps as a plain vector, like a single drift.
+
+    A single drift raises DivergenceError with the first offending step
+    index if the state leaves the finite range.  A stack is returned as it
+    is: the elements that diverged hold non-finite states.
     """
     steps = u_values.shape[0] - 1
-    n = w0.shape[0]
-    states = np.empty((steps + 1, n))
-    states[0] = w0
+    stacked = a.ndim == 3
+    n = a.shape[-1]
     propagator = np.eye(n) + h * a
     hb = h * b
-    w = w0
+    if not stacked or a.shape[0] == 1:
+        states = np.empty((steps + 1, n))
+        states[0] = w0.reshape(n)
+        propagator = propagator.reshape(n, n)
+        rows, step, force, inputs = states, np.empty(n), np.empty(n), u_values
+    else:
+        # (n, 1) columns, so that the stacked product is a gemv per element
+        states = np.empty((steps + 1, a.shape[0], n, 1))
+        states[0, :, :, 0] = w0
+        rows, step, force = states, np.empty(states.shape[1:]), np.empty((n, 1))
+        inputs = u_values[:, :, None]
+    matmul, add = np.matmul, np.add
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(steps):
-            w = propagator @ w + hb @ u_values[j]
-            states[j + 1] = w
-    if not np.all(np.isfinite(states)):
-        bad = int(np.argmin(np.all(np.isfinite(states), axis=1)))
+        for cur, nxt, u_j in zip(rows[:-1], rows[1:], inputs):
+            matmul(propagator, cur, out=step)
+            matmul(hb, u_j, out=force)
+            add(step, force, out=nxt)
+    if stacked:
+        return states.reshape(steps + 1, a.shape[0], n)
+    bad = _first_nonfinite_row(states)
+    if bad is not None:
         raise DivergenceError(bad, "explicit Euler")
     return states
+
+
+def _first_nonfinite_row(states: np.ndarray):
+    """Index of the first row of ``states`` with a non-finite entry, or None."""
+    finite = np.isfinite(states).all(axis=1)
+    if finite.all():
+        return None
+    return int(np.argmin(finite))
 
 
 def simulate_euler(sys: ReducedPHSystem, u: Signal) -> Trajectory:
@@ -268,9 +292,9 @@ def simulate_discrete_gradient(sys: ReducedPHSystem, u: Signal) -> Trajectory:
 
         (I - h/2 (J-R)) w_{j+1} = (I + h/2 (J-R)) w_j + h B u_{j+1}.
 
-    The step matrix is positive definite, hence always invertible.  The input
-    is sampled at the right endpoint, as the discrete-gradient form of the
-    dynamics prescribes.
+    The step matrix I + h/2 R - h/2 J has the positive definite symmetric part
+    I + h/2 R, hence is always invertible.  The input is sampled at the right
+    endpoint, as the discrete-gradient form of the dynamics prescribes.
     """
     if u.k != sys.k:
         raise DimensionMismatchError(
@@ -281,11 +305,8 @@ def simulate_discrete_gradient(sys: ReducedPHSystem, u: Signal) -> Trajectory:
     n = sys.n
     m_minus = np.eye(n) - 0.5 * h * a
     m_plus = np.eye(n) + 0.5 * h * a
-    try:
-        propagator = np.linalg.solve(m_minus, m_plus)
-        source = np.linalg.solve(m_minus, h * sys.B)
-    except np.linalg.LinAlgError as exc:
-        raise SingularStepError(f"midpoint step matrix not invertible: {exc}") from None
+    propagator = np.linalg.solve(m_minus, m_plus)
+    source = np.linalg.solve(m_minus, h * sys.B)
     steps = u.grid.steps
     states = np.empty((steps + 1, n))
     states[0] = sys.w_hat
@@ -294,8 +315,8 @@ def simulate_discrete_gradient(sys: ReducedPHSystem, u: Signal) -> Trajectory:
         for j in range(steps):
             w = propagator @ w + source @ u.values[j + 1]
             states[j + 1] = w
-    if not np.all(np.isfinite(states)):
-        bad = int(np.argmin(np.all(np.isfinite(states), axis=1)))
+    bad = _first_nonfinite_row(states)
+    if bad is not None:
         raise DivergenceError(bad, "discrete-gradient scheme")
     return Trajectory(u.grid, states)
 

@@ -1,10 +1,16 @@
 import json
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phsid as p
-from conftest import FIXTURES
+import phsid.calibration as calibration
+import phsid.sensitivity as sensitivity
+from conftest import FIXTURES, philox, random_psd, random_reduced_system, random_signal, random_skew
 
 
 def scripted_cost(sys, u_values, y_values, h):
@@ -62,18 +68,29 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"sigma_init": 0.0}, {"gamma": 0.0}, {"gamma": 1.0}, {"eps_stop": -1.0},
         {"max_iter": -1}, {"structure": "banded"}, {"psd_mode": "clip"},
+        {"sigma_init": np.inf}, {"sigma_init": np.nan}, {"eps_stop": np.inf},
+        {"max_iter": 2.5}, {"max_iter": np.inf}, {"max_iter": "3"}, {"max_halvings": 1.5},
+        {"max_halvings": -1}, {"max_halvings": True},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             p.CalibrationConfig(**kwargs)
 
+    def test_integral_counts_become_int(self):
+        cfg = p.CalibrationConfig(max_iter=3.0, max_halvings=np.int64(7))
+        assert type(cfg.max_iter) is int and cfg.max_iter == 3
+        assert type(cfg.max_halvings) is int and cfg.max_halvings == 7
+
 
 class TestArmijo:
+    # armijo_search hands its evaluator batches of stacked candidates, J and R
+    # of shape (m, n, n) and w0 of shape (m, n), and reads one cost per candidate
+
     def test_zero_gradient_accepts_initial_step(self, guess_point):
         basis = p.tangent_basis(2, "full")
         g = p.assemble_gradient(np.zeros(6), basis)
         step = p.armijo_search(guess_point, g, 1.0,
-                               lambda j, r, w: 1.0, p.CalibrationConfig())
+                               lambda j, r, w: np.ones(len(w)), p.CalibrationConfig())
         assert step.sigma == 10.0
         np.testing.assert_array_equal(step.point.J.array, guess_point.J.array)
         np.testing.assert_array_equal(step.point.R.array, guess_point.R.array)
@@ -85,27 +102,63 @@ class TestArmijo:
         v = p.ParameterPoint(p.SkewSymmetricMatrix.zeros(1),
                              p.PSDMatrix.zeros(1), np.array([1.0]))
         g = p.assemble_gradient([0.0, 1.0], p.tangent_basis(1, "full"))
-        evaluations = []
+        batches = []
 
         def evaluate(j, r, w):
-            evaluations.append(w[0])
-            return 0.5 * w[0] ** 2
+            batches.append(w[:, 0].tolist())
+            return 0.5 * w[:, 0] ** 2
+
+        step = p.armijo_search(v, g, 0.5, evaluate, p.CalibrationConfig())
+        assert step.sigma == 1.25
+        # one batch of eight candidates, w = 1 - 10 / 2^i in search order
+        assert batches == [[-9.0, -4.0, -1.5, -0.25, 0.375, 0.6875, 0.84375, 0.921875]]
+        assert step.point.w_hat[0] == -0.25
+        assert step.cost == 0.03125
+
+    def test_evaluator_may_cost_a_leading_part_of_the_batch(self):
+        # an evaluator that costs one candidate per call sees the sequential
+        # search's candidates; the ones it leaves out lead the next batch
+        v = p.ParameterPoint(p.SkewSymmetricMatrix.zeros(1),
+                             p.PSDMatrix.zeros(1), np.array([1.0]))
+        g = p.assemble_gradient([0.0, 1.0], p.tangent_basis(1, "full"))
+        evaluations = []
+        widths = []
+
+        def evaluate(j, r, w):
+            widths.append(len(w))
+            evaluations.append(w[0, 0])
+            return 0.5 * w[:1, 0] ** 2
 
         step = p.armijo_search(v, g, 0.5, evaluate, p.CalibrationConfig())
         assert step.sigma == 1.25
         assert evaluations == [-9.0, -4.0, -1.5, -0.25]
-        assert step.point.w_hat[0] == -0.25
+        assert widths == [8, 8, 8, 8]
         assert step.cost == 0.03125
+
+    @pytest.mark.parametrize("returned", [0, 9])
+    def test_evaluator_cost_count_checked(self, guess_point, returned):
+        g = p.assemble_gradient(np.ones(6), p.tangent_basis(2, "full"))
+        with pytest.raises(ValueError, match="costs"):
+            p.armijo_search(guess_point, g, 1.0, lambda j, r, w: np.ones(returned),
+                            p.CalibrationConfig())
 
     def test_line_search_failure_carries_last_sigma(self, guess_point):
         basis = p.tangent_basis(2, "full")
         g = p.assemble_gradient(np.ones(6), basis)
         cfg = p.CalibrationConfig(max_halvings=10)
-        with pytest.raises(p.LineSearchError) as err:
+        widths = []
+
+        def evaluate(j, r, w):
+            widths.append(len(w))
             # a constant cost never satisfies the strict-decrease condition
-            p.armijo_search(guess_point, g, 1.0, lambda j, r, w: 1.0, cfg)
+            return np.ones(len(w))
+
+        with pytest.raises(p.LineSearchError) as err:
+            p.armijo_search(guess_point, g, 1.0, evaluate, cfg)
         assert err.value.last_sigma == pytest.approx(10.0 / 2**10)
         assert err.value.halvings == 10
+        # 11 candidates: a full batch, then the three left before max_halvings
+        assert widths == [8, 3]
 
     def test_non_finite_candidate_cost_is_rejected_not_accepted(self, guess_point):
         basis = p.tangent_basis(2, "full")
@@ -113,12 +166,15 @@ class TestArmijo:
         calls = []
 
         def evaluate(j, r, w):
-            calls.append(1)
-            return np.nan if len(calls) < 3 else -1.0
+            calls.append(len(w))
+            costs = np.full(len(w), -1.0)
+            costs[:2] = [np.nan, np.inf]
+            return costs
 
         step = p.armijo_search(guess_point, g, 1.0, evaluate, p.CalibrationConfig())
-        assert len(calls) == 3  # two NaN candidates were skipped
-        assert step.sigma == 2.5
+        assert calls == [8]
+        assert step.sigma == 2.5  # the two non-finite candidates were skipped
+        assert step.cost == -1.0
 
     def test_update_uses_descent_direction(self, guess_point):
         # coefficient 1 on J[1,0] with sigma accepted at once must move J
@@ -126,7 +182,7 @@ class TestArmijo:
         basis = p.tangent_basis(2, "full")
         g = p.assemble_gradient([1.0, 0, 0, 0, 0, 0], basis)
         cfg = p.CalibrationConfig(sigma_init=0.5)
-        step = p.armijo_search(guess_point, g, 10.0, lambda j, r, w: 0.0, cfg)
+        step = p.armijo_search(guess_point, g, 10.0, lambda j, r, w: np.zeros(len(w)), cfg)
         expected = guess_point.J.array - 0.5 * np.array([[0.0, -1.0], [1.0, 0.0]])
         np.testing.assert_array_equal(step.point.J.array, expected)
 
@@ -141,10 +197,11 @@ class TestArmijo:
         seen = []
 
         def evaluate(j, r, w):
-            seen.append(np.linalg.eigvalsh(r)[0])
-            return -1.0  # accept immediately
+            seen.extend(np.linalg.eigvalsh(r)[:, 0])
+            return np.full(len(w), -1.0)  # accept immediately
 
         p.armijo_search(v, g, 1.0, evaluate, p.CalibrationConfig())
+        assert len(seen) == 8
         assert all(lam >= -1e-12 for lam in seen)
 
     def test_psd_mode_none_rejects_inadmissible_accepted_iterate(self):
@@ -155,7 +212,7 @@ class TestArmijo:
                                 p.tangent_basis(2, "full"))
         cfg = p.CalibrationConfig(psd_mode="none")
         with pytest.raises(p.InvalidModelError):
-            p.armijo_search(v, g, 1.0, lambda j, r, w: -1.0, cfg)
+            p.armijo_search(v, g, 1.0, lambda j, r, w: np.full(len(w), -1.0), cfg)
 
 
 class TestCalibrate:
@@ -280,35 +337,57 @@ class TestCalibrate:
         np.testing.assert_array_equal(r1.v_opt.w_hat, r2.v_opt.w_hat)
         np.testing.assert_array_equal(r1.y_opt.values, r2.y_opt.values)
 
-    def test_one_euler_sweep_per_candidate(self, oscillator, guess_point, monkeypatch):
-        # the start point and every Armijo candidate are integrated once; the
-        # gradients and y_opt reuse those states
+    def test_one_euler_sweep_per_batch(self, oscillator, guess_point, monkeypatch):
+        # the start point is integrated once and every batch of Armijo
+        # candidates in one stacked sweep; the gradients and y_opt reuse
+        # those states
         import phsid.calibration as calibration
         grid = p.TimeGrid(1.0, 1000)
         u, y_data = p.generate_reference(oscillator, grid, p.NoiseSpec(seed=30))
-        sweeps = []
-        evaluations = []
+        swept = []
+        batches = []
         euler_states = calibration._euler_states
         armijo_search = calibration.armijo_search
 
-        def counting_states(*args):
-            sweeps.append(1)
-            return euler_states(*args)
+        def counting_states(a, b, w0, u_values, h):
+            swept.append(w0.copy())
+            return euler_states(a, b, w0, u_values, h)
 
         def counting_search(v, g, cost_at_v, evaluator, cfg):
-            def counted(*args):
-                evaluations.append(1)
-                return evaluator(*args)
+            def counted(j, r, w):
+                batches.append(w.copy())
+                return evaluator(j, r, w)
             return armijo_search(v, g, cost_at_v, counted, cfg)
 
         monkeypatch.setattr(calibration, "_euler_states", counting_states)
         monkeypatch.setattr(calibration, "armijo_search", counting_search)
         res = p.calibrate(guess_point, u, y_data, oscillator.B, p.CalibrationConfig(max_iter=3))
         assert res.iterations == 3
-        assert len(sweeps) == 1 + len(evaluations)
+        assert len(swept) == 1 + len(batches)
+        np.testing.assert_array_equal(swept[0], guess_point.w_hat)
+        # each sweep integrates exactly the candidates of its batch, and on
+        # this data every step is accepted within its first batch of eight
+        assert len(batches) == 3
+        for w0, batch in zip(swept[1:], batches):
+            assert batch.shape == (8, 2)
+            np.testing.assert_array_equal(w0, batch)
         final = res.v_opt.to_system(oscillator.B)
         np.testing.assert_array_equal(res.y_opt.values,
                                       p.output(final, p.simulate_euler(final, u)).values)
+
+    def test_overflowing_candidate_cost_is_rejected_without_warning(self, oscillator,
+                                                                    guess_point):
+        # at sigma_init=1e6 early candidates have finite states too large to
+        # square; their cost is +inf, so the search halves instead of raising
+        grid = p.TimeGrid(1.0, 500)
+        u, y_data = p.generate_reference(oscillator, grid, p.NoiseSpec(seed=28))
+        cfg = p.CalibrationConfig(sigma_init=1e6, max_iter=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = p.calibrate(guess_point, u, y_data, oscillator.B, cfg)
+        assert res.iterations == 5
+        assert np.all(np.diff(res.cost_history) < 0.0)
+        assert max(res.step_sizes) < 1.0
 
     def test_first_step_regression_fixture(self, oscillator, guess_point):
         # frozen record of the first accepted step on the seed-7 data
@@ -322,3 +401,144 @@ class TestCalibrate:
         assert res.cost_history[1] == expected["cost_after_first_step"]
         assert res.step_sizes[0] == expected["sigma"]
         assert res.cost_history[1] < res.cost_history[0]
+
+
+def sequential_search(v, g, cost_at_v, b, u, y_data, cfg):
+    """Backtracking one step size at a time (Nocedal & Wright, Alg. 3.1),
+    every candidate integrated on its own; returns (sigma, J, R, w0, cost)."""
+    sigma = cfg.sigma_init
+    for halvings in range(cfg.max_halvings + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            j_lower = np.tril(v.J.array, -1) - sigma * np.tril(g.value.h_J.array, -1)
+            r_lower = np.tril(v.R.array) - sigma * np.tril(g.value.h_R.array)
+            w0 = v.w_hat - sigma * g.value.h_x
+        if all(np.isfinite(x).all() for x in (j_lower, r_lower, w0)):
+            j = p.SkewSymmetricMatrix.from_strict_lower(j_lower).array
+            r_sym = p.SymmetricMatrix.from_lower(r_lower)
+            r = p.project_psd(r_sym).array if cfg.psd_mode == "project" else r_sym.array
+            try:
+                c = sensitivity._mismatch_cost(j, r, b, w0, u.values, y_data.values, u.grid.h)
+            except p.DivergenceError:
+                c = np.inf
+            if np.isfinite(c) and c - cost_at_v <= -cfg.gamma * sigma * g.norm_sq:
+                if cfg.psd_mode == "none":
+                    p.PSDMatrix(r_sym)  # the accepted iterate must be admissible
+                return sigma, j, r, w0, c
+        if halvings == cfg.max_halvings:
+            raise p.LineSearchError(sigma, halvings)
+        sigma *= 0.5
+
+
+def batched_search(v, g, cost_at_v, b, u, y_data, cfg):
+    """armijo_search with the evaluator calibrate hands it; also checks that
+    the evaluator kept the accepted candidate's states bit for bit."""
+    evaluator = calibration._BatchEvaluator(b, u, y_data)
+    step = p.armijo_search(v, g, cost_at_v, evaluator, cfg)
+    j, r, w0 = step.point.J.array, step.point.R.array, step.point.w_hat
+    np.testing.assert_array_equal(evaluator.states_of(step.point),
+                                  calibration._euler_states(j - r, b, w0, u.values, u.grid.h))
+    return step.sigma, j, r, w0, step.cost
+
+
+def outcome(search, *args):
+    try:
+        result = search(*args)
+    except p.LineSearchError as exc:
+        return "LineSearchError", exc.last_sigma, exc.halvings
+    except p.InvalidModelError as exc:
+        return "InvalidModelError", str(exc)
+    return ("accepted",) + result
+
+
+def assert_same_outcome(batched, reference):
+    assert batched[0] == reference[0]
+    assert len(batched) == len(reference)
+    for x, y in zip(batched[1:], reference[1:]):
+        assert np.array_equal(x, y), (x, y)
+
+
+class TestBatchedSearch:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 6), k=st.integers(1, 3), structure=st.sampled_from(p.STRUCTURES),
+           psd_mode=st.sampled_from(p.PSD_MODES), steps=st.integers(5, 150),
+           max_halvings=st.integers(0, 22).filter(lambda m: (m + 1) % 8),
+           log_sigma=st.floats(-2.0, 6.0), r_scale=st.sampled_from([1.0, 1e-3]),
+           width_one=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_sequential_search(self, n, k, structure, psd_mode, steps, max_halvings,
+                                      log_sigma, r_scale, width_one, seed):
+        # max_halvings + 1 candidates never fill the last batch; a start near
+        # the cone's boundary lets psd_mode="none" leave it; a pass bound of
+        # 1 B makes the evaluator cost one candidate per call
+        rng = philox(seed)
+        truth = random_reduced_system(rng, n, k)
+        u = random_signal(rng, p.TimeGrid(1.0, steps), k)
+        y_data = p.output(truth, p.simulate_euler(truth, u))
+        v = p.ParameterPoint(random_skew(rng, n), random_psd(rng, n, r_scale), rng.normal(size=n))
+        sys_v = v.to_system(truth.B)
+        basis = p.tangent_basis(n, structure)
+        g = p.assemble_gradient(
+            p.sensitivity_coefficients(sys_v, p.simulate_euler(sys_v, u), y_data, basis), basis)
+        cfg = p.CalibrationConfig(sigma_init=10.0**log_sigma, max_halvings=max_halvings,
+                                  structure=structure, psd_mode=psd_mode)
+        args = (v, g, p.cost(sys_v, u, y_data), truth.B, u, y_data, cfg)
+        pass_bytes = 1 if width_one else sensitivity._PASS_BYTES
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with mock.patch.object(sensitivity, "_PASS_BYTES", pass_bytes):
+                batched = outcome(batched_search, *args)
+        assert_same_outcome(batched, outcome(sequential_search, *args))
+
+    @pytest.mark.parametrize("fit, width", [(0, 1), (3, 3), (100, 8)])
+    def test_evaluator_sweeps_what_fits_in_the_pass_bound(self, oscillator, guess_point,
+                                                         fit, width):
+        grid = p.TimeGrid(1.0, 100)
+        u, y_data = p.generate_reference(oscillator, grid, p.NoiseSpec(seed=31))
+        j = np.stack([guess_point.J.array * (1 + 0.1 * i) for i in range(8)])
+        r = np.stack([guess_point.R.array] * 8)
+        w = np.stack([guess_point.w_hat + 0.1 * i for i in range(8)])
+        evaluator = calibration._BatchEvaluator(oscillator.B, u, y_data)
+        with mock.patch.object(sensitivity, "_PASS_BYTES", fit * grid.num_nodes * 2 * 8):
+            costs = evaluator(j, r, w)
+        assert len(costs) == width
+        for i in range(width):
+            assert costs[i] == sensitivity._mismatch_cost(j[i], r[i], oscillator.B, w[i],
+                                                          u.values, y_data.values, grid.h)
+
+    def test_diverging_candidates_inside_a_batch(self):
+        # J = R = 0, w0 = (1, 0), zero input and data.  The step along J[1,0]
+        # is a rotation of rate sigma, which explicit Euler amplifies by
+        # (1 + (sigma h)^2)^(K/2); the w0 coefficient 1/32 reaches the exact
+        # fit w0 = 0 at sigma = 32, the seventh candidate from sigma_init = 2048.
+        grid = p.TimeGrid(1.0, 1000)
+        b = np.array([[1.0], [0.0]])
+        u, y_data = p.Signal.zeros(grid, 1), p.Signal.zeros(grid, 1)
+        v = p.ParameterPoint(p.SkewSymmetricMatrix.zeros(2), p.PSDMatrix.zeros(2),
+                             np.array([1.0, 0.0]))
+        g = p.assemble_gradient([1.0, 0.0, 0.0, 0.0, 1.0 / 32, 0.0], p.tangent_basis(2))
+        cost_at_v = p.cost(v.to_system(b), u, y_data)
+        assert cost_at_v == 0.5
+        cfg = p.CalibrationConfig(sigma_init=2048.0)
+        evaluator = calibration._BatchEvaluator(b, u, y_data)
+        batches = []
+
+        def evaluate(j, r, w):
+            batches.append((j, r, w, evaluator(j, r, w)))
+            return batches[-1][-1]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step = p.armijo_search(v, g, cost_at_v, evaluate, cfg)
+        assert step.sigma == 32.0
+        assert step.cost == 0.0
+        assert len(batches) == 1
+        j, r, w, costs = batches[0]
+        assert len(costs) == 8
+        # sigma = 2048 leaves the finite range in the Euler states, sigma = 1024
+        # only in their squares; both cost +inf and the search goes on.  The
+        # batch's last candidate, after the accepted one, is costed as well.
+        with pytest.raises(p.DivergenceError):
+            calibration._euler_states(j[0] - r[0], b, w[0], u.values, grid.h)
+        assert np.isinf(costs[:2]).all()
+        assert np.isfinite(costs[2:]).all()
+        assert_same_outcome(outcome(batched_search, v, g, cost_at_v, b, u, y_data, cfg),
+                            outcome(sequential_search, v, g, cost_at_v, b, u, y_data, cfg))

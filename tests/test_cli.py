@@ -192,6 +192,21 @@ class TestCalibrate:
                        "--diff", str(tmp_path / "d.csv")])
         assert rc == 0  # the flag overrides the file's crippling max_iter
 
+    def test_infinite_eps_stop_in_config_is_input_error(self, tmp_path, guess_file, data_files,
+                                                        capsys):
+        # an infinite threshold would report convergence in 0 steps
+        u_path, y_path = data_files
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"eps_stop": Infinity}')
+        rc = cli.main(["calibrate", "--data", str(y_path), "--input", str(u_path),
+                       "--guess", str(guess_file), "--config", str(cfg_path),
+                       "--out", str(tmp_path / "r.json"),
+                       "--history", str(tmp_path / "h.csv"),
+                       "--diff", str(tmp_path / "d.csv")])
+        assert rc == 1
+        assert "eps_stop" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_invalid_guess_rejected(self, tmp_path, data_files):
         u_path, y_path = data_files
         bad = tmp_path / "bad.json"

@@ -237,6 +237,14 @@ class TestConfigAndResultFiles:
         with pytest.raises(p.MalformedFileError):
             p.load_config(path)
 
+    @pytest.mark.parametrize("text", ['{"eps_stop": Infinity}', '{"sigma_init": Infinity}',
+                                      '{"max_iter": 2.5}', '{"max_halvings": 1.5}'])
+    def test_config_non_finite_or_fractional_value_rejected(self, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(p.MalformedFileError, match="invalid config"):
+            p.load_config(path)
+
     def test_history_round_trip(self, tmp_path, oscillator):
         grid = p.TimeGrid(1.0, 500)
         u, y_data = p.generate_reference(oscillator, grid, p.NoiseSpec(seed=50))

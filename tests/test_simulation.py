@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import phsid as p
-from conftest import oscillator_system, philox, random_reduced_system, random_signal, random_skew
+from conftest import (
+    oscillator_system,
+    philox,
+    random_psd,
+    random_reduced_system,
+    random_signal,
+    random_skew,
+)
+from phsid.systems import _euler_states
 
 
 def euler_oracle(a, b, w0, u_values, h):
@@ -92,6 +102,38 @@ def midpoint_oracle(a, b, w0, u_values, h):
         w = np.linalg.solve(m_minus, m_plus @ w + h * b @ u_values[j + 1])
         out.append(w.copy())
     return np.array(out)
+
+
+class TestStackedEuler:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 6), k=st.integers(1, 3), m=st.integers(1, 8),
+           steps=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+    def test_each_element_equals_its_own_sweep(self, n, k, m, steps, seed):
+        rng = philox(seed)
+        drifts = np.stack([random_skew(rng, n).array - random_psd(rng, n).array
+                           for _ in range(m)])
+        b = rng.normal(size=(n, k))
+        w0 = rng.normal(size=(m, n))
+        u_values = rng.normal(size=(steps + 1, k))
+        h = 1.0 / steps
+        states = _euler_states(drifts, b, w0, u_values, h)
+        assert states.shape == (steps + 1, m, n)
+        for i in range(m):
+            assert np.array_equal(states[:, i], _euler_states(drifts[i], b, w0[i], u_values, h))
+
+    def test_diverged_element_is_returned_not_raised(self):
+        grid = p.TimeGrid(1.0, 100)
+        b = np.ones((2, 1))
+        u_values = np.ones((grid.num_nodes, 1))
+        drifts = np.stack([np.diag([-0.5, -0.3]), np.diag([1e6, 1e6]), np.diag([-0.1, -0.2])])
+        w0 = np.array([[1.0, 2.0], [1.0, 1.0], [0.5, 0.5]])
+        states = _euler_states(drifts, b, w0, u_values, grid.h)
+        assert not np.isfinite(states[:, 1]).all()
+        with pytest.raises(p.DivergenceError):
+            _euler_states(drifts[1], b, w0[1], u_values, grid.h)
+        for i in (0, 2):
+            single = _euler_states(drifts[i], b, w0[i], u_values, grid.h)
+            assert np.array_equal(states[:, i], single)
 
 
 class TestDiscreteGradient:
