@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .data_io import (
     load_history_csv,
     load_model,
     load_signal_csv,
+    save_energy_csv,
     save_history_csv,
     save_result,
     save_signal_csv,
@@ -105,16 +105,6 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _write_energy_csv(sys, traj, u, path) -> None:
-    energy = hamiltonian(traj)
-    residual = energy_balance_residual(sys, traj, u)
-    lines = ["t,H,residual", f"{0.0:.17g},{energy[0]:.17g},{0.0:.17g}"]
-    times = traj.grid.times()
-    for j in range(traj.grid.steps):
-        lines.append(f"{times[j + 1]:.17g},{energy[j + 1]:.17g},{residual[j]:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _cmd_simulate(args) -> int:
     reduced = cholesky_reduce(load_model(args.model))
     u = load_signal_csv(args.input)
@@ -130,7 +120,8 @@ def _cmd_simulate(args) -> int:
     if args.out_y:
         save_signal_csv(y, args.out_y, name=y_name)
     if args.energy_out:
-        _write_energy_csv(reduced, traj, u, args.energy_out)
+        save_energy_csv(traj.grid, hamiltonian(traj),
+                        energy_balance_residual(reduced, traj, u), args.energy_out)
     print(f"simulated {traj.grid.steps} steps with the {args.scheme} scheme")
     return EXIT_OK
 

@@ -24,7 +24,19 @@ absent), ``B`` (n x k) and ``x_hat`` (length n).  Signals and trajectories
 (CSV): header ``t,<name>_1,...,<name>_m``, one row per grid node, floats
 written with 17 significant digits so a save/load round trip is bit-exact.
 Loaders validate every structural invariant and reject violations with a
-diagnostic naming the failed invariant.
+diagnostic naming the failed invariant and, for a bad row, its line in the
+file (blank lines counted).
+
+Signals, trajectories and the energy file go through one writer and one
+reader that work a chunk of ``_CHUNK_ROWS`` rows at a time.  The writer
+formats a chunk with a single ``%`` of a ``%.17g,...,%.17g\\n`` row format,
+which gives the same bytes as formatting each value with ``.17g``.  The
+reader checks each line's field count, joins and splits the chunk's lines
+once and parses every field with ``float()``, so it accepts exactly the
+strings a one-value-at-a-time parser accepts; on any failure it re-scans
+the chunk line by line to name the first bad line.  Besides the values and
+the file's lines (for reading), each holds one chunk's text and floats at a
+time: writing a 100,001 x 3 table peaks under 2 MB of allocations.
 """
 
 from __future__ import annotations
@@ -186,43 +198,66 @@ def save_model(sys: PHSystem, path) -> None:
 # --------------------------------------------------------------------------
 # signal / trajectory files
 
-def _format_row(values) -> str:
-    return ",".join(f"{v:.17g}" for v in values)
+# rows formatted or parsed per call: bounds the text held at once
+_CHUNK_ROWS = 4096
 
 
-def _write_grid_table(grid: TimeGrid, columns: np.ndarray, name: str, path) -> None:
-    header = "t," + ",".join(f"{name}_{i + 1}" for i in range(columns.shape[1]))
+def _write_grid_table(grid: TimeGrid, columns: np.ndarray, names, path) -> None:
+    """Write the header ``t,<names>`` and one row per grid node, a chunk per format call."""
     times = grid.times()
-    lines = [header]
-    for t, row in zip(times, columns):
-        lines.append(f"{t:.17g}," + _format_row(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row_fmt = ",".join(["%.17g"] * (1 + columns.shape[1])) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(["t", *names]) + "\n")
+        for start in range(0, len(times), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            block = np.column_stack([times[start:stop], columns[start:stop]])
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _read_grid_table(path) -> tuple[TimeGrid, np.ndarray]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MalformedFileError(f"cannot read {path}: {exc}") from None
-    lines = [line for line in text.splitlines() if line.strip()]
-    if len(lines) < 3:
-        raise MalformedFileError(f"{path}: need a header and at least two grid rows")
-    header = lines[0].split(",")
-    if header[0].strip() != "t" or len(header) < 2:
-        raise MalformedFileError(f"{path}: header must be 't,<name>_1,...'")
-    width = len(header)
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+def _nonblank_line_numbers(physical: list[str]) -> list[int]:
+    return [number for number, line in enumerate(physical, start=1) if line.strip()]
+
+
+def _raise_row_error(path, block: list[str], numbers: list[int], width: int) -> None:
+    """Raise the first line's error in ``block``, line by line, as a one-value parser would."""
+    for lineno, line in zip(numbers, block):
         parts = line.split(",")
         if len(parts) != width:
             raise MalformedFileError(
                 f"{path}:{lineno}: expected {width} fields, got {len(parts)}"
             )
         try:
-            rows.append([float(p) for p in parts])
+            for part in parts:
+                float(part)
         except ValueError:
             raise MalformedFileError(f"{path}:{lineno}: non-numeric field") from None
-    data = np.array(rows)
+
+
+def _read_grid_table(path) -> tuple[TimeGrid, np.ndarray]:
+    try:
+        physical = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise MalformedFileError(f"cannot read {path}: {exc}") from None
+    lines = [line for line in physical if line.strip()]
+    if len(lines) < 3:
+        raise MalformedFileError(f"{path}: need a header and at least two grid rows")
+    header = lines[0].split(",")
+    if header[0].strip() != "t" or len(header) < 2:
+        raise MalformedFileError(f"{path}: header must be 't,<name>_1,...'")
+    width = len(header)
+    data = np.empty((len(lines) - 1, width))
+    for start in range(1, len(lines), _CHUNK_ROWS):
+        block = lines[start:start + _CHUNK_ROWS]
+        try:
+            # per line, not per chunk: a short row and a long row would cancel
+            if any(line.count(",") != width - 1 for line in block):
+                raise ValueError
+            values = list(map(float, ",".join(block).split(",")))
+        except ValueError:
+            numbers = _nonblank_line_numbers(physical)[start:start + len(block)]
+            _raise_row_error(path, block, numbers, width)
+            raise
+        data[start - 1:start - 1 + len(block)] = np.reshape(values, (len(block), width))
     if not np.all(np.isfinite(data)):
         raise MalformedFileError(f"{path}: non-finite values")
     times = data[:, 0]
@@ -239,8 +274,12 @@ def _read_grid_table(path) -> tuple[TimeGrid, np.ndarray]:
     return grid, data[:, 1:]
 
 
+def _column_names(name: str, count: int) -> list[str]:
+    return [f"{name}_{i + 1}" for i in range(count)]
+
+
 def save_signal_csv(signal: Signal, path, name: str = "u") -> None:
-    _write_grid_table(signal.grid, signal.values, name, path)
+    _write_grid_table(signal.grid, signal.values, _column_names(name, signal.k), path)
 
 
 def load_signal_csv(path) -> Signal:
@@ -249,12 +288,21 @@ def load_signal_csv(path) -> Signal:
 
 
 def save_trajectory_csv(traj: Trajectory, path, name: str = "w") -> None:
-    _write_grid_table(traj.grid, traj.states, name, path)
+    _write_grid_table(traj.grid, traj.states, _column_names(name, traj.n), path)
 
 
 def load_trajectory_csv(path) -> Trajectory:
     grid, states = _read_grid_table(path)
     return Trajectory(grid, states)
+
+
+def save_energy_csv(grid: TimeGrid, energy: np.ndarray, residual: np.ndarray, path) -> None:
+    """Per-node energy and per-step balance residual as ``t,H,residual``.
+
+    Row j+1 carries the residual of step j; row 0 has residual 0.
+    """
+    residual = np.concatenate(([0.0], residual))
+    _write_grid_table(grid, np.column_stack([energy, residual]), ("H", "residual"), path)
 
 
 # --------------------------------------------------------------------------
@@ -296,26 +344,41 @@ def save_history_csv(result: CalibrationResult, path) -> None:
 
 
 def load_history_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a history CSV back as (costs, sigmas); sigmas has one entry per step."""
+    """Read a history CSV back as (costs, sigmas); sigmas has one entry per step.
+
+    Rows must count ``iter`` 0, 1, ... in order, every cost must be finite,
+    row 0 must have an empty sigma and every later row a finite positive one,
+    so that sigma i is the step that led from cost i-1 to cost i.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        physical = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise MalformedFileError(f"cannot read {path}: {exc}") from None
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0].split(",") != ["iter", "cost", "sigma"]:
+    numbers = _nonblank_line_numbers(physical)
+    if not numbers or physical[numbers[0] - 1].split(",") != ["iter", "cost", "sigma"]:
         raise MalformedFileError(f"{path}: expected header 'iter,cost,sigma'")
-    if len(lines) < 2:
+    if len(numbers) < 2:
         raise MalformedFileError(f"{path}: history is empty")
     costs = []
     sigmas = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
+    for step, lineno in enumerate(numbers[1:]):
+        parts = physical[lineno - 1].split(",")
         if len(parts) != 3:
             raise MalformedFileError(f"{path}:{lineno}: expected 3 fields")
+        if parts[0] != str(step):
+            raise MalformedFileError(
+                f"{path}:{lineno}: expected iter {step}, got {parts[0]!r}"
+            )
+        if step == 0 and parts[2]:
+            raise MalformedFileError(f"{path}:{lineno}: the initial row must have no sigma")
         try:
             costs.append(float(parts[1]))
-            if parts[2]:
+            if step:
                 sigmas.append(float(parts[2]))
         except ValueError:
             raise MalformedFileError(f"{path}:{lineno}: non-numeric field") from None
+        if not np.isfinite(costs[-1]):
+            raise MalformedFileError(f"{path}:{lineno}: cost must be finite")
+        if step and not 0 < sigmas[-1] < np.inf:
+            raise MalformedFileError(f"{path}:{lineno}: sigma must be finite and positive")
     return np.array(costs), np.array(sigmas)

@@ -5,6 +5,7 @@ import pytest
 
 import phsid as p
 import phsid.cli as cli
+import phsid.data_io as data_io
 from conftest import oscillator_guess, oscillator_system
 
 
@@ -113,6 +114,24 @@ class TestSimulate:
         h_column = [float(line.split(",")[1]) for line in
                     energy.read_text().splitlines()[1:]]
         assert max(h_column) - min(h_column) <= 1e-12
+
+    def test_energy_file_equals_per_value_reference(self, tmp_path, model_file, monkeypatch):
+        # three-row chunks, so the 11 rows end in a partial chunk
+        monkeypatch.setattr(data_io, "_CHUNK_ROWS", 3)
+        u = p.generate_input(p.TimeGrid(1.0, 10), 1, p.NoiseSpec(seed=3))
+        u_path, w_path, e_path = tmp_path / "u.csv", tmp_path / "w.csv", tmp_path / "e.csv"
+        p.save_signal_csv(u, u_path)
+        rc = cli.main(["simulate", "--model", str(model_file), "--input", str(u_path),
+                       "--scheme", "midpoint", "--out", str(w_path), "--energy-out", str(e_path)])
+        assert rc == 0
+        traj = p.load_trajectory_csv(w_path)
+        energy = p.hamiltonian(traj)
+        residual = p.energy_balance_residual(p.cholesky_reduce(p.load_model(model_file)), traj, u)
+        times = traj.grid.times()
+        lines = ["t,H,residual", f"0,{energy[0]:.17g},0"]
+        for j in range(traj.grid.steps):
+            lines.append(f"{times[j + 1]:.17g},{energy[j + 1]:.17g},{residual[j]:.17g}")
+        assert e_path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_mismatched_input_ports(self, tmp_path, model_file):
         u = p.Signal.zeros(p.TimeGrid(1.0, 10), 2)
@@ -278,6 +297,14 @@ class TestReport:
         diff = tmp_path / "d.csv"
         diff.write_text("t,diff_1\n0,0\n1,0\n")
         assert cli.main(["report", "--history", str(hist), "--diff", str(diff)]) == 1
+
+    def test_malformed_history_is_input_error(self, tmp_path, capsys):
+        hist = tmp_path / "h.csv"
+        hist.write_text("iter,cost,sigma\n0,1.0,\n1,nan,0.5\n")
+        diff = tmp_path / "d.csv"
+        diff.write_text("t,diff_1\n0,0\n1,0\n")
+        assert cli.main(["report", "--history", str(hist), "--diff", str(diff)]) == 1
+        assert ":3: cost must be finite" in capsys.readouterr().err
 
     def test_missing_diff_is_input_error(self, tmp_path):
         hist = tmp_path / "h.csv"

@@ -1,10 +1,34 @@
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import phsid as p
+import phsid.data_io as data_io
 from conftest import FIXTURES, philox, random_reduced_system, random_spd
+
+# finite doubles: hypothesis' own draws plus signed zeros, subnormals and
+# mantissas scaled over exponents -300..300
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 0.1, 1 / 3]),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-9.99, 9.99), st.integers(-300, 300)),
+)
+# spellings float() takes: padded, underscored, exponent or fixed notation
+FIELD = st.builds(lambda v, fmt: fmt.format(v), FINITE,
+                  st.sampled_from(["{!r}", "{:.17g}", "{:.6e}", " {!r}\t", "{:+.3f}", "{:_}"]))
+
+
+def grid_table_text(rows, k: int) -> str:
+    header = "t," + ",".join(f"u_{i + 1}" for i in range(k))
+    return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
 
 
 class TestStandardNormals:
@@ -206,6 +230,37 @@ class TestSignalFiles:
         with pytest.raises(p.MalformedFileError, match="numeric"):
             p.load_signal_csv(path)
 
+    def test_nan_field_rejected_as_non_finite(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,u_1\n0,nan\n0.5,1\n1,1\n")
+        with pytest.raises(p.MalformedFileError, match="non-finite"):
+            p.load_signal_csv(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("t,u_1\n\n\n0,1\n\n0.5,oops\n1,1\n", r":6: non-numeric field"),
+        ("t,u_1\n\n0,1\n\n0.5,1,2\n1,1\n", r":5: expected 2 fields, got 3"),
+    ])
+    @pytest.mark.parametrize("chunk", [1, 2, 4096])
+    def test_error_names_the_physical_line(self, tmp_path, text, match, chunk):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with mock.patch.object(data_io, "_CHUNK_ROWS", chunk):
+            with pytest.raises(p.MalformedFileError, match=match):
+                p.load_signal_csv(path)
+
+    @pytest.mark.parametrize("chunk, bad", [(4096, 2), (2, 4), (3, 8)])
+    def test_compensating_ragged_rows_rejected(self, tmp_path, chunk, bad):
+        # one row a field long and the next a field short keep the chunk's
+        # field total; rows start on line 2, so line `bad` opens a chunk
+        rows = [[f"{t:.17g}", "1"] for t in p.TimeGrid(0.9, 9).times()]
+        rows[bad - 2].append("2")
+        rows[bad - 1].pop()
+        path = tmp_path / "s.csv"
+        path.write_text(grid_table_text(rows, 1))
+        with mock.patch.object(data_io, "_CHUNK_ROWS", chunk):
+            with pytest.raises(p.MalformedFileError, match=f":{bad}: expected 2 fields, got 3"):
+                p.load_signal_csv(path)
+
     def test_trajectory_round_trip(self, tmp_path):
         rng = philox(43)
         grid = p.TimeGrid(2.0, 100)
@@ -214,6 +269,65 @@ class TestSignalFiles:
         p.save_trajectory_csv(traj, path)
         loaded = p.load_trajectory_csv(path)
         np.testing.assert_array_equal(loaded.states, traj.states)
+
+
+class TestChunkedTables:
+    """The chunked writer and reader against one-value-at-a-time references."""
+
+    # derandomized so that every run of the suite draws the same examples
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 8), steps=st.integers(1, 9), chunk=st.integers(1, 3),
+           data=st.data())
+    def test_writer_bytes_equal_per_value_reference(self, k, steps, chunk, data):
+        values = data.draw(arrays(np.float64, (steps + 1, k), elements=FINITE))
+        grid = p.TimeGrid(0.5 * steps, steps)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(data_io, "_CHUNK_ROWS", chunk):
+            path = Path(tmp) / "s.csv"
+            p.save_signal_csv(p.Signal(grid, values), path, name="u")
+            written = path.read_bytes()
+        lines = ["t," + ",".join(f"u_{i + 1}" for i in range(k))]
+        for t, row in zip(grid.times(), values):
+            lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
+        assert written == ("\n".join(lines) + "\n").encode()
+
+    def test_writer_straddles_the_default_chunk(self, tmp_path):
+        steps = 2 * data_io._CHUNK_ROWS
+        traj = p.Trajectory(p.TimeGrid(1.0, steps), philox(45).normal(size=(steps + 1, 2)))
+        path = tmp_path / "w.csv"
+        p.save_trajectory_csv(traj, path)
+        lines = ["t,w_1,w_2"] + [",".join(f"{v:.17g}" for v in (t, *row))
+                                 for t, row in zip(traj.grid.times(), traj.states)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        np.testing.assert_array_equal(p.load_trajectory_csv(path).states, traj.states)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 8), steps=st.integers(1, 9), chunk=st.integers(1, 3),
+           data=st.data())
+    def test_reader_values_are_float_of_each_field(self, k, steps, chunk, data):
+        grid = p.TimeGrid(0.5 * steps, steps)
+        rows = [[f"{t:.17g}"] + data.draw(st.lists(FIELD, min_size=k, max_size=k))
+                for t in grid.times()]
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(data_io, "_CHUNK_ROWS", chunk):
+            path = Path(tmp) / "s.csv"
+            path.write_text(grid_table_text(rows, k))
+            loaded = p.load_signal_csv(path)
+        expected = np.array([[float(f) for f in row[1:]] for row in rows])
+        assert loaded.grid == grid
+        # compared as bits, so -0.0 and 0.0 differ
+        assert np.array_equal(loaded.values.view(np.uint64), expected.view(np.uint64))
+
+    def test_writer_memory_is_bounded(self, tmp_path):
+        # a 100,001 x 3 table; formatting it in one piece peaked at 23.6 MB
+        traj = p.Trajectory(p.TimeGrid(100.0, 100_000), philox(46).normal(size=(100_001, 2)))
+        tracemalloc.start()
+        try:
+            p.save_trajectory_csv(traj, tmp_path / "w.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestConfigAndResultFiles:
@@ -260,6 +374,25 @@ class TestConfigAndResultFiles:
         path = tmp_path / "h.csv"
         path.write_text("iter,cost,sigma\n")
         with pytest.raises(p.MalformedFileError, match="empty"):
+            p.load_history_csv(path)
+
+    @pytest.mark.parametrize("body, match", [
+        # a step without its sigma would shift every later sigma by one step
+        ("0,1.0,\n1,0.5,\n2,0.25,0.5\n", r":3: non-numeric field"),
+        ("foo,1.0,\nbar,0.5,0.1\n", r":2: expected iter 0, got 'foo'"),
+        ("0,1.0,\n2,0.5,0.1\n", r":3: expected iter 1, got '2'"),
+        ("0,1.0,0.5\n1,0.5,0.1\n", r":2: the initial row must have no sigma"),
+        ("0,nan,\n", r":2: cost must be finite"),
+        ("0,1.0,\n1,inf,0.1\n", r":3: cost must be finite"),
+        ("0,1.0,\n1,0.5,0\n", r":3: sigma must be finite and positive"),
+        ("0,1.0,\n1,0.5,-0.25\n", r":3: sigma must be finite and positive"),
+        ("0,1.0,\n1,0.5,nan\n", r":3: sigma must be finite and positive"),
+        ("0,1.0,\n\n\n1,0.5,inf\n", r":5: sigma must be finite and positive"),
+    ])
+    def test_history_malformed_rejected(self, tmp_path, body, match):
+        path = tmp_path / "h.csv"
+        path.write_text("iter,cost,sigma\n" + body)
+        with pytest.raises(p.MalformedFileError, match=match):
             p.load_history_csv(path)
 
     def test_result_file_contents(self, tmp_path, oscillator):
