@@ -21,10 +21,11 @@ differences down to truncation level.
 
 All directions share the propagator I + h (J-R), so
 :func:`sensitivity_coefficients` advances them together: each pass stacks as
-many directions as fit in a buffer of ``_PASS_BYTES`` (at least one) and
-takes one Euler step for the whole stack per call.  :func:`solve_sensitivity`
-integrates one direction on its own; it is the per-direction reference the
-stacked route reproduces bit for bit.
+many directions as fit in a buffer of ``_PASS_BYTES`` (at least one), fills
+it with the sources and runs it through the integrators' affine-recurrence
+kernel ``phsid.systems._affine_scan``, one Euler step for the whole stack per
+call.  :func:`solve_sensitivity` integrates one direction on its own; it is
+the per-direction reference the stacked route reproduces bit for bit.
 
 The cost functional is the output mismatch
 
@@ -51,7 +52,14 @@ from .errors import (
     UnsupportedDirectionError,
 )
 from .matrices import PSDMatrix, SkewSymmetricMatrix, SymmetricMatrix, _frozen_vector
-from .systems import ReducedPHSystem, Signal, TimeGrid, Trajectory, _euler_states
+from .systems import (
+    ReducedPHSystem,
+    Signal,
+    TimeGrid,
+    Trajectory,
+    _affine_scan,
+    _euler_states,
+)
 
 STRUCTURE_FULL = "full"
 STRUCTURE_DIAGONAL_R = "diagonal_R"
@@ -332,10 +340,8 @@ def sensitivity_coefficients(sys: ReducedPHSystem, traj: Trajectory,
     propagator = np.eye(n) + h * sys.drift()
     width = _pass_width(grid.num_nodes, n, len(directions))
     buf = np.empty((grid.num_nodes, width, n, 1))
-    tmp = np.empty((width, n, 1))
     residual = w[:-1] @ sys.B - y_data.values[:-1]
     coeffs = np.empty(len(directions))
-    matmul, add = np.matmul, np.add
     for first in range(0, len(directions), width):
         count = min(width, len(directions) - first)
         sens = buf[:, :count]
@@ -353,15 +359,7 @@ def sensitivity_coefficients(sys: ReducedPHSystem, traj: Trajectory,
                 sens[1:, i, :, 0] = h * (w[:-1] @ direction.h_J.array.T)
             else:
                 sens[1:, i, :, 0] = h * -(w[:-1] @ direction.h_R.array.T)
-        if count == 1:
-            # one direction steps as a plain vector: the same gemv, with less
-            # per-call overhead than a stack of one column
-            rows, step = sens[:, 0, :, 0], tmp[0, :, 0]
-        else:
-            rows, step = sens, tmp[:count]
-        for cur, nxt in zip(rows[:-1], rows[1:]):
-            matmul(propagator, cur, out=step)
-            add(nxt, step, out=nxt)
+        _affine_scan(propagator, sens)
         for i in range(count):
             tangent_output = np.ascontiguousarray(sens[:-1, i, :, 0]) @ sys.B
             coeffs[first + i] = float(h * np.sum(residual * tangent_output))

@@ -23,6 +23,14 @@ Two integrators on a uniform grid are provided:
   dynamics, which reproduces the power balance
   H(w_{j+1}) - H(w_j) = h * (-g^T R g + y^T u) exactly per step
   (g the midpoint state), i.e. it dissipates and routes energy exactly.
+
+Both are the affine recurrence w_{j+1} = P w_j + f_j: P = I + h(J-R) and
+f_j = h B u_j for Euler, P = M^{-1} N and f_j = M^{-1} h B u_{j+1} for the
+midpoint rule (M = I - h/2 (J-R), N = I + h/2 (J-R)).  Each integrator
+writes the forcing of every step into its state buffer with one batched
+matmul and hands the buffer to :func:`_affine_scan`, the one step loop,
+which the forward sensitivities share.  The states equal the per-step loop
+``P @ w + S @ v_j`` (S = hB or M^{-1} hB) bit for bit.
 """
 
 from __future__ import annotations
@@ -208,16 +216,38 @@ def cholesky_reduce(sys: PHSystem) -> ReducedPHSystem:
     return ReducedPHSystem(j_red, r_red, v.T @ sys.B, v.T @ sys.x_hat)
 
 
+def _affine_scan(p: np.ndarray, rows: np.ndarray) -> None:
+    """Run the affine recurrence x_{j+1} = P x_j + f_j in place over ``rows``.
+
+    On entry ``rows[0]`` holds x_0 and ``rows[j+1]`` the forcing f_j; on
+    return ``rows[j]`` holds x_j.  Rows are (n,) vectors with P (n, n), or
+    (m, n, 1) stacks of columns with one shared P (n, n) or one per element
+    (m, n, n), so that the stacked product is one gemv per element.  Each
+    step is two C calls, ``matmul(P, x_j)`` into a scratch row and its
+    addition onto f_j, so every element's states equal the plain
+    ``P @ x_j + f_j`` loop bit for bit.  A stack of one steps as a plain
+    vector: the same gemv, with less per-call overhead than a stack of one
+    column.  Overflow is left to the caller's error state.
+    """
+    if rows.ndim == 4 and rows.shape[1] == 1:
+        rows, p = rows[:, 0, :, 0], p.reshape(p.shape[-2:])
+    step = np.empty(rows.shape[1:])
+    matmul, add = np.matmul, np.add
+    for cur, nxt in zip(rows[:-1], rows[1:]):
+        matmul(p, cur, out=step)
+        add(nxt, step, out=nxt)
+
+
 def _euler_states(a: np.ndarray, b: np.ndarray, w0: np.ndarray,
                   u_values: np.ndarray, h: float) -> np.ndarray:
     """Explicit Euler recursion w_{j+1} = w_j + h*(a w_j + b u_j), for one drift or a stack.
 
     One drift ``a`` (n, n) with ``w0`` (n,) gives states (K+1, n); a stack of
-    m drifts (m, n, n) with initial states (m, n) gives (K+1, m, n).  Every
-    stack element goes through the same matrix-vector product and addition
-    as a single drift, and the forcing h B u_j is formed once per step for
-    the whole stack, so each element's states equal its own sweep bit for
-    bit.  A stack of one steps as a plain vector, like a single drift.
+    m drifts (m, n, n) with initial states (m, n) gives (K+1, m, n).  The
+    forcing h B u_j of every step is written into rows 1.. of the state
+    buffer by one batched matmul (the same gemv per step as a single
+    product), and :func:`_affine_scan` then adds (I + h a) w_j onto it, so
+    each stack element's states equal its own sweep bit for bit.
 
     A single drift raises DivergenceError with the first offending step
     index if the state leaves the finite range.  A stack is returned as it
@@ -227,26 +257,17 @@ def _euler_states(a: np.ndarray, b: np.ndarray, w0: np.ndarray,
     stacked = a.ndim == 3
     n = a.shape[-1]
     propagator = np.eye(n) + h * a
-    hb = h * b
-    if not stacked or a.shape[0] == 1:
-        states = np.empty((steps + 1, n))
-        states[0] = w0.reshape(n)
-        propagator = propagator.reshape(n, n)
-        rows, step, force, inputs = states, np.empty(n), np.empty(n), u_values
-    else:
-        # (n, 1) columns, so that the stacked product is a gemv per element
-        states = np.empty((steps + 1, a.shape[0], n, 1))
-        states[0, :, :, 0] = w0
-        rows, step, force = states, np.empty(states.shape[1:]), np.empty((n, 1))
-        inputs = u_values[:, :, None]
-    matmul, add = np.matmul, np.add
+    # (n, 1) columns, so that the stacked product is a gemv per element
+    count = a.shape[0] if stacked else 1
+    states = np.empty((steps + 1, count, n, 1))
+    states[0, :, :, 0] = w0
     with np.errstate(over="ignore", invalid="ignore"):
-        for cur, nxt, u_j in zip(rows[:-1], rows[1:], inputs):
-            matmul(propagator, cur, out=step)
-            matmul(hb, u_j, out=force)
-            add(step, force, out=nxt)
+        np.matmul(h * b, u_values[:-1, :, None], out=states[1:, 0])
+        states[1:, 1:] = states[1:, :1]  # one input drives every element
+        _affine_scan(propagator, states)
     if stacked:
-        return states.reshape(steps + 1, a.shape[0], n)
+        return states.reshape(steps + 1, count, n)
+    states = states.reshape(steps + 1, n)
     bad = _first_nonfinite_row(states)
     if bad is not None:
         raise DivergenceError(bad, "explicit Euler")
@@ -307,14 +328,11 @@ def simulate_discrete_gradient(sys: ReducedPHSystem, u: Signal) -> Trajectory:
     m_plus = np.eye(n) + 0.5 * h * a
     propagator = np.linalg.solve(m_minus, m_plus)
     source = np.linalg.solve(m_minus, h * sys.B)
-    steps = u.grid.steps
-    states = np.empty((steps + 1, n))
+    states = np.empty((u.grid.num_nodes, n))
     states[0] = sys.w_hat
-    w = sys.w_hat
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(steps):
-            w = propagator @ w + source @ u.values[j + 1]
-            states[j + 1] = w
+        np.matmul(source, u.values[1:, :, None], out=states[1:, :, None])
+        _affine_scan(propagator, states)
     bad = _first_nonfinite_row(states)
     if bad is not None:
         raise DivergenceError(bad, "discrete-gradient scheme")

@@ -1,18 +1,24 @@
-"""Print a bit-exact fingerprint of ``calibrate`` on a fixed set of cases.
+"""Print a bit-exact fingerprint of ``calibrate`` and of both integrators.
 
     PYTHONPATH=src python3 tools/calibration_fingerprint.py > new.jsonl
 
 Run it on two checkouts (each with its own ``src`` on PYTHONPATH) and
 compare the outputs with ``diff``: identical lines mean identical
 ``cost_history``, ``step_sizes``, ``gradient_sq_norms``, ``v_opt``,
-``y_opt``, iteration count and message.  Floats are printed as hex and
-arrays as SHA-256 of their bytes, so any moved bit shows.
+``y_opt``, iteration count and message, and identical simulated states.
+Floats are printed as hex and arrays as SHA-256 of their bytes, so any
+moved bit shows.
 
-Cases: the oscillator on noise seeds 7, 22, 25, 101 and 102 with both
-structures and both PSD modes; the benchmark's random n=8, k=2 truths of
-model seeds 0, 6 and 1; an overflowing first step (sigma_init=1e6), a
-search whose first candidates diverge (sigma_init=1e3) and a line-search
-failure (sigma_init=1e18, no halvings).
+Calibration cases: the oscillator on noise seeds 7, 22, 25, 101 and 102
+with both structures and both PSD modes; the benchmark's random n=8, k=2
+truths of model seeds 0, 6 and 1; an overflowing first step
+(sigma_init=1e6), a search whose first candidates diverge (sigma_init=1e3)
+and a line-search failure (sigma_init=1e18, no halvings).
+
+Simulation cases: explicit Euler and the discrete-gradient scheme over
+K=1e4 steps on the random n=8, k=2 truths of model seeds 0 and 6.  With
+k >= 2 each step's forcing is a sum of products, so its rounding depends on
+how the matrix-vector product is evaluated.
 """
 
 import hashlib
@@ -25,7 +31,9 @@ import numpy as np
 import phsid as p
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import oscillator_guess, oscillator_truth, random_model  # noqa: E402
+from workloads import grid, oscillator_guess, oscillator_truth, random_model  # noqa: E402
+
+LONG_STEPS = 10_000
 
 
 def cases():
@@ -49,6 +57,15 @@ def cases():
         yield label, start, u, y, truth.B, cfg
 
 
+def simulations():
+    for model in (0, 6):
+        truth, _ = random_model(model, 8, 2)
+        u = p.generate_input(grid(LONG_STEPS), truth.k, p.NoiseSpec(seed=model))
+        for scheme, simulate in (("euler", p.simulate_euler),
+                                 ("midpoint", p.simulate_discrete_gradient)):
+            yield f"wide-n8 model={model} {scheme} K={LONG_STEPS}", simulate(truth, u)
+
+
 def digest(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -70,6 +87,8 @@ def main():
             "v_opt": digest(res.v_opt.J.array, res.v_opt.R.array, res.v_opt.w_hat),
             "y_opt": digest(res.y_opt.values),
         }))
+    for label, traj in simulations():
+        print(json.dumps({"case": label, "states": digest(traj.states)}))
 
 
 if __name__ == "__main__":
