@@ -35,7 +35,6 @@ from .errors import (
     LineSearchError,
     MalformedFileError,
     PhsidError,
-    UnsupportedDirectionError,
 )
 from .matrices import (
     PSD_EIG_TOL,
@@ -50,9 +49,9 @@ from .sensitivity import (
     STRUCTURE_FULL,
     STRUCTURES,
     BasisSet,
+    Direction,
     Gradient,
     ParameterPoint,
-    TangentDirection,
     assemble_gradient,
     coefficients_agree,
     directional_derivative,

@@ -153,12 +153,12 @@ def cost(sys: ReducedPHSystem, u: Signal, y_data: Signal) -> float:
 def _candidate_blocks(v: ParameterPoint, g: Gradient, sigma: float):
     """Raw descent update on the triangular free parameters (exact structure)."""
     j_new = SkewSymmetricMatrix.from_strict_lower(
-        np.tril(v.J.array, -1) - sigma * np.tril(g.value.h_J.array, -1)
+        np.tril(v.J.array, -1) - sigma * np.tril(g.h_J.array, -1)
     )
     r_sym = SymmetricMatrix.from_lower(
-        np.tril(v.R.array) - sigma * np.tril(g.value.h_R.array)
+        np.tril(v.R.array) - sigma * np.tril(g.h_R.array)
     )
-    w_new = v.w_hat - sigma * g.value.h_x
+    w_new = v.w_hat - sigma * g.h_x
     return j_new, r_sym, w_new
 
 

@@ -42,11 +42,6 @@ class DivergenceError(PhsidError):
         super().__init__(msg)
 
 
-class UnsupportedDirectionError(PhsidError):
-    """A tangent direction with zero or several nonzero blocks was passed
-    where a pure (single-block) direction is required."""
-
-
 class LineSearchError(PhsidError):
     """Armijo backtracking exhausted its halving budget.
 

@@ -36,8 +36,13 @@ directional derivative in direction h is
 
     d cost[h] = sum_{j<K} h * <B^T w_j - y_data_j, B^T s_j>.
 
-The gradient is assembled blockwise as the coefficient-weighted sum of the
-raw basis elements.
+The tangent basis is an index set: each :class:`Direction` names one entry
+of one lower triangle (a skew pair of J, a symmetric entry of R, a
+coordinate of w0), never a dense matrix.  A direction's source is written by
+copying state columns, and the gradient is assembled by adding each
+coefficient onto its entry of a zero lower triangle, bit for bit what the
+dense ±1 basis matrices gave.  Only :func:`finite_difference_gradient`
+builds a direction's dense pattern, one probe at a time.
 """
 
 from __future__ import annotations
@@ -46,11 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DivergenceError,
-    UnsupportedDirectionError,
-)
+from .errors import DimensionMismatchError, DivergenceError
 from .matrices import PSDMatrix, SkewSymmetricMatrix, SymmetricMatrix, _frozen_vector
 from .systems import (
     ReducedPHSystem,
@@ -98,47 +99,43 @@ class ParameterPoint:
         return ReducedPHSystem(self.J, self.R, b, self.w_hat)
 
 
-@dataclass(frozen=True)
-class TangentDirection:
-    """An admissible perturbation (h_J skew, h_R symmetric, h_x free)."""
+@dataclass(frozen=True, slots=True)
+class Direction:
+    """One element of the tangent basis, named by a lower-triangle index.
 
-    h_J: SkewSymmetricMatrix
-    h_R: SymmetricMatrix
-    h_x: np.ndarray
+    ``("J", i, j)`` with j < i stands for the skew pair +1 at [i, j], -1 at
+    [j, i]; ``("R", i, j)`` with j <= i for the symmetric pair (or unit
+    diagonal) 1 at [i, j] and [j, i]; ``("x", i, i)`` for the unit vector e_i
+    of the initial state.  Any other triple is rejected, so a direction always
+    has exactly one nonzero block.
+    """
+
+    block: str
+    i: int
+    j: int
 
     def __post_init__(self):
-        if self.h_R.n != self.h_J.n:
-            raise DimensionMismatchError("h_J and h_R must share the same dimension")
-        hx = _frozen_vector(self.h_x, "h_x")
-        if hx.shape[0] != self.h_J.n:
-            raise DimensionMismatchError(
-                f"h_x has length {hx.shape[0]}, expected {self.h_J.n}"
-            )
-        object.__setattr__(self, "h_x", hx)
+        valid = {"J": 0 <= self.j < self.i, "R": 0 <= self.j <= self.i,
+                 "x": 0 <= self.j == self.i}
+        if not valid.get(self.block, False):
+            raise ValueError(f"not a tangent basis direction: {(self.block, self.i, self.j)}")
 
     @property
-    def n(self) -> int:
-        return self.h_J.n
-
-    def nonzero_blocks(self) -> tuple[str, ...]:
-        blocks = []
-        if np.any(self.h_J.array != 0.0):
-            blocks.append("J")
-        if np.any(self.h_R.array != 0.0):
-            blocks.append("R")
-        if np.any(self.h_x != 0.0):
-            blocks.append("x")
-        return tuple(blocks)
+    def label(self) -> str:
+        return f"x[{self.i}]" if self.block == "x" else f"{self.block}[{self.i},{self.j}]"
 
 
 @dataclass(frozen=True)
 class BasisSet:
     """Canonical ordered tangent basis: skew block, symmetric block, coordinate vectors."""
 
-    directions: tuple[TangentDirection, ...]
-    labels: tuple[str, ...]
+    directions: tuple[Direction, ...]
     structure: str
     n: int
+
+    def __post_init__(self):
+        if any(d.i >= self.n for d in self.directions):
+            raise DimensionMismatchError(f"basis direction outside dimension {self.n}")
 
     def __len__(self) -> int:
         return len(self.directions)
@@ -146,15 +143,23 @@ class BasisSet:
     def __iter__(self):
         return iter(self.directions)
 
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(d.label for d in self.directions)
+
 
 @dataclass(frozen=True)
 class Gradient:
-    """Assembled gradient: a tangent direction plus its basis coefficients."""
+    """Assembled gradient: its (h_J skew, h_R symmetric, h_x) blocks plus its
+    basis coefficients."""
 
-    value: TangentDirection
+    h_J: SkewSymmetricMatrix
+    h_R: SymmetricMatrix
+    h_x: np.ndarray
     coefficients: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "h_x", _frozen_vector(self.h_x, "h_x"))
         c = _frozen_vector(self.coefficients, "coefficients")
         object.__setattr__(self, "coefficients", c)
 
@@ -177,90 +182,66 @@ def tangent_basis(n: int, structure: str = STRUCTURE_FULL) -> BasisSet:
         raise ValueError(f"unknown structure {structure!r}, expected one of {STRUCTURES}")
     if n < 1:
         raise DimensionMismatchError("dimension must be >= 1")
-    zero_j = SkewSymmetricMatrix.zeros(n)
-    zero_r = SymmetricMatrix.zeros(n)
-    zero_x = np.zeros(n)
-    directions = []
-    labels = []
-    for i in range(n):
-        for j in range(i):
-            lower = np.zeros((n, n))
-            lower[i, j] = 1.0
-            directions.append(
-                TangentDirection(SkewSymmetricMatrix.from_strict_lower(lower), zero_r, zero_x)
-            )
-            labels.append(f"J[{i},{j}]")
-    for i in range(n):
-        lower = np.zeros((n, n))
-        lower[i, i] = 1.0
-        directions.append(
-            TangentDirection(zero_j, SymmetricMatrix.from_lower(lower), zero_x)
-        )
-        labels.append(f"R[{i},{i}]")
+    strict = [(i, j) for i in range(n) for j in range(i)]
+    directions = [Direction("J", i, j) for i, j in strict]
+    directions += [Direction("R", i, i) for i in range(n)]
     if structure == STRUCTURE_FULL:
-        for i in range(n):
-            for j in range(i):
-                lower = np.zeros((n, n))
-                lower[i, j] = 1.0
-                directions.append(
-                    TangentDirection(zero_j, SymmetricMatrix.from_lower(lower), zero_x)
-                )
-                labels.append(f"R[{i},{j}]")
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        directions.append(TangentDirection(zero_j, zero_r, e))
-        labels.append(f"x[{i}]")
-    return BasisSet(tuple(directions), tuple(labels), structure, n)
+        directions += [Direction("R", i, j) for i, j in strict]
+    directions += [Direction("x", i, i) for i in range(n)]
+    return BasisSet(tuple(directions), structure, n)
 
 
-def _direction_block(sys: ReducedPHSystem, traj: Trajectory,
-                     direction: TangentDirection, grid: TimeGrid) -> str:
-    """Validate a sensitivity solve and name the direction's one nonzero block."""
+def _check_trajectory(sys: ReducedPHSystem, traj: Trajectory, grid: TimeGrid) -> None:
     if traj.grid != grid:
         raise DimensionMismatchError("trajectory grid does not match the requested grid")
-    if traj.n != sys.n or direction.n != sys.n:
-        raise DimensionMismatchError("system, trajectory and direction dimensions differ")
-    blocks = direction.nonzero_blocks()
-    if len(blocks) != 1:
-        raise UnsupportedDirectionError(
-            f"sensitivity directions must have exactly one nonzero block, got {blocks or ('none',)}"
-        )
-    return blocks[0]
+    if traj.n != sys.n:
+        raise DimensionMismatchError("system and trajectory dimensions differ")
+
+
+def _write_rows(rows: np.ndarray, w: np.ndarray, h: float, d: Direction) -> None:
+    """Write the sensitivity recurrence's data for direction ``d`` into the
+    (K+1, n) ``rows``: the initial state s_0 (e_i for x, else zero) in row 0
+    and h times the source term in rows 1..K.
+
+    The source is h_J w for a J pair and -h_R w for an R pair at the left
+    endpoints w = w[:-1], zero for an x direction.  Its nonzero columns are
+    copies of state columns: h * (w @ E.T) for the ±1 matrix E of ``d`` has
+    h * w[:, j] in column i and h * -w[:, i] in column j (J), and the R source
+    is its negation, whose zero columns are -0.0.
+    """
+    sign = -1.0 if d.block == "R" else 1.0
+    rows[0] = 0.0
+    rows[1:] = sign * 0.0
+    if d.block == "x":
+        rows[0, d.i] = 1.0
+        return
+    rows[1:, d.i] = h * (sign * w[:-1, d.j])
+    if d.j != d.i:
+        rows[1:, d.j] = h * -w[:-1, d.i]
 
 
 def solve_sensitivity(sys: ReducedPHSystem, traj: Trajectory,
-                      direction: TangentDirection, grid: TimeGrid) -> Trajectory:
-    """Integrate the sensitivity ODE for one pure tangent direction.
+                      direction: Direction, grid: TimeGrid) -> Trajectory:
+    """Integrate the sensitivity ODE for one tangent basis direction.
 
     Uses the same Euler stencil and grid as the state; the state trajectory
     enters the source term node-wise at the left endpoint.
     """
-    block = _direction_block(sys, traj, direction, grid)
-    h = grid.h
-    w = traj.states
+    _check_trajectory(sys, traj, grid)
     n = sys.n
-    if block == "J":
-        source = w[:-1] @ direction.h_J.array.T
-        s0 = np.zeros(n)
-    elif block == "R":
-        source = -(w[:-1] @ direction.h_R.array.T)
-        s0 = np.zeros(n)
-    else:
-        source = None
-        s0 = direction.h_x
-    propagator = np.eye(n) + h * sys.drift()
+    if direction.i >= n:
+        raise DimensionMismatchError(f"direction {direction.label} outside dimension {n}")
+    propagator = np.eye(n) + grid.h * sys.drift()
     states = np.empty((grid.steps + 1, n))
-    states[0] = s0
-    s = s0
-    if source is None:
+    _write_rows(states, traj.states, grid.h, direction)
+    s = states[0]
+    if direction.block == "x":
         for j in range(grid.steps):
             s = propagator @ s
             states[j + 1] = s
     else:
-        h_source = h * source
         for j in range(grid.steps):
-            s = propagator @ s + h_source[j]
+            s = propagator @ s + states[j + 1]
             states[j + 1] = s
     return Trajectory(grid, states)
 
@@ -281,10 +262,11 @@ def directional_derivative(sys: ReducedPHSystem, traj: Trajectory,
 
 
 def assemble_gradient(coefficients, basis: BasisSet) -> Gradient:
-    """Blockwise linear combination of the raw basis elements.
+    """Blockwise linear combination of the basis elements.
 
-    Accumulation runs on the triangular free parameters, so the skew and
-    symmetric blocks of the result keep their invariants bit-exactly.
+    Each coefficient lands on its direction's entry of a zero lower triangle
+    (or of a zero vector for x), so the skew and symmetric blocks of the
+    result keep their invariants bit-exactly.
     """
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (len(basis),):
@@ -293,19 +275,15 @@ def assemble_gradient(coefficients, basis: BasisSet) -> Gradient:
             f"coefficients for {len(basis)} basis directions"
         )
     n = basis.n
-    lower_j = np.zeros((n, n))
-    lower_r = np.zeros((n, n))
+    lower = {"J": np.zeros((n, n)), "R": np.zeros((n, n))}
     h_x = np.zeros(n)
     for c, d in zip(coefficients, basis.directions):
-        lower_j += c * np.tril(d.h_J.array, -1)
-        lower_r += c * np.tril(d.h_R.array)
-        h_x += c * d.h_x
-    value = TangentDirection(
-        SkewSymmetricMatrix.from_strict_lower(lower_j),
-        SymmetricMatrix.from_lower(lower_r),
-        h_x,
-    )
-    return Gradient(value, coefficients)
+        if d.block == "x":
+            h_x[d.i] += c
+        else:
+            lower[d.block][d.i, d.j] += c
+    return Gradient(SkewSymmetricMatrix.from_strict_lower(lower["J"]),
+                    SymmetricMatrix.from_lower(lower["R"]), h_x, coefficients)
 
 
 def _pass_width(num_nodes: int, n: int, count: int) -> int:
@@ -327,7 +305,9 @@ def sensitivity_coefficients(sys: ReducedPHSystem, traj: Trajectory,
     """
     grid = traj.grid
     directions = basis.directions
-    blocks = [_direction_block(sys, traj, d, grid) for d in directions]
+    _check_trajectory(sys, traj, grid)
+    if basis.n != sys.n:
+        raise DimensionMismatchError("system and basis dimensions differ")
     if grid != y_data.grid:
         raise DimensionMismatchError("trajectory, sensitivity and data grids differ")
     if y_data.k != sys.k:
@@ -345,20 +325,10 @@ def sensitivity_coefficients(sys: ReducedPHSystem, traj: Trajectory,
     for first in range(0, len(directions), width):
         count = min(width, len(directions) - first)
         sens = buf[:, :count]
-        # sources first, h * source as solve_sensitivity forms them; the Euler
-        # step then adds P s onto them in place
+        # initial states and sources first, as solve_sensitivity writes them;
+        # the Euler step then adds P s onto them in place
         for i in range(count):
-            direction = directions[first + i]
-            block = blocks[first + i]
-            if block == "x":
-                sens[0, i, :, 0] = direction.h_x
-                sens[1:, i, :, 0] = 0.0
-                continue
-            sens[0, i, :, 0] = 0.0
-            if block == "J":
-                sens[1:, i, :, 0] = h * (w[:-1] @ direction.h_J.array.T)
-            else:
-                sens[1:, i, :, 0] = h * -(w[:-1] @ direction.h_R.array.T)
+            _write_rows(sens[:, i, :, 0], w, h, directions[first + i])
         _affine_scan(propagator, sens)
         for i in range(count):
             tangent_output = np.ascontiguousarray(sens[:-1, i, :, 0]) @ sys.B
@@ -404,19 +374,28 @@ def finite_difference_gradient(v: ParameterPoint, b: np.ndarray, u: Signal,
     if u.grid != y_data.grid:
         raise DimensionMismatchError("input and data grids differ")
     h = u.grid.h
+    n = v.n
     j0 = v.J.array
     r0 = v.R.array
     w0 = v.w_hat
     out = np.empty(len(basis))
     for idx, d in enumerate(basis.directions):
+        # the direction's dense ±1 pattern, one probe at a time
+        h_j, h_r, h_x = np.zeros((n, n)), np.zeros((n, n)), np.zeros(n)
+        if d.block == "J":
+            h_j[d.i, d.j], h_j[d.j, d.i] = 1.0, -1.0
+        elif d.block == "R":
+            h_r[d.i, d.j] = h_r[d.j, d.i] = 1.0
+        else:
+            h_x[d.i] = 1.0
         try:
-            plus = _mismatch_cost(j0 + eps * d.h_J.array, r0 + eps * d.h_R.array,
-                                  b, w0 + eps * d.h_x, u.values, y_data.values, h)
-            minus = _mismatch_cost(j0 - eps * d.h_J.array, r0 - eps * d.h_R.array,
-                                   b, w0 - eps * d.h_x, u.values, y_data.values, h)
+            plus = _mismatch_cost(j0 + eps * h_j, r0 + eps * h_r,
+                                  b, w0 + eps * h_x, u.values, y_data.values, h)
+            minus = _mismatch_cost(j0 - eps * h_j, r0 - eps * h_r,
+                                   b, w0 - eps * h_x, u.values, y_data.values, h)
         except DivergenceError as exc:
             raise DivergenceError(
-                exc.step, f"finite-difference probe along {basis.labels[idx]}"
+                exc.step, f"finite-difference probe along {d.label}"
             ) from None
         out[idx] = (plus - minus) / (2.0 * eps)
     return out

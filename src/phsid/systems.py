@@ -104,13 +104,17 @@ class Signal:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled state trajectory: one row of ``states`` per grid node."""
+    """Sampled state trajectory: one row of ``states`` per grid node.
+
+    A float array passed as ``states`` is adopted, not copied, and made
+    read-only in place; other input is converted to a new float array.
+    """
 
     grid: TimeGrid
     states: np.ndarray
 
     def __post_init__(self):
-        s = np.array(self.states, dtype=float)
+        s = np.asarray(self.states, dtype=float)
         if s.ndim != 2:
             raise DimensionMismatchError(f"states must be 2-D, got shape {s.shape}")
         if s.shape[0] != self.grid.num_nodes:

@@ -409,9 +409,9 @@ def sequential_search(v, g, cost_at_v, b, u, y_data, cfg):
     sigma = cfg.sigma_init
     for halvings in range(cfg.max_halvings + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            j_lower = np.tril(v.J.array, -1) - sigma * np.tril(g.value.h_J.array, -1)
-            r_lower = np.tril(v.R.array) - sigma * np.tril(g.value.h_R.array)
-            w0 = v.w_hat - sigma * g.value.h_x
+            j_lower = np.tril(v.J.array, -1) - sigma * np.tril(g.h_J.array, -1)
+            r_lower = np.tril(v.R.array) - sigma * np.tril(g.h_R.array)
+            w0 = v.w_hat - sigma * g.h_x
         if all(np.isfinite(x).all() for x in (j_lower, r_lower, w0)):
             j = p.SkewSymmetricMatrix.from_strict_lower(j_lower).array
             r_sym = p.SymmetricMatrix.from_lower(r_lower)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import phsid as p
-import phsid.systems as systems
 from conftest import (
     oscillator_system,
     philox,
@@ -189,7 +188,7 @@ class TestBitExactIntegrators:
         assert np.array_equal(p.simulate_discrete_gradient(sys, u).states, np.array(expected))
 
     @pytest.mark.parametrize("simulate", [p.simulate_euler, p.simulate_discrete_gradient])
-    def test_peak_memory_is_the_state_buffer(self, simulate, monkeypatch):
+    def test_peak_memory_is_the_state_buffer(self, simulate):
         grid = p.TimeGrid(1.0, 100_000)
         sys = oscillator_system()
         u = p.generate_input(grid, 1, p.NoiseSpec(seed=4))
@@ -204,12 +203,9 @@ class TestBitExactIntegrators:
             finally:
                 tracemalloc.stop()
 
-        # the state buffer plus Trajectory's copy: 2.0x the states
-        assert peak() <= 2.1 * states_bytes
-        # A K x n forcing temporary freed before that copy does not raise the
-        # peak above, so measure without the copy too: the buffer and the
-        # boolean finiteness mask come to 1.19x, a forcing array to 2.0x.
-        monkeypatch.setattr(systems, "Trajectory", lambda grid, states: states)
+        # Trajectory adopts the state buffer: the buffer and the boolean
+        # finiteness mask come to 1.19x the states, a K x n forcing temporary
+        # or a copy of the states to 2.0x.
         assert peak() <= 1.5 * states_bytes
 
 

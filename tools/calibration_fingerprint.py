@@ -5,9 +5,11 @@
 Run it on two checkouts (each with its own ``src`` on PYTHONPATH) and
 compare the outputs with ``diff``: identical lines mean identical
 ``cost_history``, ``step_sizes``, ``gradient_sq_norms``, ``v_opt``,
-``y_opt``, iteration count and message, and identical simulated states.
-Floats are printed as hex and arrays as SHA-256 of their bytes, so any
-moved bit shows.
+``y_opt``, iteration count and message, identical gradient coefficients at
+the start point (``sensitivity_coefficients`` and the central-difference
+``finite_difference_gradient``), and identical simulated states.  Floats
+are printed as hex and arrays as SHA-256 of their bytes, so any moved bit
+shows.
 
 Calibration cases: the oscillator on noise seeds 7, 22, 25, 101 and 102
 with both structures and both PSD modes; the benchmark's random n=8, k=2
@@ -73,9 +75,18 @@ def digest(*arrays) -> str:
     return h.hexdigest()
 
 
+def start_gradients(start, u, y, b, structure):
+    """Sensitivity and central-difference gradient coefficients at ``start``."""
+    sys0 = start.to_system(b)
+    basis = p.tangent_basis(start.n, structure)
+    coeffs = p.sensitivity_coefficients(sys0, p.simulate_euler(sys0, u), y, basis)
+    return coeffs, p.finite_difference_gradient(start, b, u, y, basis)
+
+
 def main():
     for label, start, u, y, b, cfg in cases():
         res = p.calibrate(start, u, y, b, cfg)
+        coeffs, fd = start_gradients(start, u, y, b, cfg.structure)
         print(json.dumps({
             "case": label,
             "iterations": res.iterations,
@@ -86,6 +97,8 @@ def main():
             "gradient_sq_norms": [float(g).hex() for g in res.gradient_sq_norms],
             "v_opt": digest(res.v_opt.J.array, res.v_opt.R.array, res.v_opt.w_hat),
             "y_opt": digest(res.y_opt.values),
+            "start_coefficients": [float(c).hex() for c in coeffs],
+            "start_fd_gradient": [float(f).hex() for f in fd],
         }))
     for label, traj in simulations():
         print(json.dumps({"case": label, "states": digest(traj.states)}))

@@ -8,7 +8,8 @@ subcommands wrote and everything they printed is byte-identical.
 
 The sequence is the ``cli-long`` workload's, in a temporary directory: at
 K=1e5 generate, simulate euler, and simulate midpoint with ``--energy-out``;
-at K=1e3 generate, calibrate with both structures, and report.
+at K=1e3 generate, calibrate with both structures, and report.  It then
+runs check-gradient with both structures on the K=1e3 data.
 """
 
 import contextlib
@@ -49,6 +50,9 @@ def commands(d: Path):
          "--structure", "diagonal_R", "--out", f("result_diagonal_R.json"),
          "--history", f("history_diagonal_R.csv"), "--diff", f("diff_diagonal_R.csv")],
         ["report", "--history", f("history.csv"), "--diff", f("diff.csv")],
+        ["check-gradient", "--data", f("y1.csv"), "--input", f("u1.csv"), "--guess", guess],
+        ["check-gradient", "--data", f("y1.csv"), "--input", f("u1.csv"), "--guess", guess,
+         "--structure", "diagonal_R"],
     ]
 
 
