@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -69,15 +69,20 @@ def _is_integer(value) -> bool:
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Run parameters of the descent loop."""
+    """Run parameters of the descent loop.
+
+    The one declaration of the calibration settings: ``load_config`` takes
+    its keys and ``phsid calibrate`` its flags from these fields, and a
+    field's ``choices`` metadata lists its allowed values.
+    """
 
     sigma_init: float = 10.0
     gamma: float = 1e-4
     eps_stop: float = 1e-4
     max_iter: int = 500
     max_halvings: int = 60
-    structure: str = STRUCTURE_FULL
-    psd_mode: str = PSD_PROJECT
+    structure: str = field(default=STRUCTURE_FULL, metadata={"choices": STRUCTURES})
+    psd_mode: str = field(default=PSD_PROJECT, metadata={"choices": PSD_MODES})
 
     def __post_init__(self):
         if not (self.sigma_init > 0 and math.isfinite(self.sigma_init)):
@@ -91,10 +96,10 @@ class CalibrationConfig:
             if not (_is_integer(value) and value >= 0):
                 raise ValueError(f"{name} must be a nonnegative integer")
             object.__setattr__(self, name, int(value))
-        if self.structure not in STRUCTURES:
-            raise ValueError(f"unknown structure {self.structure!r}")
-        if self.psd_mode not in PSD_MODES:
-            raise ValueError(f"unknown psd_mode {self.psd_mode!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if "choices" in f.metadata and value not in f.metadata["choices"]:
+                raise ValueError(f"unknown {f.name} {value!r}")
 
 
 @dataclass(frozen=True)
@@ -139,9 +144,7 @@ def _states_and_cost(sys: ReducedPHSystem, u: Signal,
     try:
         states = _euler_states(sys.drift(), sys.B, sys.w_hat, u.values, u.grid.h)
     except DivergenceError as exc:
-        err = DivergenceError(exc.step, "cost evaluation")
-        err.parameters = (sys.J.array, sys.R.array, sys.w_hat)
-        raise err from None
+        raise DivergenceError(exc.step, "cost evaluation") from None
     return states, _output_cost(states, sys.B, y_data.values, u.grid.h)
 
 

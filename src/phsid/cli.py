@@ -8,7 +8,10 @@ Given fixed seeds, every subcommand is a pure function of its input files
 and flags; repeated invocations produce byte-identical outputs.  The seed
 for ``generate`` is resolved as: ``--seed`` flag, else the ``PHSID_SEED``
 environment variable, else 0.  Calibration settings come from ``--config``
-(JSON) with individual flags taking precedence over the file.
+(JSON) with individual flags taking precedence over the file.  ``calibrate``
+has one flag per :class:`~phsid.calibration.CalibrationConfig` field, named
+after it (``max_iter`` -> ``--max-iter``), typed by its default and limited
+to its ``choices``, so a new setting is one field.
 """
 
 from __future__ import annotations
@@ -34,14 +37,10 @@ from .data_io import (
     save_signal_csv,
     save_trajectory_csv,
 )
-from .errors import (
-    DivergenceError,
-    InvalidModelError,
-    LineSearchError,
-    MalformedFileError,
-    PhsidError,
-)
+from .errors import DivergenceError, LineSearchError, PhsidError
 from .sensitivity import (
+    STRUCTURE_FULL,
+    STRUCTURES,
     ParameterPoint,
     coefficients_agree,
     finite_difference_gradient,
@@ -128,15 +127,9 @@ def _cmd_simulate(args) -> int:
 
 def _config_from_args(args) -> CalibrationConfig:
     cfg = load_config(args.config) if args.config else CalibrationConfig()
-    overrides = {}
-    for flag in ("sigma_init", "gamma", "eps_stop", "max_iter", "max_halvings",
-                 "structure", "psd_mode"):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[flag] = value
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(CalibrationConfig)
+                 if getattr(args, f.name) is not None}
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _cmd_calibrate(args) -> int:
@@ -163,7 +156,7 @@ def _cmd_check_gradient(args) -> int:
     u = load_signal_csv(args.input)
     v, b = _reduced_guess(args.guess)
     sys_v = v.to_system(b)
-    basis = tangent_basis(v.n, args.structure or "full")
+    basis = tangent_basis(v.n, args.structure)
     traj = simulate_euler(sys_v, u)
     sens = sensitivity_coefficients(sys_v, traj, y_data, basis)
     fd = finite_difference_gradient(v, b, u, y_data, basis, eps=args.eps)
@@ -201,8 +194,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--mean", type=float, default=1.0)
-    p.add_argument("--std", type=float, default=0.1)
+    p.add_argument("--mean", type=float, default=NoiseSpec.mean)
+    p.add_argument("--std", type=float, default=NoiseSpec.std)
     p.add_argument("--out-u", required=True)
     p.add_argument("--out-y", required=True)
     p.set_defaults(func=_cmd_generate)
@@ -225,13 +218,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="result JSON")
     p.add_argument("--history", required=True, help="cost history CSV")
     p.add_argument("--diff", required=True, help="output difference CSV")
-    p.add_argument("--sigma-init", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--eps-stop", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--max-halvings", type=int, default=None)
-    p.add_argument("--structure", choices=("full", "diagonal_R"), default=None)
-    p.add_argument("--psd-mode", choices=("project", "none"), default=None)
+    for f in dataclasses.fields(CalibrationConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                       choices=f.metadata.get("choices"), default=None)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("check-gradient",
@@ -240,7 +229,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--guess", required=True)
     p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--structure", choices=("full", "diagonal_R"), default=None)
+    p.add_argument("--structure", choices=STRUCTURES, default=STRUCTURE_FULL)
     p.set_defaults(func=_cmd_check_gradient)
 
     p = sub.add_parser("report", help="summarize a calibration run")
@@ -262,7 +251,7 @@ def main(argv=None) -> int:
     except (DivergenceError, LineSearchError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (MalformedFileError, InvalidModelError, PhsidError, ValueError, OSError) as exc:
+    except (PhsidError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

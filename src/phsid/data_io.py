@@ -42,7 +42,7 @@ time: writing a 100,001 x 3 table peaks under 2 MB of allocations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -308,13 +308,9 @@ def save_energy_csv(grid: TimeGrid, energy: np.ndarray, residual: np.ndarray, pa
 # --------------------------------------------------------------------------
 # calibration config / result files
 
-_CONFIG_KEYS = ("sigma_init", "gamma", "eps_stop", "max_iter", "max_halvings",
-                "structure", "psd_mode")
-
-
 def load_config(path) -> CalibrationConfig:
     obj = _read_json(path)
-    unknown = set(obj) - set(_CONFIG_KEYS)
+    unknown = set(obj) - {f.name for f in fields(CalibrationConfig)}
     if unknown:
         raise MalformedFileError(f"unknown config fields: {sorted(unknown)}")
     try:

@@ -24,13 +24,15 @@ Two integrators on a uniform grid are provided:
   H(w_{j+1}) - H(w_j) = h * (-g^T R g + y^T u) exactly per step
   (g the midpoint state), i.e. it dissipates and routes energy exactly.
 
-Both are the affine recurrence w_{j+1} = P w_j + f_j: P = I + h(J-R) and
-f_j = h B u_j for Euler, P = M^{-1} N and f_j = M^{-1} h B u_{j+1} for the
-midpoint rule (M = I - h/2 (J-R), N = I + h/2 (J-R)).  Each integrator
-writes the forcing of every step into its state buffer with one batched
-matmul and hands the buffer to :func:`_affine_scan`, the one step loop,
-which the forward sensitivities share.  The states equal the per-step loop
-``P @ w + S @ v_j`` (S = hB or M^{-1} hB) bit for bit.
+Both are the affine recurrence w_{j+1} = P w_j + S v_j: P = I + h(J-R),
+S = h B and v_j = u_j for Euler, P = M^{-1} N, S = M^{-1} h B and
+v_j = u_{j+1} for the midpoint rule (M = I - h/2 (J-R), N = I + h/2 (J-R)).
+Both run through one shell, :func:`_integrate`: it allocates the state
+buffer, writes the forcing S v_j of every step into it with one batched
+matmul and hands it to :func:`_affine_scan`, the one step loop, which the
+forward sensitivities share.  The states equal the per-step loop
+``P @ w + S @ v_j`` bit for bit.  One :func:`_check_finite` raises
+DivergenceError at the first non-finite state, for either scheme.
 """
 
 from __future__ import annotations
@@ -242,48 +244,52 @@ def _affine_scan(p: np.ndarray, rows: np.ndarray) -> None:
         add(nxt, step, out=nxt)
 
 
+def _integrate(p: np.ndarray, s: np.ndarray, w0: np.ndarray,
+               inputs: np.ndarray) -> np.ndarray:
+    """States of the recurrence w_{j+1} = P w_j + S v_j, v_j = ``inputs[j]``.
+
+    One propagator ``p`` (n, n) with ``w0`` (n,) gives states (K+1, n); a
+    stack of m propagators (m, n, n) with initial states (m, n) gives
+    (K+1, m, n).  The forcing S v_j of every step is written into rows 1..
+    of the state buffer by one batched matmul (the same gemv per step as a
+    single product) and copied across the stack, and :func:`_affine_scan`
+    then adds P w_j onto it, so each stack element's states equal its own
+    sweep bit for bit.  Non-finite states are returned as they are.
+    """
+    steps, n = inputs.shape[0], p.shape[-1]
+    stacked = p.ndim == 3
+    count = p.shape[0] if stacked else 1
+    # (n, 1) columns, so that the stacked product is a gemv per element
+    states = np.empty((steps + 1, count, n, 1))
+    states[0, :, :, 0] = w0
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(s, inputs[:, :, None], out=states[1:, 0])
+        states[1:, 1:] = states[1:, :1]  # one input drives every element
+        _affine_scan(p, states)
+    return states.reshape((steps + 1, count, n) if stacked else (steps + 1, n))
+
+
+def _check_finite(states: np.ndarray, scheme: str) -> None:
+    """Raise DivergenceError naming the first row of ``states`` with a non-finite entry."""
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        raise DivergenceError(int(np.argmin(finite)), scheme)
+
+
 def _euler_states(a: np.ndarray, b: np.ndarray, w0: np.ndarray,
                   u_values: np.ndarray, h: float) -> np.ndarray:
     """Explicit Euler recursion w_{j+1} = w_j + h*(a w_j + b u_j), for one drift or a stack.
 
-    One drift ``a`` (n, n) with ``w0`` (n,) gives states (K+1, n); a stack of
-    m drifts (m, n, n) with initial states (m, n) gives (K+1, m, n).  The
-    forcing h B u_j of every step is written into rows 1.. of the state
-    buffer by one batched matmul (the same gemv per step as a single
-    product), and :func:`_affine_scan` then adds (I + h a) w_j onto it, so
-    each stack element's states equal its own sweep bit for bit.
-
-    A single drift raises DivergenceError with the first offending step
-    index if the state leaves the finite range.  A stack is returned as it
-    is: the elements that diverged hold non-finite states.
+    :func:`_integrate` with P = I + h a and S = h b on u_0 .. u_{K-1}, for one
+    drift ``a`` (n, n) or a stack of m drifts (m, n, n).  A single drift
+    raises DivergenceError through :func:`_check_finite` at the first
+    non-finite step; a stack is returned as it is, the elements that
+    diverged holding non-finite states.
     """
-    steps = u_values.shape[0] - 1
-    stacked = a.ndim == 3
-    n = a.shape[-1]
-    propagator = np.eye(n) + h * a
-    # (n, 1) columns, so that the stacked product is a gemv per element
-    count = a.shape[0] if stacked else 1
-    states = np.empty((steps + 1, count, n, 1))
-    states[0, :, :, 0] = w0
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(h * b, u_values[:-1, :, None], out=states[1:, 0])
-        states[1:, 1:] = states[1:, :1]  # one input drives every element
-        _affine_scan(propagator, states)
-    if stacked:
-        return states.reshape(steps + 1, count, n)
-    states = states.reshape(steps + 1, n)
-    bad = _first_nonfinite_row(states)
-    if bad is not None:
-        raise DivergenceError(bad, "explicit Euler")
+    states = _integrate(np.eye(a.shape[-1]) + h * a, h * b, w0, u_values[:-1])
+    if a.ndim == 2:
+        _check_finite(states, "explicit Euler")
     return states
-
-
-def _first_nonfinite_row(states: np.ndarray):
-    """Index of the first row of ``states`` with a non-finite entry, or None."""
-    finite = np.isfinite(states).all(axis=1)
-    if finite.all():
-        return None
-    return int(np.argmin(finite))
 
 
 def simulate_euler(sys: ReducedPHSystem, u: Signal) -> Trajectory:
@@ -327,19 +333,11 @@ def simulate_discrete_gradient(sys: ReducedPHSystem, u: Signal) -> Trajectory:
         )
     h = u.grid.h
     a = sys.drift()
-    n = sys.n
-    m_minus = np.eye(n) - 0.5 * h * a
-    m_plus = np.eye(n) + 0.5 * h * a
-    propagator = np.linalg.solve(m_minus, m_plus)
-    source = np.linalg.solve(m_minus, h * sys.B)
-    states = np.empty((u.grid.num_nodes, n))
-    states[0] = sys.w_hat
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(source, u.values[1:, :, None], out=states[1:, :, None])
-        _affine_scan(propagator, states)
-    bad = _first_nonfinite_row(states)
-    if bad is not None:
-        raise DivergenceError(bad, "discrete-gradient scheme")
+    m_minus = np.eye(sys.n) - 0.5 * h * a
+    m_plus = np.eye(sys.n) + 0.5 * h * a
+    states = _integrate(np.linalg.solve(m_minus, m_plus), np.linalg.solve(m_minus, h * sys.B),
+                        sys.w_hat, u.values[1:])
+    _check_finite(states, "discrete-gradient scheme")
     return Trajectory(u.grid, states)
 
 

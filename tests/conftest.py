@@ -31,6 +31,17 @@ def oscillator_guess() -> p.ParameterPoint:
     )
 
 
+def diverging_system() -> p.ReducedPHSystem:
+    """Lossless model with J = [[0, 1e200], [-1e200, 0]]: its explicit Euler
+    state is finite at step 1 (about 1e199) and overflows at step 2."""
+    return p.ReducedPHSystem(
+        p.SkewSymmetricMatrix.from_matrix([[0.0, 1e200], [-1e200, 0.0]]),
+        p.PSDMatrix.zeros(2),
+        np.array([[1.0], [1.0]]),
+        np.array([1.0, 2.0]),
+    )
+
+
 def random_skew(rng, n) -> p.SkewSymmetricMatrix:
     return p.SkewSymmetricMatrix.from_strict_lower(rng.normal(size=(n, n)))
 

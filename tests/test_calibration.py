@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 import phsid as p
 import phsid.calibration as calibration
 import phsid.sensitivity as sensitivity
-from conftest import FIXTURES, philox, random_psd, random_reduced_system, random_signal, random_skew
+from conftest import (
+    FIXTURES,
+    diverging_system,
+    philox,
+    random_psd,
+    random_reduced_system,
+    random_signal,
+    random_skew,
+)
 
 
 def scripted_cost(sys, u_values, y_values, h):
@@ -52,6 +60,17 @@ class TestCost:
         y = p.Signal.zeros(p.TimeGrid(1.0, 20), 1)
         with pytest.raises(p.DimensionMismatchError):
             p.cost(oscillator, u, y)
+
+    def test_port_mismatch(self, oscillator):
+        grid = p.TimeGrid(1.0, 10)
+        with pytest.raises(p.DimensionMismatchError, match="port counts"):
+            p.cost(oscillator, p.Signal.zeros(grid, 1), p.Signal.zeros(grid, 2))
+
+    def test_divergence_names_the_step(self):
+        zeros = p.Signal.zeros(p.TimeGrid(1.0, 10), 1)
+        with pytest.raises(p.DivergenceError, match=r"\(cost evaluation\)") as err:
+            p.cost(diverging_system(), zeros, zeros)
+        assert err.value.step == 2
 
 
 class TestConfig:
@@ -204,6 +223,23 @@ class TestArmijo:
         assert len(seen) == 8
         assert all(lam >= -1e-12 for lam in seen)
 
+    def test_overflowing_trial_point_is_skipped(self, guess_point):
+        # sigma = 1e308, 5e307 and 2.5e307 take J[1,0] = -1.2 - 10 sigma past
+        # the largest double: those trial points are never costed
+        g = p.assemble_gradient([10.0, 0, 0, 0, 0, 0], p.tangent_basis(2, "full"))
+        seen = []
+
+        def evaluate(j, r, w):
+            seen.extend(j[:, 1, 0])
+            return np.full(len(w), -np.inf)
+
+        cfg = p.CalibrationConfig(sigma_init=1e308, max_halvings=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(p.LineSearchError):
+                p.armijo_search(guess_point, g, 1.0, evaluate, cfg)
+        assert seen == [-1.25e308]
+
     def test_psd_mode_none_rejects_inadmissible_accepted_iterate(self):
         v = p.ParameterPoint(p.SkewSymmetricMatrix.zeros(2),
                              p.PSDMatrix.from_matrix([[0.1, 0.0], [0.0, 0.1]]),
@@ -216,6 +252,19 @@ class TestArmijo:
 
 
 class TestCalibrate:
+    @pytest.mark.parametrize("b, u_ports, y_ports, y_steps, match", [
+        (np.ones((2, 1)), 1, 1, 500, "grids differ"),
+        (np.ones((3, 1)), 1, 1, 1000, r"must be 2 x k, got shape \(3, 1\)"),
+        (np.ones(2), 1, 1, 1000, r"must be 2 x k, got shape \(2,\)"),
+        (np.ones((2, 2)), 2, 1, 1000, "port counts"),
+    ], ids=["grids", "B-rows", "B-vector", "data-ports"])
+    def test_mismatched_problem_rejected(self, guess_point, b, u_ports, y_ports, y_steps,
+                                         match):
+        u = p.Signal.zeros(p.TimeGrid(1.0, 1000), u_ports)
+        y_data = p.Signal.zeros(p.TimeGrid(1.0, y_steps), y_ports)
+        with pytest.raises(p.DimensionMismatchError, match=match):
+            p.calibrate(guess_point, u, y_data, b)
+
     def test_truth_start_exits_immediately(self, oscillator):
         grid = p.TimeGrid(1.0, 1000)
         u, y_data = p.generate_reference(oscillator, grid, p.NoiseSpec(seed=21))

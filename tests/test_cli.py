@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import phsid as p
 import phsid.cli as cli
 import phsid.data_io as data_io
-from conftest import oscillator_guess, oscillator_system
+from conftest import diverging_system, oscillator_guess, oscillator_system
 
 
 @pytest.fixture
@@ -141,6 +142,20 @@ class TestSimulate:
                        "--out", str(tmp_path / "w.csv")])
         assert rc == 1
 
+    def test_divergence_exits_with_numerical_failure(self, tmp_path, capsys):
+        sys = diverging_system()
+        model = tmp_path / "diverging.json"
+        p.save_model(p.PHSystem(sys.J, sys.R, p.SPDMatrix.identity(2), sys.B, sys.w_hat),
+                     model)
+        u_path = tmp_path / "uz.csv"
+        p.save_signal_csv(p.Signal.zeros(p.TimeGrid(1.0, 10), 1), u_path)
+        rc = cli.main(["simulate", "--model", str(model), "--input", str(u_path),
+                       "--scheme", "euler", "--out", str(tmp_path / "w.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: state became non-finite at step 2 (explicit Euler)\n")
+        assert not (tmp_path / "w.csv").exists()
+
     def test_output_conventions_named_in_header(self, tmp_path, model_file, data_files):
         u_path, _ = data_files
         cli.main(["simulate", "--model", str(model_file), "--input", str(u_path),
@@ -241,6 +256,72 @@ class TestCalibrate:
                        "--history", str(tmp_path / "h.csv"),
                        "--diff", str(tmp_path / "d.csv")])
         assert rc == 1
+
+
+class _Captured(Exception):
+    """Raised by the stand-in for ``calibrate`` once it has the config."""
+
+
+def _non_default(f):
+    """A valid value of CalibrationConfig field ``f`` other than its default."""
+    if "choices" in f.metadata:
+        return next(c for c in f.metadata["choices"] if c != f.default)
+    if type(f.default) is int:
+        return f.default + 1
+    if type(f.default) is float:
+        return f.default / 2
+    pytest.fail(f"no flag value known for {f.name} = {f.default!r}")
+
+
+class TestCalibrationSettings:
+    @pytest.fixture
+    def received(self, monkeypatch):
+        """The configs ``phsid calibrate`` hands to ``calibrate``."""
+        configs = []
+
+        def capture(v0, u, y_data, b, cfg):
+            configs.append(cfg)
+            raise _Captured
+        monkeypatch.setattr(cli, "calibrate", capture)
+        return configs
+
+    @staticmethod
+    def run(tmp_path, guess_file, data_files, *extra):
+        u_path, y_path = data_files
+        return cli.main(["calibrate", "--data", str(y_path), "--input", str(u_path),
+                         "--guess", str(guess_file), "--out", str(tmp_path / "r.json"),
+                         "--history", str(tmp_path / "h.csv"),
+                         "--diff", str(tmp_path / "d.csv"), *extra])
+
+    @pytest.mark.parametrize("f", dataclasses.fields(p.CalibrationConfig), ids=lambda f: f.name)
+    def test_every_setting_reaches_calibrate(self, tmp_path, guess_file, data_files,
+                                             received, f):
+        # by its flag and by its config key; the flag must also give back
+        # the default, which a bool typed by its default would not
+        flag = "--" + f.name.replace("_", "-")
+        cfg_path = tmp_path / "cfg.json"
+        value = _non_default(f)
+        cfg_path.write_text(json.dumps({f.name: value}))
+        for extra, expected in (([flag, str(value)], value),
+                                ([flag, str(f.default)], f.default),
+                                (["--config", str(cfg_path)], value)):
+            with pytest.raises(_Captured):
+                self.run(tmp_path, guess_file, data_files, *extra)
+            cfg = received.pop()
+            assert cfg == p.CalibrationConfig(**{f.name: expected}), extra
+            assert type(getattr(cfg, f.name)) is type(expected), extra
+
+    @pytest.mark.parametrize("name, bad", [("structure", "banded"), ("psd_mode", "clip")])
+    def test_unknown_choice_rejected_with_its_name(self, tmp_path, guess_file, data_files,
+                                                   received, capsys, name, bad):
+        flag = "--" + name.replace("_", "-")
+        assert self.run(tmp_path, guess_file, data_files, flag, bad) == 1
+        assert f"argument {flag}: invalid choice: '{bad}'" in capsys.readouterr().err
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({name: bad}))
+        assert self.run(tmp_path, guess_file, data_files, "--config", str(cfg_path)) == 1
+        assert capsys.readouterr().err == f"error: invalid config: unknown {name} '{bad}'\n"
+        assert received == []
 
 
 class TestCheckGradient:

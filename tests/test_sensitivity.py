@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import phsid as p
 import phsid.sensitivity as sensitivity
 from conftest import (
+    diverging_system,
     oscillator_guess,
     oscillator_system,
     philox,
@@ -189,6 +190,15 @@ class TestSolveSensitivity:
             with pytest.raises(p.DimensionMismatchError):
                 p.solve_sensitivity(oscillator, traj, direction, grid)
 
+    @pytest.mark.parametrize("steps, n, match", [
+        (20, 2, "trajectory grid does not match"),
+        (10, 3, "system and trajectory dimensions differ"),
+    ], ids=["grid", "dimension"])
+    def test_mismatched_trajectory_rejected(self, oscillator, steps, n, match):
+        traj = p.Trajectory(p.TimeGrid(1.0, steps), np.zeros((steps + 1, n)))
+        with pytest.raises(p.DimensionMismatchError, match=match):
+            p.solve_sensitivity(oscillator, traj, p.Direction("x", 0, 0), p.TimeGrid(1.0, 10))
+
     def test_unknown_block_rejected(self, oscillator):
         grid = p.TimeGrid(1.0, 10)
         traj = p.simulate_euler(oscillator, p.Signal.zeros(grid, 1))
@@ -242,6 +252,12 @@ class TestDirectionalDerivative:
         sens = p.Trajectory(grid, np.zeros((11, 2)))
         with pytest.raises(p.DimensionMismatchError):
             p.directional_derivative(oscillator, traj, sens, p.Signal.zeros(other, 1))
+
+    def test_port_mismatch_rejected(self, oscillator):
+        grid = p.TimeGrid(1.0, 10)
+        traj = p.simulate_euler(oscillator, p.Signal.zeros(grid, 1))
+        with pytest.raises(p.DimensionMismatchError, match="data has 2 ports"):
+            p.directional_derivative(oscillator, traj, traj, p.Signal.zeros(grid, 2))
 
 
 class TestAssembleGradient:
@@ -362,6 +378,22 @@ class TestFiniteDifferenceGradient:
                                          p.Signal.zeros(grid, 1),
                                          p.tangent_basis(2, "full"), eps=0.0)
 
+    def test_grid_mismatch_rejected(self, oscillator):
+        v = p.ParameterPoint(oscillator.J, oscillator.R, oscillator.w_hat)
+        with pytest.raises(p.DimensionMismatchError, match="input and data grids differ"):
+            p.finite_difference_gradient(v, oscillator.B, p.Signal.zeros(p.TimeGrid(1.0, 10), 1),
+                                         p.Signal.zeros(p.TimeGrid(1.0, 20), 1),
+                                         p.tangent_basis(2, "full"))
+
+    def test_divergence_names_the_probe(self):
+        sys = diverging_system()
+        v = p.ParameterPoint(sys.J, sys.R, sys.w_hat)
+        zeros = p.Signal.zeros(p.TimeGrid(1.0, 10), 1)
+        with pytest.raises(p.DivergenceError,
+                           match=r"\(finite-difference probe along J\[1,0\]\)") as err:
+            p.finite_difference_gradient(v, sys.B, zeros, zeros, p.tangent_basis(2, "full"))
+        assert err.value.step == 2
+
 
 def _random_problem(seed, n, k, steps):
     """A random system, input and unrelated output data on a unit-time grid."""
@@ -461,6 +493,17 @@ class TestStackedCoefficients:
         with pytest.raises(p.DimensionMismatchError):
             p.sensitivity_coefficients(oscillator, traj, p.Signal.zeros(p.TimeGrid(1.0, 20), 1),
                                        p.tangent_basis(2, "full"))
+
+    @pytest.mark.parametrize("ports, basis_n, match", [
+        (2, 2, "data has 2 ports"),
+        (1, 3, "system and basis dimensions differ"),
+    ], ids=["data-ports", "basis-dimension"])
+    def test_mismatched_problem_rejected(self, oscillator, ports, basis_n, match):
+        grid = p.TimeGrid(1.0, 10)
+        traj = p.simulate_euler(oscillator, p.Signal.zeros(grid, 1))
+        with pytest.raises(p.DimensionMismatchError, match=match):
+            p.sensitivity_coefficients(oscillator, traj, p.Signal.zeros(grid, ports),
+                                       p.tangent_basis(basis_n, "full"))
 
 
 class TestGradientAgreement:

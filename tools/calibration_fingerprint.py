@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python3 tools/calibration_fingerprint.py > new.jsonl
 
-Run it on two checkouts (each with its own ``src`` on PYTHONPATH) and
-compare the outputs with ``diff``: identical lines mean identical
+``python3 tools/fingerprint_diff.py [BASE]`` runs it (and
+``cli_fingerprint.py``) with a git revision's ``src`` and with the working
+tree's, and diffs the outputs.  Identical lines mean identical
 ``cost_history``, ``step_sizes``, ``gradient_sq_norms``, ``v_opt``,
 ``y_opt``, iteration count and message, identical gradient coefficients at
 the start point (``sensitivity_coefficients`` and the central-difference

@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python3 tools/cli_fingerprint.py > new.txt
 
-Run it on two checkouts (each with its own ``src`` on PYTHONPATH) and
-compare the outputs with ``diff``: identical lines mean that every file the
+``python3 tools/fingerprint_diff.py [BASE]`` runs it (and
+``calibration_fingerprint.py``) with a git revision's ``src`` and with the
+working tree's, and diffs the outputs.  Identical lines mean that every file the
 subcommands wrote and everything they printed is byte-identical.
 
 The sequence is the ``cli-long`` workload's, in a temporary directory: at

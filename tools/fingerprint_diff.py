@@ -1,0 +1,62 @@
+"""Diff the bit-exact fingerprints of the working tree against a git revision.
+
+    python3 tools/fingerprint_diff.py [BASE]
+
+Extracts ``src/`` of BASE (default ``HEAD``) with ``git archive`` into a
+temporary directory.  Then runs the working tree's
+``calibration_fingerprint.py`` and ``cli_fingerprint.py`` twice each, once
+with BASE's ``src`` and once with the working tree's ``src`` as PYTHONPATH,
+and prints a unified diff of each pair of outputs followed by one summary
+line per tool.  Exits 0 when both pairs are identical and 1 when either
+differs.  The temporary directory is removed and no bytecode is written, so
+the run leaves nothing behind.
+"""
+
+import difflib
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ("calibration_fingerprint.py", "cli_fingerprint.py")
+
+
+def extract_src(base: str, dest: str) -> Path:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", base, "src"],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return Path(dest) / "src"
+
+
+def fingerprint(tool: str, src: Path) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / tool)],
+                         env=env, check=True, capture_output=True, text=True)
+    return run.stdout.splitlines(keepends=True)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    base = argv[1] if len(argv) == 2 else "HEAD"
+    differs = False
+    with tempfile.TemporaryDirectory() as tmp:
+        base_src = extract_src(base, tmp)
+        for tool in TOOLS:
+            old, new = fingerprint(tool, base_src), fingerprint(tool, ROOT / "src")
+            diff = list(difflib.unified_diff(old, new, f"{base}: {tool}",
+                                             f"working tree: {tool}"))
+            sys.stdout.writelines(diff)
+            print(f"{tool}: {len(new)} lines, {'DIFFERENT' if diff else 'identical'}")
+            differs = differs or bool(diff)
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
