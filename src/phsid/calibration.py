@@ -4,9 +4,9 @@ The loop fits v = (J, R, w0) to reference output data by repeating
 
     1. simulate the state with explicit Euler (the states of an accepted
        candidate are reused, not integrated again),
-    2. advance the sensitivity recurrences of all tangent-basis directions
-       together, in memory-bounded passes, and assemble the cost gradient
-       from the directional derivatives,
+    2. run one backward sweep of the discrete adjoint over those states,
+       read the directional derivative along every tangent-basis direction
+       off it, and assemble the cost gradient from them,
     3. find a step size with Armijo backtracking (start at sigma_init,
        halve until the decrease beats gamma * sigma * |g|^2); the candidates
        sigma_init, sigma_init/2, ... are integrated in batches of up to
@@ -46,7 +46,6 @@ from .sensitivity import (
     Gradient,
     ParameterPoint,
     _output_cost,
-    _pass_width,
     assemble_gradient,
     sensitivity_coefficients,
     tangent_basis,
@@ -61,10 +60,17 @@ PSD_MODES = (PSD_PROJECT, PSD_NONE)
 # Most step-size candidates armijo_search hands to the cost evaluator at once.
 _BATCH_WIDTH = 8
 
+# Bytes of the stacked states one evaluator call sweeps, (K+1) x n floats per
+# step-size candidate.
+_PASS_BYTES = 1 << 20
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
 
 def _is_integer(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and int(value) == value)
+    return _is_real(value) and math.isfinite(value) and int(value) == value
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,9 @@ class CalibrationConfig:
     psd_mode: str = field(default=PSD_PROJECT, metadata={"choices": PSD_MODES})
 
     def __post_init__(self):
+        for name in ("sigma_init", "gamma", "eps_stop"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not (self.sigma_init > 0 and math.isfinite(self.sigma_init)):
             raise ValueError("sigma_init must be positive and finite")
         if not 0 < self.gamma < 1:
@@ -237,6 +246,12 @@ def armijo_search(v: ParameterPoint, g: Gradient, cost_at_v: float,
                     r_new = PSDMatrix(c.r_sym)
                 return ArmijoStep(c.sigma, ParameterPoint(c.j, r_new, c.w), float(cand_cost))
         del pending[:len(costs)]
+
+
+def _pass_width(num_nodes: int, n: int, count: int) -> int:
+    """Candidates one evaluator call sweeps, of ``count`` offered: as many as
+    fit in ``_PASS_BYTES``, at least one."""
+    return max(1, min(count, _PASS_BYTES // (num_nodes * n * 8)))
 
 
 class _BatchEvaluator:

@@ -1,4 +1,4 @@
-"""Forward sensitivities of the reduced state map and the structured gradient.
+"""Sensitivities of the reduced state map and the structured adjoint gradient.
 
 The admissible parameter set is
 
@@ -19,14 +19,6 @@ scheme is the exact derivative of the discrete Euler map, the resulting
 directional derivatives of the discrete cost agree with central finite
 differences down to truncation level.
 
-All directions share the propagator I + h (J-R), so
-:func:`sensitivity_coefficients` advances them together: each pass stacks as
-many directions as fit in a buffer of ``_PASS_BYTES`` (at least one), fills
-it with the sources and runs it through the integrators' affine-recurrence
-kernel ``phsid.systems._affine_scan``, one Euler step for the whole stack per
-call.  :func:`solve_sensitivity` integrates one direction on its own; it is
-the per-direction reference the stacked route reproduces bit for bit.
-
 The cost functional is the output mismatch
 
     cost = 1/2 * sum_{j<K} h * |B^T w_j - y_data_j|^2
@@ -36,13 +28,38 @@ directional derivative in direction h is
 
     d cost[h] = sum_{j<K} h * <B^T w_j - y_data_j, B^T s_j>.
 
+:func:`solve_sensitivity` integrates s for one direction and
+:func:`directional_derivative` forms that sum; together they are the
+per-direction reference.  :func:`sensitivity_coefficients` gets every
+direction from one backward sweep of the discrete adjoint instead
+(discretize-then-optimize: it differentiates the same discrete cost).  With
+the residual r_j = B^T w_j - y_data_j and P = I + h (J-R),
+
+    lambda_K = 0,   lambda_j = P^T lambda_{j+1} + h B r_j   (j = K-1, ..., 0),
+
+run through the integrators' affine-recurrence kernel
+``phsid.systems._affine_scan`` in reverse time, and
+
+    G = h * sum_{j<K} lambda_{j+1} w_j^T,
+
+so that d cost[h] = <G, h_J - h_R> + <lambda_0, h_x>.  Each direction reads
+its coefficient off G and lambda_0:
+
+    J[i,j] -> G[i,j] - G[j,i]        R[i,i] -> -G[i,i]
+    R[i,j] -> -(G[i,j] + G[j,i])     x[i]   -> lambda_0[i]
+
+The sweep costs O(K n^2) and G one gemm, whatever the number of directions.
+The adjoint forms the same derivatives as the per-direction route with its
+sums in another order, so the two agree up to rounding, not bit for bit.
+
 The tangent basis is an index set: each :class:`Direction` names one entry
 of one lower triangle (a skew pair of J, a symmetric entry of R, a
-coordinate of w0), never a dense matrix.  A direction's source is written by
-copying state columns, and the gradient is assembled by adding each
-coefficient onto its entry of a zero lower triangle, bit for bit what the
-dense ±1 basis matrices gave.  Only :func:`finite_difference_gradient`
-builds a direction's dense pattern, one probe at a time.
+coordinate of w0), never a dense matrix.  A direction's source in
+:func:`solve_sensitivity` is written by copying state columns, and the
+gradient is assembled by adding each coefficient onto its entry of a zero
+lower triangle, bit for bit what the dense ±1 basis matrices gave.  Only
+:func:`finite_difference_gradient` builds a direction's dense pattern, one
+probe at a time.
 """
 
 from __future__ import annotations
@@ -65,12 +82,6 @@ from .systems import (
 STRUCTURE_FULL = "full"
 STRUCTURE_DIAGONAL_R = "diagonal_R"
 STRUCTURES = (STRUCTURE_FULL, STRUCTURE_DIAGONAL_R)
-
-# Bytes of one pass's stacked states, (K+1) x n floats per stacked sweep: the
-# sensitivity directions here, the line search's step-size candidates in
-# calibration.
-_PASS_BYTES = 1 << 20
-
 
 @dataclass(frozen=True)
 class ParameterPoint:
@@ -286,25 +297,18 @@ def assemble_gradient(coefficients, basis: BasisSet) -> Gradient:
                     SymmetricMatrix.from_lower(lower["R"]), h_x, coefficients)
 
 
-def _pass_width(num_nodes: int, n: int, count: int) -> int:
-    """Sweeps per pass, of ``count`` wanted: as many as fit in ``_PASS_BYTES``,
-    at least one."""
-    return max(1, min(count, _PASS_BYTES // (num_nodes * n * 8)))
-
-
 def sensitivity_coefficients(sys: ReducedPHSystem, traj: Trajectory,
                              y_data: Signal, basis: BasisSet) -> np.ndarray:
     """Directional derivative of the cost for every basis direction.
 
-    The directions are advanced in passes of stacked (n, 1) columns, one
-    matmul over the stack per Euler step.  Each column goes through the same
-    BLAS matrix-vector product and the same addition as in
-    :func:`solve_sensitivity`, and each direction's tangent output is formed
-    from its own contiguous (K, n) block as in :func:`directional_derivative`,
-    so the coefficients equal that per-direction route bit for bit.
+    One backward sweep of the discrete adjoint over a (K+1, n) buffer and one
+    gemm give all of them, whatever their number; the module docstring gives
+    the recurrence and how each direction reads its coefficient off G and
+    lambda_0.  The coefficients equal the per-direction
+    :func:`solve_sensitivity` route up to rounding: the sums run in another
+    order.
     """
     grid = traj.grid
-    directions = basis.directions
     _check_trajectory(sys, traj, grid)
     if basis.n != sys.n:
         raise DimensionMismatchError("system and basis dimensions differ")
@@ -316,24 +320,22 @@ def sensitivity_coefficients(sys: ReducedPHSystem, traj: Trajectory,
         )
     h = grid.h
     w = traj.states
-    n = sys.n
-    propagator = np.eye(n) + h * sys.drift()
-    width = _pass_width(grid.num_nodes, n, len(directions))
-    buf = np.empty((grid.num_nodes, width, n, 1))
+    propagator = np.eye(sys.n) + h * sys.drift()
     residual = w[:-1] @ sys.B - y_data.values[:-1]
-    coeffs = np.empty(len(directions))
-    for first in range(0, len(directions), width):
-        count = min(width, len(directions) - first)
-        sens = buf[:, :count]
-        # initial states and sources first, as solve_sensitivity writes them;
-        # the Euler step then adds P s onto them in place
-        for i in range(count):
-            _write_rows(sens[:, i, :, 0], w, h, directions[first + i])
-        _affine_scan(propagator, sens)
-        for i in range(count):
-            tangent_output = np.ascontiguousarray(sens[:-1, i, :, 0]) @ sys.B
-            coeffs[first + i] = float(h * np.sum(residual * tangent_output))
-    return coeffs
+    # row t holds lambda_{K-t}: zero, then the forcing h B r_j backwards in time
+    adjoint = np.empty((grid.num_nodes, sys.n))
+    adjoint[0] = 0.0
+    adjoint[1:] = (h * residual[::-1]) @ sys.B.T
+    _affine_scan(propagator.T, adjoint)
+    # pairs lambda_{j+1} = adjoint[K-1-j] with w_j
+    g = h * (adjoint[:-1].T @ w[-2::-1])
+    skew = g - g.T
+    sym = -(g + g.T)
+    np.fill_diagonal(sym, -np.diag(g))
+    lam0 = adjoint[-1]
+    entry = {"J": skew, "R": sym}
+    return np.array([lam0[d.i] if d.block == "x" else entry[d.block][d.i, d.j]
+                     for d in basis.directions])
 
 
 def _mismatch_cost(j_arr: np.ndarray, r_arr: np.ndarray, b: np.ndarray,

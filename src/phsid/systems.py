@@ -30,7 +30,7 @@ v_j = u_{j+1} for the midpoint rule (M = I - h/2 (J-R), N = I + h/2 (J-R)).
 Both run through one shell, :func:`_integrate`: it allocates the state
 buffer, writes the forcing S v_j of every step into it with one batched
 matmul and hands it to :func:`_affine_scan`, the one step loop, which the
-forward sensitivities share.  The states equal the per-step loop
+backward sweep of the adjoint gradient shares.  The states equal the per-step loop
 ``P @ w + S @ v_j`` bit for bit.  One :func:`_check_finite` raises
 DivergenceError at the first non-finite state, for either scheme.
 """

@@ -95,6 +95,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             p.CalibrationConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["sigma_init", "gamma", "eps_stop"])
+    def test_float_setting_must_be_a_real_number(self, name):
+        # a bool would run as 1.0; a string used to fail with a raw TypeError
+        for bad in (True, "10"):
+            with pytest.raises(ValueError, match=f"^{name} must be a real number, got"):
+                p.CalibrationConfig(**{name: bad})
+
     def test_integral_counts_become_int(self):
         cfg = p.CalibrationConfig(max_iter=3.0, max_halvings=np.int64(7))
         assert type(cfg.max_iter) is int and cfg.max_iter == 3
@@ -530,10 +537,10 @@ class TestBatchedSearch:
         cfg = p.CalibrationConfig(sigma_init=10.0**log_sigma, max_halvings=max_halvings,
                                   structure=structure, psd_mode=psd_mode)
         args = (v, g, p.cost(sys_v, u, y_data), truth.B, u, y_data, cfg)
-        pass_bytes = 1 if width_one else sensitivity._PASS_BYTES
+        pass_bytes = 1 if width_one else calibration._PASS_BYTES
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with mock.patch.object(sensitivity, "_PASS_BYTES", pass_bytes):
+            with mock.patch.object(calibration, "_PASS_BYTES", pass_bytes):
                 batched = outcome(batched_search, *args)
         assert_same_outcome(batched, outcome(sequential_search, *args))
 
@@ -546,12 +553,19 @@ class TestBatchedSearch:
         r = np.stack([guess_point.R.array] * 8)
         w = np.stack([guess_point.w_hat + 0.1 * i for i in range(8)])
         evaluator = calibration._BatchEvaluator(oscillator.B, u, y_data)
-        with mock.patch.object(sensitivity, "_PASS_BYTES", fit * grid.num_nodes * 2 * 8):
+        with mock.patch.object(calibration, "_PASS_BYTES", fit * grid.num_nodes * 2 * 8):
             costs = evaluator(j, r, w)
         assert len(costs) == width
         for i in range(width):
             assert costs[i] == sensitivity._mismatch_cost(j[i], r[i], oscillator.B, w[i],
                                                           u.values, y_data.values, grid.h)
+
+    @settings(derandomize=True)
+    @given(num_nodes=st.integers(2, 10**6), n=st.integers(1, 64), count=st.integers(1, 5000))
+    def test_pass_buffer_within_bound(self, num_nodes, n, count):
+        width = calibration._pass_width(num_nodes, n, count)
+        assert 1 <= width <= count
+        assert width == 1 or width * num_nodes * n * 8 <= calibration._PASS_BYTES
 
     def test_diverging_candidates_inside_a_batch(self):
         # J = R = 0, w0 = (1, 0), zero input and data.  The step along J[1,0]

@@ -323,6 +323,15 @@ class TestCalibrationSettings:
         assert capsys.readouterr().err == f"error: invalid config: unknown {name} '{bad}'\n"
         assert received == []
 
+    def test_non_numeric_setting_rejected_with_its_name(self, tmp_path, guess_file, data_files,
+                                                       received, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sigma_init": "10"}))
+        assert self.run(tmp_path, guess_file, data_files, "--config", str(cfg_path)) == 1
+        assert (capsys.readouterr().err
+                == "error: invalid config: sigma_init must be a real number, got '10'\n")
+        assert received == []
+
 
 class TestCheckGradient:
     def test_passes_at_detuned_guess(self, guess_file, data_files, capsys):

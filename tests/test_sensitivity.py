@@ -413,80 +413,89 @@ def _per_direction(sys, traj, y_data, basis):
     ])
 
 
+def assert_matches_per_direction(sys, traj, y_data, basis):
+    """The adjoint coefficients equal the per-direction reference up to
+    rounding: the adjoint forms the same derivatives with its sums in another
+    order."""
+    coeffs = p.sensitivity_coefficients(sys, traj, y_data, basis)
+    reference = _per_direction(sys, traj, y_data, basis)
+    assert np.max(np.abs(coeffs - reference)) <= 1e-11 * np.max(np.abs(reference))
+
+
 class TestStackedCoefficients:
+    """sensitivity_coefficients: the coefficients of the whole basis at once."""
+
     # derandomized so that every run of the suite draws the same examples
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n=st.integers(1, 6), k=st.integers(1, 3), structure=st.sampled_from(p.STRUCTURES),
-           steps=st.integers(1, 300), pass_bytes=st.integers(1, 1 << 16),
-           seed=st.integers(0, 2**32 - 1))
-    def test_bit_identical_to_per_direction_solves(self, n, k, structure, steps,
-                                                   pass_bytes, seed):
-        # a small pass bound splits the basis into several passes and leaves
-        # a narrower last one
+           steps=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_matches_per_direction_solves(self, n, k, structure, steps, seed):
         sys, traj, y_data = _random_problem(seed, n, k, steps)
-        basis = p.tangent_basis(n, structure)
-        with mock.patch.object(sensitivity, "_PASS_BYTES", pass_bytes):
-            stacked = p.sensitivity_coefficients(sys, traj, y_data, basis)
-        assert np.array_equal(stacked, _per_direction(sys, traj, y_data, basis))
+        assert_matches_per_direction(sys, traj, y_data, p.tangent_basis(n, structure))
 
-    def test_bit_identical_over_several_default_passes(self):
+    def test_adjoint_matches_per_direction_solves_at_n8(self):
         sys, traj, y_data = _random_problem(41, 8, 2, 1000)
-        basis = p.tangent_basis(8, "full")
-        assert sensitivity._pass_width(1001, 8, len(basis)) == 16  # 72 directions, 5 passes
-        assert sensitivity._pass_width(1001, 2, 6) == 6
-        stacked = p.sensitivity_coefficients(sys, traj, y_data, basis)
-        assert np.array_equal(stacked, _per_direction(sys, traj, y_data, basis))
+        assert_matches_per_direction(sys, traj, y_data, p.tangent_basis(8, "full"))
 
-    @settings(derandomize=True)
-    @given(num_nodes=st.integers(2, 10**6), n=st.integers(1, 64), count=st.integers(1, 5000))
-    def test_pass_buffer_within_bound(self, num_nodes, n, count):
-        width = sensitivity._pass_width(num_nodes, n, count)
-        assert 1 <= width <= count
-        assert width == 1 or width * num_nodes * n * 8 <= sensitivity._PASS_BYTES
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_one_backward_sweep(self, n):
+        # every direction's coefficient comes from one (K+1, n) adjoint sweep
+        sys, traj, y_data = _random_problem(43, n, 2, 50)
+        sweeps = []
 
-    def test_peak_memory_stays_near_the_pass_bound(self):
-        # all 20 directions stacked at once would take 3.2 MB
-        sys, traj, y_data = _random_problem(42, 4, 1, 5000)
-        basis = p.tangent_basis(4, "full")
+        def recording_scan(propagator, rows):
+            sweeps.append(rows.shape)
+            real_scan(propagator, rows)
+
+        real_scan = sensitivity._affine_scan
+        with mock.patch.object(sensitivity, "_affine_scan", recording_scan):
+            p.sensitivity_coefficients(sys, traj, y_data, p.tangent_basis(n, "full"))
+        assert sweeps == [(51, n)]
+
+    def test_peak_memory_is_a_few_state_buffers(self):
+        # the 272 directions at n = 16 cost no more memory than a few
+        # (K+1, n) buffers; a forward pass of all of them would take 348 MB
+        n, steps = 16, 10_000
+        sys, traj, y_data = _random_problem(42, n, 2, steps)
+        basis = p.tangent_basis(n, "full")
         tracemalloc.start()
         try:
             p.sensitivity_coefficients(sys, traj, y_data, basis)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * sensitivity._PASS_BYTES
+        assert peak < 3 * (steps + 1) * n * 8
 
     # derandomized so that every run of the suite draws the same examples
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n=st.integers(1, 6), structure=st.sampled_from(p.STRUCTURES),
            steps=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
     def test_sources_equal_the_dense_products(self, n, structure, steps, seed):
-        # The stacked and per-direction routes share the source code, so pin
-        # the sources themselves: h * (w @ E.T) for the dense +-1 matrix E of
-        # a J pair, its negation for an R pair, e_i then zeros for x.
+        # pin the sources the per-direction reference writes: h * (w @ E.T)
+        # for the dense +-1 matrix E of a J pair, its negation for an R pair,
+        # e_i then zeros for x
         sys, traj, y_data = _random_problem(seed, n, 1, steps)
-        basis = p.tangent_basis(n, structure)
-        passes = []
-
-        def recording_scan(propagator, rows):
-            passes.append(rows[..., 0].copy())
-            real_scan(propagator, rows)
-
-        real_scan = sensitivity._affine_scan
-        with mock.patch.object(sensitivity, "_affine_scan", recording_scan):
-            p.sensitivity_coefficients(sys, traj, y_data, basis)
-        sources = np.concatenate(passes, axis=1)
         h, w = traj.grid.h, traj.states
-        for k, label in enumerate(basis.labels):
-            h_j, h_r, h_x = dense(label, n)
-            if label[0] == "J":
+        written = []
+
+        def recording_write(rows, *args):
+            real_write(rows, *args)
+            written.append(rows.copy())
+
+        real_write = sensitivity._write_rows
+        for d in p.tangent_basis(n, structure):
+            with mock.patch.object(sensitivity, "_write_rows", recording_write):
+                p.solve_sensitivity(sys, traj, d, traj.grid)
+            rows = written.pop()
+            h_j, h_r, h_x = dense(d.label, n)
+            if d.block == "J":
                 expected = h * (w[:-1] @ h_j.T)
-            elif label[0] == "R":
+            elif d.block == "R":
                 expected = h * -(w[:-1] @ h_r.T)
             else:
                 expected = np.zeros((steps, n))
-            assert sources[0, k].tobytes() == h_x.tobytes()
-            assert sources[1:, k].tobytes() == expected.tobytes()
+            assert rows[0].tobytes() == h_x.tobytes()
+            assert rows[1:].tobytes() == expected.tobytes()
 
     def test_grid_mismatch_rejected(self, oscillator):
         traj = p.simulate_euler(oscillator, p.Signal.zeros(p.TimeGrid(1.0, 10), 1))

@@ -6,14 +6,17 @@ Extracts ``src/`` of BASE (default ``HEAD``) with ``git archive`` into a
 temporary directory.  Then runs the working tree's
 ``calibration_fingerprint.py`` and ``cli_fingerprint.py`` twice each, once
 with BASE's ``src`` and once with the working tree's ``src`` as PYTHONPATH,
-and prints a unified diff of each pair of outputs followed by one summary
-line per tool.  Exits 0 when both pairs are identical and 1 when either
-differs.  The temporary directory is removed and no bytecode is written, so
+and prints a unified diff of each pair of outputs.  After each diff it lists
+every case whose JSON line differs with the names of the keys that moved,
+e.g. ``oscillator seed=7 full project: cost_history, v_opt``, then one
+summary line per tool.  Exits 0 when both pairs are identical and 1 when
+either differs.  The temporary directory is removed and no bytecode is written, so
 the run leaves nothing behind.
 """
 
 import difflib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -40,6 +43,23 @@ def fingerprint(tool: str, src: Path) -> list[str]:
     return run.stdout.splitlines(keepends=True)
 
 
+def moved_keys(old: list[str], new: list[str]) -> list[str]:
+    """``case: key, key`` for each case whose JSON line differs, naming the
+    keys whose values differ; lines that are not JSON records are skipped."""
+    def records(lines):
+        return {rec["case"]: rec for rec in (json.loads(line) for line in lines
+                                             if line.startswith("{"))}
+
+    before, after = records(old), records(new)
+    out = []
+    for case in dict.fromkeys([*before, *after]):
+        a, b = before.get(case, {}), after.get(case, {})
+        keys = [k for k in dict.fromkeys([*a, *b]) if a.get(k) != b.get(k)]
+        if keys:
+            out.append(f"{case}: {', '.join(keys)}\n")
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) > 2:
         print(__doc__, file=sys.stderr)
@@ -53,6 +73,7 @@ def main(argv: list[str]) -> int:
             diff = list(difflib.unified_diff(old, new, f"{base}: {tool}",
                                              f"working tree: {tool}"))
             sys.stdout.writelines(diff)
+            sys.stdout.writelines(moved_keys(old, new))
             print(f"{tool}: {len(new)} lines, {'DIFFERENT' if diff else 'identical'}")
             differs = differs or bool(diff)
     return 1 if differs else 0
