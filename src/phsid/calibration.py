@@ -9,10 +9,11 @@ The loop fits v = (J, R, w0) to reference output data by repeating
        off it, and assemble the cost gradient from them,
     3. find a step size with Armijo backtracking (start at sigma_init,
        halve until the decrease beats gamma * sigma * |g|^2); the candidates
-       sigma_init, sigma_init/2, ... are integrated in batches of up to
-       ``_BATCH_WIDTH``, one stacked Euler sweep per batch, and the first
-       one in that order that passes the test is accepted, exactly as a
-       one-at-a-time search would,
+       sigma_init, sigma_init/2, ... are built a batch of up to
+       ``_BATCH_WIDTH`` at a time as stacked arrays, projecting only the R
+       blocks that are not PSD, and integrated in one stacked Euler sweep
+       per batch; the first one in that order that passes the test is
+       accepted, exactly as a one-at-a-time search would,
     4. update v <- retract(v - sigma * g),
 
 until the cost drops below ``eps_stop`` or a guard (iteration cap, halving
@@ -162,41 +163,28 @@ def cost(sys: ReducedPHSystem, u: Signal, y_data: Signal) -> float:
     return _states_and_cost(sys, u, y_data)[1]
 
 
-def _candidate_blocks(v: ParameterPoint, g: Gradient, sigma: float):
-    """Raw descent update on the triangular free parameters (exact structure)."""
-    j_new = SkewSymmetricMatrix.from_strict_lower(
-        np.tril(v.J.array, -1) - sigma * np.tril(g.h_J.array, -1)
-    )
-    r_sym = SymmetricMatrix.from_lower(
-        np.tril(v.R.array) - sigma * np.tril(g.h_R.array)
-    )
-    w_new = v.w_hat - sigma * g.h_x
-    return j_new, r_sym, w_new
+def _trial_points(v: ParameterPoint, g: Gradient, sigmas: list[float], psd_mode: str):
+    """Stacked step sizes, J, R and w0 of the trial points v - sigma * g.
 
-
-class _Candidate(NamedTuple):
-    sigma: float
-    j: SkewSymmetricMatrix
-    r_sym: SymmetricMatrix
-    r_block: SymmetricMatrix | PSDMatrix   # the R the cost is evaluated at
-    w: np.ndarray
-
-
-def _candidates(v: ParameterPoint, g: Gradient, cfg: CalibrationConfig):
-    """Yield (sigma, candidate) for sigma = sigma_init, sigma_init/2, ... over
-    ``max_halvings`` halvings; the candidate is None where the trial point
-    overflowed, which rejects that step size."""
-    sigma = cfg.sigma_init
-    for _ in range(cfg.max_halvings + 1):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                j_new, r_sym, w_new = _candidate_blocks(v, g, sigma)
-        except InvalidModelError:
-            yield sigma, None
-        else:
-            r_block = project_psd(r_sym) if cfg.psd_mode == PSD_PROJECT else r_sym
-            yield sigma, _Candidate(sigma, j_new, r_sym, r_block, w_new)
-        sigma *= 0.5
+    The triangular free parameters are updated for every sigma at once and
+    mirrored as ``from_strict_lower``/``from_lower`` mirror them, so J is
+    exactly skew and R exactly symmetric.  Rows whose J or R overflowed are
+    dropped.  With ``psd_mode="project"``, each R that is not PSD is replaced
+    by its projection.
+    """
+    s = np.array(sigmas, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        j = np.tril(v.J.array, -1) - s[:, None, None] * np.tril(g.h_J.array, -1)
+        r = np.tril(v.R.array) - s[:, None, None] * np.tril(g.h_R.array)
+        j = j - j.swapaxes(1, 2)
+        r = r + np.tril(r, -1).swapaxes(1, 2)
+        w = v.w_hat - s[:, None] * g.h_x
+    keep = np.isfinite(j).all(axis=(1, 2)) & np.isfinite(r).all(axis=(1, 2))
+    s, j, r, w = s[keep], j[keep], r[keep], w[keep]
+    if psd_mode == PSD_PROJECT:
+        for i in np.flatnonzero(np.linalg.eigvalsh(r)[:, 0] < 0.0):
+            r[i] = project_psd(SymmetricMatrix(r[i])).array
+    return [s, j, r, w]
 
 
 def armijo_search(v: ParameterPoint, g: Gradient, cost_at_v: float,
@@ -207,45 +195,49 @@ def armijo_search(v: ParameterPoint, g: Gradient, cost_at_v: float,
     Tries sigma in {sigma_init, sigma_init/2, ...} and returns the first one
     whose retracted candidate v' = retract(v - sigma*g) satisfies
 
-        cost(v') - cost(v) <= -gamma * sigma * |g|^2.
+        cost(v') - cost(v) <= -gamma * sigma * |g|^2,
 
-    Candidates are built in that order and handed to ``cost_evaluator`` in
-    batches of up to ``_BATCH_WIDTH``: stacked J (m, n, n), R (m, n, n) and
-    w0 (m, n) blocks as raw arrays.  The evaluator returns the costs of the
-    first m' of them, 1 <= m' <= m (all m unless it bounds its memory), and
-    may return +inf to signal an unusable candidate; the candidates it left
-    out lead the next batch.  The first candidate in order that passes the
-    test is accepted, so the result is that of trying one sigma at a time.
+    with cost(v') < cost(v) unless g is zero.  Candidates are built in that
+    order, a batch at a time as stacked arrays (only the R blocks that are
+    not PSD are projected), and handed to ``cost_evaluator`` in batches of up
+    to ``_BATCH_WIDTH``: stacked J (m, n, n), R (m, n, n) and w0 (m, n)
+    blocks as raw arrays.  The evaluator returns the costs of the first m'
+    of them, 1 <= m' <= m (all m unless it bounds its memory), and may
+    return +inf to signal an unusable candidate; the candidates it left out
+    lead the next batch.  The first candidate in order that passes the test
+    is accepted, so the result is that of trying one sigma at a time.
     Raises :class:`LineSearchError` once ``max_halvings`` halvings are
     exhausted.
     """
     g_sq = g.norm_sq
-    trials = _candidates(v, g, cfg)
-    pending: list[_Candidate] = []
-    sigma = cfg.sigma_init
+    pending = _trial_points(v, g, [], cfg.psd_mode)  # empty stacks
+    sigma, untried = cfg.sigma_init, cfg.max_halvings + 1
     while True:
-        for sigma, candidate in trials:
-            if candidate is not None:
-                pending.append(candidate)
-                if len(pending) == _BATCH_WIDTH:
-                    break
-        if not pending:
-            raise LineSearchError(sigma, cfg.max_halvings)
-        costs = cost_evaluator(np.stack([c.j.array for c in pending]),
-                               np.stack([c.r_block.array for c in pending]),
-                               np.stack([c.w for c in pending]))
-        if not 0 < len(costs) <= len(pending):
+        while len(pending[0]) < _BATCH_WIDTH and untried:
+            sigmas = []
+            for _ in range(min(_BATCH_WIDTH - len(pending[0]), untried)):
+                sigmas.append(sigma)
+                sigma *= 0.5
+            untried -= len(sigmas)
+            batch = _trial_points(v, g, sigmas, cfg.psd_mode)
+            pending = [np.concatenate(pair) for pair in zip(pending, batch)]
+        if not len(pending[0]):
+            raise LineSearchError(sigmas[-1], cfg.max_halvings)
+        s, j, r, w = pending
+        costs = cost_evaluator(j, r, w)
+        if not 0 < len(costs) <= len(s):
             raise ValueError(f"cost evaluator returned {len(costs)} costs "
-                             f"for {len(pending)} candidates")
-        for c, cand_cost in zip(pending, costs):
-            if np.isfinite(cand_cost) and cand_cost - cost_at_v <= -cfg.gamma * c.sigma * g_sq:
-                if isinstance(c.r_block, PSDMatrix):
-                    r_new = c.r_block
-                else:
-                    # psd_mode="none": the accepted iterate must still be admissible
-                    r_new = PSDMatrix(c.r_sym)
-                return ArmijoStep(c.sigma, ParameterPoint(c.j, r_new, c.w), float(cand_cost))
-        del pending[:len(costs)]
+                             f"for {len(s)} candidates")
+        for i, cand_cost in enumerate(costs):
+            # with g != 0 the bound is negative in exact arithmetic; where it
+            # underflows to -0.0 it must still not admit an unchanged cost
+            if (np.isfinite(cand_cost) and cand_cost - cost_at_v <= -cfg.gamma * s[i] * g_sq
+                    and (cand_cost < cost_at_v or g_sq == 0.0)):
+                # PSDMatrix rejects an R that psd_mode="none" left outside the cone
+                point = ParameterPoint(SkewSymmetricMatrix(j[i]),
+                                       PSDMatrix(SymmetricMatrix(r[i])), w[i])
+                return ArmijoStep(float(s[i]), point, float(cand_cost))
+        pending = [a[len(costs):] for a in pending]
 
 
 def _pass_width(num_nodes: int, n: int, count: int) -> int:

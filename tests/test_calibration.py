@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -135,7 +136,7 @@ class TestArmijo:
             return 0.5 * w[:, 0] ** 2
 
         step = p.armijo_search(v, g, 0.5, evaluate, p.CalibrationConfig())
-        assert step.sigma == 1.25
+        assert step.sigma == 1.25 and type(step.sigma) is float
         # one batch of eight candidates, w = 1 - 10 / 2^i in search order
         assert batches == [[-9.0, -4.0, -1.5, -0.25, 0.375, 0.6875, 0.84375, 0.921875]]
         assert step.point.w_hat[0] == -0.25
@@ -182,9 +183,35 @@ class TestArmijo:
         with pytest.raises(p.LineSearchError) as err:
             p.armijo_search(guess_point, g, 1.0, evaluate, cfg)
         assert err.value.last_sigma == pytest.approx(10.0 / 2**10)
+        assert type(err.value.last_sigma) is float
         assert err.value.halvings == 10
         # 11 candidates: a full batch, then the three left before max_halvings
         assert widths == [8, 3]
+
+    def test_unchanged_cost_is_never_accepted(self, guess_point):
+        # past about 1070 halvings -gamma * sigma * |g|^2 underflows to -0.0,
+        # and the trial point rounds back to v; its unchanged cost is no decrease
+        g = p.assemble_gradient(np.ones(6), p.tangent_basis(2, "full"))
+        cfg = p.CalibrationConfig(max_halvings=1200)
+        with pytest.raises(p.LineSearchError):
+            p.armijo_search(guess_point, g, 1.0, lambda j, r, w: np.ones(len(w)), cfg)
+
+    def test_trial_points_are_built_a_batch_at_a_time(self, guess_point):
+        # a search that accepts its first batch allocates about the same
+        # whatever the halving budget; an array over all 10**6 + 1 step
+        # sizes alone would take 8 MB
+        g = p.assemble_gradient(np.ones(6), p.tangent_basis(2, "full"))
+
+        def peak_bytes(max_halvings):
+            tracemalloc.start()
+            try:
+                p.armijo_search(guess_point, g, 1.0, lambda j, r, w: np.zeros(len(w)),
+                                p.CalibrationConfig(max_halvings=max_halvings))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(10**6) < 2 * peak_bytes(60)
 
     def test_non_finite_candidate_cost_is_rejected_not_accepted(self, guess_point):
         basis = p.tangent_basis(2, "full")
@@ -476,7 +503,8 @@ def sequential_search(v, g, cost_at_v, b, u, y_data, cfg):
                 c = sensitivity._mismatch_cost(j, r, b, w0, u.values, y_data.values, u.grid.h)
             except p.DivergenceError:
                 c = np.inf
-            if np.isfinite(c) and c - cost_at_v <= -cfg.gamma * sigma * g.norm_sq:
+            if (np.isfinite(c) and c - cost_at_v <= -cfg.gamma * sigma * g.norm_sq
+                    and (c < cost_at_v or g.norm_sq == 0.0)):
                 if cfg.psd_mode == "none":
                     p.PSDMatrix(r_sym)  # the accepted iterate must be admissible
                 return sigma, j, r, w0, c
