@@ -38,7 +38,9 @@ the residual r_j = B^T w_j - y_data_j and P = I + h (J-R),
     lambda_K = 0,   lambda_j = P^T lambda_{j+1} + h B r_j   (j = K-1, ..., 0),
 
 run through the integrators' affine-recurrence kernel
-``phsid.systems._affine_scan`` in reverse time, and
+``phsid.systems._affine_scan`` in reverse time, a blocked scan on P^T that
+advances a block of steps per gemm (within rounding of the per-step loop,
+which it runs itself for short K, the tail steps and an overflow), and
 
     G = h * sum_{j<K} lambda_{j+1} w_j^T,
 
@@ -48,7 +50,8 @@ its coefficient off G and lambda_0:
     J[i,j] -> G[i,j] - G[j,i]        R[i,i] -> -G[i,i]
     R[i,j] -> -(G[i,j] + G[j,i])     x[i]   -> lambda_0[i]
 
-The sweep costs O(K n^2) and G one gemm, whatever the number of directions.
+The sweep costs K/m block steps and O(K m n^2) flops in gemms (m the
+scan's block length), and G one gemm, whatever the number of directions.
 The adjoint forms the same derivatives as the per-direction route with its
 sums in another order, so the two agree up to rounding, not bit for bit.
 

@@ -29,10 +29,15 @@ S = h B and v_j = u_j for Euler, P = M^{-1} N, S = M^{-1} h B and
 v_j = u_{j+1} for the midpoint rule (M = I - h/2 (J-R), N = I + h/2 (J-R)).
 Both run through one shell, :func:`_integrate`: it allocates the state
 buffer, writes the forcing S v_j of every step into it with one batched
-matmul and hands it to :func:`_affine_scan`, the one step loop, which the
-backward sweep of the adjoint gradient shares.  The states equal the per-step loop
-``P @ w + S @ v_j`` bit for bit.  One :func:`_check_finite` raises
-DivergenceError at the first non-finite state, for either scheme.
+matmul and hands it to :func:`_affine_scan`, the one step kernel, which the
+backward sweep of the adjoint gradient shares.  The kernel is a blocked
+scan: it advances a block of m steps with a gemm and loops over block
+starts only.  Its states differ from the per-step loop ``P @ w + S @ v_j``
+by rounding, at most 4.5e-14 of max|w| in the measurements; the per-step
+loop itself runs for short K, over the K mod m tail steps and where the
+blocked states leave the finite range.  One :func:`_check_finite` raises
+DivergenceError at the first non-finite state, for either scheme, at the
+step the per-step loop reaches.
 """
 
 from __future__ import annotations
@@ -222,18 +227,30 @@ def cholesky_reduce(sys: PHSystem) -> ReducedPHSystem:
     return ReducedPHSystem(j_red, r_red, v.T @ sys.B, v.T @ sys.x_hat)
 
 
-def _affine_scan(p: np.ndarray, rows: np.ndarray) -> None:
-    """Run the affine recurrence x_{j+1} = P x_j + f_j in place over ``rows``.
+# The blocked scan advances m = _BLOCK_WIDTH // n steps per block, so each
+# block operator is about 64 x 64; blocks shorter than 3 steps do not pay,
+# nor do fewer than _MIN_BLOCKS of them.  It holds the forcing of
+# _CHUNK_VALUES // (m n) blocks of each stack element at a time.
+_BLOCK_WIDTH = 64
+_MIN_BLOCKS = 4
+_CHUNK_VALUES = 1 << 11
 
-    On entry ``rows[0]`` holds x_0 and ``rows[j+1]`` the forcing f_j; on
-    return ``rows[j]`` holds x_j.  Rows are (n,) vectors with P (n, n), or
-    (m, n, 1) stacks of columns with one shared P (n, n) or one per element
-    (m, n, n), so that the stacked product is one gemv per element.  Each
-    step is two C calls, ``matmul(P, x_j)`` into a scratch row and its
+
+def _block_length(n: int) -> int:
+    """Steps per block of the blocked scan at state dimension ``n``, or 0
+    where the scan runs stepwise."""
+    m = _BLOCK_WIDTH // n
+    return m if m >= 3 else 0
+
+
+def _step_scan(p: np.ndarray, rows: np.ndarray) -> None:
+    """The per-step loop of :func:`_affine_scan`, with the same contract.
+
+    Each step is two C calls, ``matmul(P, x_j)`` into a scratch row and its
     addition onto f_j, so every element's states equal the plain
     ``P @ x_j + f_j`` loop bit for bit.  A stack of one steps as a plain
     vector: the same gemv, with less per-call overhead than a stack of one
-    column.  Overflow is left to the caller's error state.
+    column.
     """
     if rows.ndim == 4 and rows.shape[1] == 1:
         rows, p = rows[:, 0, :, 0], p.reshape(p.shape[-2:])
@@ -242,6 +259,115 @@ def _affine_scan(p: np.ndarray, rows: np.ndarray) -> None:
     for cur, nxt in zip(rows[:-1], rows[1:]):
         matmul(p, cur, out=step)
         add(nxt, step, out=nxt)
+
+
+def _powers(p: np.ndarray, m: int) -> np.ndarray:
+    """P^0 .. P^m of each propagator of ``p`` (c, n, n), as (c, m+1, n, n),
+    by doubling: one stacked matmul per power of two."""
+    n = p.shape[-1]
+    pw = np.empty((p.shape[0], m + 1, n, n))
+    pw[:, 0] = np.eye(n)
+    pw[:, 1] = p
+    k = 1
+    while k < m:
+        top = min(2 * k, m)
+        np.matmul(pw[:, 1:top - k + 1], pw[:, k:k + 1], out=pw[:, k + 1:top + 1])
+        k = top
+    return pw
+
+
+def _toeplitz(pw: np.ndarray) -> np.ndarray:
+    """Block lower-triangular Toeplitz operators (c, mn, mn) with block
+    (i, l) = P^(i-l) for i >= l, from the powers (c, m+1, n, n)."""
+    c, m, n = pw.shape[0], pw.shape[1] - 1, pw.shape[-1]
+    # row a of padded: row a of P^(m-1), ..., P^0, then m-1 zero blocks
+    padded = np.zeros((c, n, 2 * m - 1, n))
+    padded[:, :, :m] = pw[:, m - 1::-1].transpose(0, 2, 1, 3)
+    padded = padded.reshape(c, n, (2 * m - 1) * n)
+    # operator row (i, a) is padded[a, (m-1-i)n : (2m-1-i)n]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, m * n, axis=2)[:, :, ::-n]
+    return np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(c, m * n, m * n)
+
+
+def _affine_scan(p: np.ndarray, rows: np.ndarray) -> None:
+    """Run the affine recurrence x_{j+1} = P x_j + f_j in place over ``rows``.
+
+    On entry ``rows[0]`` holds x_0 and ``rows[j+1]`` the forcing f_j; on
+    return ``rows[j]`` holds x_j.  Rows are (n,) vectors with P (n, n), or
+    (c, n, 1) stacks of columns with one shared P (n, n) or one per element
+    (c, n, n).
+
+    The scan is blocked, the chunked form of a linear-recurrence prefix
+    scan.  Within a block of m = :func:`_block_length` steps from x_s,
+
+        x_{s+i} = P^i x_s + sum_{l<i} P^(i-1-l) f_{s+l},   i = 1 .. m.
+
+    For a chunk of blocks, one gemm applies the block-Toeplitz operator of
+    P^0 .. P^(m-1) to their forcing, giving the sums z; a loop over the
+    block starts alone runs x_{s+m} = P^m x_s + z_{s,m}; one more gemm fills
+    in the states inside the blocks from the block starts and P^1 .. P^m.
+    A stack applies one operator per element by batched matmul, in the
+    shapes of a single sweep, so each element's states equal its own sweep
+    bit for bit.  The blocked states differ from the per-step loop by
+    rounding, at most 4.5e-14 of max|x| in the measurements.
+
+    :func:`_step_scan`, the per-step loop, runs instead where K is shorter
+    than ``_MIN_BLOCKS`` blocks and over the last K mod m steps.  It also
+    runs, element by element, from the first chunk whose blocked states
+    are not finite, or from x_0 where a power of P is not finite: a
+    chunk's forcing stays in ``rows`` until its states are written back,
+    so the rescan reaches the same first non-finite step as the per-step
+    loop.  Overflow in the blocked stages is ignored; overflow in the
+    per-step loop is left to the caller's error state.
+    """
+    n = p.shape[-1]
+    m = _block_length(n)
+    if not m or rows.shape[0] - 1 < _MIN_BLOCKS * m:
+        _step_scan(p, rows)
+        return
+    end = (rows.shape[0] - 1) // m * m
+    x = rows[..., 0] if rows.ndim == 4 else rows[:, None]  # (K+1, count, n)
+    count = x.shape[1]
+    chunk = max(1, _CHUNK_VALUES // (m * n)) * m
+    with np.errstate(over="ignore", invalid="ignore"):
+        pw = _powers(p.reshape(-1, n, n), m)
+        live = np.isfinite(pw).all(axis=(1, 2, 3)) & np.ones(count, dtype=bool)
+        restart = np.zeros(count, dtype=int)  # where a dead element's rescan starts
+        op_t = _toeplitz(pw).swapaxes(1, 2)
+        # (c, n, mn): a row state times it gives P^1 x_s .. P^m x_s
+        powers_t = pw[:, 1:].transpose(0, 3, 1, 2).reshape(-1, n, m * n)
+        p_m = pw[:, m] if p.ndim == 3 else pw[0, m]
+        for lo in range(0, end, chunk):
+            if not live.any():
+                break
+            blocks = (min(lo + chunk, end) - lo) // m
+            dest = x[lo + 1:lo + 1 + blocks * m].reshape(blocks, m, count, n)
+            forcing = dest.transpose(2, 0, 1, 3).reshape(count, blocks, m * n)
+            z = np.matmul(forcing, op_t)  # z_{s,i}: the forcing's share of x_{s+i}
+            starts = np.empty((blocks + 1, count, n, 1))
+            starts[0, :, :, 0] = x[lo]
+            starts[1:, :, :, 0] = z.reshape(count, blocks, m, n)[:, :, -1].swapaxes(0, 1)
+            _step_scan(p_m, starts)  # x_{s+m} = P^m x_s + z_{s,m}
+            states = np.matmul(np.ascontiguousarray(starts[:-1, :, :, 0].swapaxes(0, 1)),
+                               powers_t)
+            states += z
+            states = states.reshape(count, blocks, m, n)
+            # store the block ends that the next blocks were advanced from
+            states[:, :, -1] = starts[1:, :, :, 0].swapaxes(0, 1)
+            ok = live & np.isfinite(states).all(axis=(1, 2, 3))
+            if ok.all():
+                dest[...] = states.transpose(1, 2, 0, 3)
+            else:
+                dest[:, :, ok] = states[ok].transpose(1, 2, 0, 3)
+                restart[live & ~ok] = lo
+                live &= ok
+    for lo in sorted(set(restart[~live].tolist())):
+        # these elements still hold their forcing from row lo + 1 on
+        idx = np.flatnonzero(~live & (restart == lo))
+        sub = x[lo:end + 1, idx][..., None]
+        _step_scan(p[idx] if p.ndim == 3 else p, sub)
+        x[lo + 1:end + 1, idx] = sub[1:, :, :, 0]
+    _step_scan(p, rows[end:])
 
 
 def _integrate(p: np.ndarray, s: np.ndarray, w0: np.ndarray,
@@ -253,8 +379,9 @@ def _integrate(p: np.ndarray, s: np.ndarray, w0: np.ndarray,
     (K+1, m, n).  The forcing S v_j of every step is written into rows 1..
     of the state buffer by one batched matmul (the same gemv per step as a
     single product) and copied across the stack, and :func:`_affine_scan`
-    then adds P w_j onto it, so each stack element's states equal its own
-    sweep bit for bit.  Non-finite states are returned as they are.
+    then runs the recurrence over it in place: a blocked scan, within
+    rounding of the per-step loop, where each stack element's states equal
+    its own sweep bit for bit.  Non-finite states are returned as they are.
     """
     steps, n = inputs.shape[0], p.shape[-1]
     stacked = p.ndim == 3

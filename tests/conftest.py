@@ -4,8 +4,19 @@ import numpy as np
 import pytest
 
 import phsid as p
+from phsid.systems import _MIN_BLOCKS, _block_length
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def blocked_end(n, steps):
+    """Rows 1 .. blocked_end of a K = ``steps`` scan at dimension ``n`` come
+    from the blocked scan, the rest from the per-step loop; 0 where the whole
+    scan steps."""
+    m = _block_length(n)
+    if not m or steps < _MIN_BLOCKS * m:
+        return 0
+    return steps // m * m
 
 
 def philox(seed):

@@ -13,6 +13,7 @@ import phsid.calibration as calibration
 import phsid.sensitivity as sensitivity
 from conftest import (
     FIXTURES,
+    blocked_end,
     diverging_system,
     philox,
     random_psd,
@@ -633,3 +634,59 @@ class TestBatchedSearch:
         assert np.isfinite(costs[2:]).all()
         assert_same_outcome(outcome(batched_search, v, g, cost_at_v, b, u, y_data, cfg),
                             outcome(sequential_search, v, g, cost_at_v, b, u, y_data, cfg))
+
+    def test_overflowing_candidates_on_the_blocked_path(self, oscillator, guess_point):
+        # K = 1000 steps is past the blocked scan's threshold at n = 2.  A J of
+        # 1e200 overflows the powers of its propagator and a rate of 1e5 only
+        # its states; both cost +inf, and every other candidate costs what a
+        # sweep of its own gives
+        grid = p.TimeGrid(1.0, 1000)
+        assert blocked_end(2, grid.steps) > 0
+        u, y_data = p.generate_reference(oscillator, grid, p.NoiseSpec(seed=31))
+        j = np.stack([guess_point.J.array * (1 + 0.1 * i) for i in range(6)])
+        j[1] = diverging_system().J.array
+        j[4] = guess_point.J.array * 1e5
+        r = np.stack([guess_point.R.array] * 6)
+        w = np.stack([guess_point.w_hat + 0.1 * i for i in range(6)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            costs = calibration._BatchEvaluator(oscillator.B, u, y_data)(j, r, w)
+        assert np.isinf(costs[[1, 4]]).all()
+        for i in (0, 2, 3, 5):
+            assert costs[i] == sensitivity._mismatch_cost(j[i], r[i], oscillator.B, w[i],
+                                                          u.values, y_data.values, grid.h)
+
+
+def perturbed(truth, rng, rel=0.1):
+    """``truth`` with J, R and w0 scaled entrywise by 1 + rel * N(0, 1), R
+    projected back onto the PSD cone."""
+    n = truth.n
+    j = truth.J.array * (1 + rel * rng.normal(size=(n, n)))
+    r = truth.R.array * (1 + rel * rng.normal(size=(n, n)))
+    return p.ParameterPoint(p.SkewSymmetricMatrix.from_strict_lower(j),
+                            p.project_psd(p.SymmetricMatrix.from_lower(r)),
+                            truth.w_hat * (1 + rel * rng.normal(size=n)))
+
+
+class TestRecovery:
+    # derandomized so that every run of the suite draws the same examples
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4), k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+    def test_perturbed_start_reaches_eps_stop(self, n, k, seed):
+        # noise-free data of a random truth, K = 300 steps: past the blocked
+        # scan's threshold at every n <= 4, so the evaluator, the adjoint and
+        # y_opt all run blocked.  The final cost below eps_stop bounds the RMS
+        # output mismatch over j < K by sqrt(2 eps_stop / t_end) = 4.5e-3;
+        # the largest mismatch stays within 5% of max |y_data|
+        rng = philox(seed)
+        truth = random_reduced_system(rng, n, k)
+        grid = p.TimeGrid(1.0, 300)
+        assert blocked_end(n, grid.steps) > 0
+        u = random_signal(rng, grid, k)
+        y_data = p.output(truth, p.simulate_euler(truth, u))
+        cfg = p.CalibrationConfig(eps_stop=1e-5, max_iter=3000)
+        res = p.calibrate(perturbed(truth, rng), u, y_data, truth.B, cfg)
+        assert res.converged and res.final_cost < cfg.eps_stop
+        mismatch = res.y_opt.values - y_data.values
+        assert np.sqrt(np.mean(mismatch[:-1] ** 2) * k) <= np.sqrt(2 * cfg.eps_stop / grid.t_end)
+        assert np.abs(mismatch).max() <= 0.05 * np.abs(y_data.values).max()

@@ -8,6 +8,8 @@ from scipy.linalg import expm
 
 import phsid as p
 from conftest import (
+    blocked_end,
+    diverging_system,
     oscillator_system,
     philox,
     random_psd,
@@ -15,7 +17,13 @@ from conftest import (
     random_signal,
     random_skew,
 )
-from phsid.systems import _affine_scan, _euler_states
+from phsid.systems import (
+    _CHUNK_VALUES,
+    _MIN_BLOCKS,
+    _affine_scan,
+    _block_length,
+    _euler_states,
+)
 
 
 def euler_oracle(a, b, w0, u_values, h):
@@ -87,6 +95,37 @@ class TestSimulateEuler:
             p.simulate_euler(sys, p.Signal.zeros(grid, 1))
         assert 0 < err.value.step < 20
 
+    def test_divergence_on_the_blocked_path_names_step_2(self):
+        # K = 1000 is past the blocked scan's threshold; the powers of the
+        # propagator overflow, so the scan steps from x_0
+        grid = p.TimeGrid(1.0, 1000)
+        assert blocked_end(2, grid.steps) > 0
+        with pytest.raises(p.DivergenceError) as err:
+            p.simulate_euler(diverging_system(), p.Signal.zeros(grid, 1))
+        assert err.value.step == 2
+
+    def test_divergence_in_a_later_chunk_names_the_per_step_loop_step(self):
+        # w' = -2.2 w with h = 1: the propagator -1.2 and its powers up to the
+        # block length are finite, and the states overflow after about 3900
+        # steps, past the first chunk of blocks (_CHUNK_VALUES rows at n = 1);
+        # the rescan from that chunk's start names the per-step loop's step
+        grid = p.TimeGrid(5000.0, 5000)
+        sys = p.ReducedPHSystem(
+            p.SkewSymmetricMatrix.zeros(1), p.PSDMatrix.from_matrix([[2.2]]),
+            np.zeros((1, 1)), np.array([1.0]))
+        propagator = 1.0 + grid.h * -2.2
+        w, first = 1.0, None
+        with np.errstate(over="ignore"):
+            for j in range(1, grid.num_nodes):
+                w = propagator * w
+                if not np.isfinite(w):
+                    first = j
+                    break
+        assert blocked_end(1, grid.steps) > first > _CHUNK_VALUES
+        with pytest.raises(p.DivergenceError) as err:
+            p.simulate_euler(sys, p.Signal.zeros(grid, 1))
+        assert err.value.step == first
+
     def test_port_count_mismatch(self, oscillator):
         grid = p.TimeGrid(1.0, 5)
         with pytest.raises(p.DimensionMismatchError):
@@ -109,8 +148,9 @@ def midpoint_oracle(a, b, w0, u_values, h):
 class TestStackedEuler:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n=st.integers(1, 6), k=st.integers(1, 3), m=st.integers(1, 8),
-           steps=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+           steps=st.integers(1, 1200), seed=st.integers(0, 2**32 - 1))
     def test_each_element_equals_its_own_sweep(self, n, k, m, steps, seed):
+        # from K = 256 at n = 1 (K = 40 at n = 6) the scan is blocked
         rng = philox(seed)
         drifts = np.stack([random_skew(rng, n).array - random_psd(rng, n).array
                            for _ in range(m)])
@@ -124,41 +164,98 @@ class TestStackedEuler:
             assert np.array_equal(states[:, i], _euler_states(drifts[i], b, w0[i], u_values, h))
 
     def test_diverged_element_is_returned_not_raised(self):
-        grid = p.TimeGrid(1.0, 100)
-        b = np.ones((2, 1))
-        u_values = np.ones((grid.num_nodes, 1))
-        drifts = np.stack([np.diag([-0.5, -0.3]), np.diag([1e6, 1e6]), np.diag([-0.1, -0.2])])
-        w0 = np.array([[1.0, 2.0], [1.0, 1.0], [0.5, 0.5]])
-        states = _euler_states(drifts, b, w0, u_values, grid.h)
-        assert not np.isfinite(states[:, 1]).all()
-        with pytest.raises(p.DivergenceError):
-            _euler_states(drifts[1], b, w0[1], u_values, grid.h)
-        for i in (0, 2):
-            single = _euler_states(drifts[i], b, w0[i], u_values, grid.h)
-            assert np.array_equal(states[:, i], single)
+        assert_diverged_element_is_returned(steps=100)
+
+    def test_diverged_element_alone_is_rescanned_on_the_blocked_path(self):
+        # K = 1000 is blocked; the diverging element's chunk overflows and it
+        # alone is rescanned stepwise, the others keep their blocked states
+        assert blocked_end(2, 1000) > 0
+        assert_diverged_element_is_returned(steps=1000)
+
+
+def assert_diverged_element_is_returned(steps):
+    grid = p.TimeGrid(1.0, steps)
+    b = np.ones((2, 1))
+    u_values = np.ones((grid.num_nodes, 1))
+    drifts = np.stack([np.diag([-0.5, -0.3]), np.diag([1e6, 1e6]), np.diag([-0.1, -0.2])])
+    w0 = np.array([[1.0, 2.0], [1.0, 1.0], [0.5, 0.5]])
+    states = _euler_states(drifts, b, w0, u_values, grid.h)
+    assert not np.isfinite(states[:, 1]).all()
+    with pytest.raises(p.DivergenceError):
+        _euler_states(drifts[1], b, w0[1], u_values, grid.h)
+    for i in (0, 2):
+        single = _euler_states(drifts[i], b, w0[i], u_values, grid.h)
+        assert np.array_equal(states[:, i], single)
+
+
+def plain_loop(p_mat, rows):
+    """The per-step loop x_{j+1} = P x_j + f_j over ``rows`` (K+1, [m,] n),
+    written apart from the kernel."""
+    out = rows.copy()
+    for j in range(len(rows) - 1):
+        out[j + 1] = (p_mat @ out[j][..., None])[..., 0] + rows[j + 1]
+    return out
 
 
 class TestAffineScan:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n=st.integers(1, 6), m=st.integers(0, 5), shared=st.booleans(),
-           steps=st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
+           steps=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
     def test_equals_the_plain_loop(self, n, m, shared, steps, seed):
         # m = 0 is a plain vector; m >= 1 a stack of (n, 1) columns, with one
-        # shared P or one P per element
+        # shared P or one P per element.  Where the kernel steps, it is the
+        # plain loop bit for bit: over all of a short K, and over the K mod
+        # block-length tail of a blocked scan, from the state the blocks reach
         rng = philox(seed)
         stack = (m,) if m else ()
         p_mat = rng.normal(size=(n, n) if shared or not m else (m, n, n)) / n
         rows = rng.normal(size=(steps + 1, *stack, n))
-        expected = rows.copy()
-        for j in range(steps):
-            expected[j + 1] = (p_mat @ expected[j][..., None])[..., 0] + rows[j + 1]
         scanned = rows[..., None].copy() if m else rows.copy()
         _affine_scan(p_mat, scanned)
-        assert np.array_equal(scanned.reshape(expected.shape), expected)
+        scanned = scanned.reshape(rows.shape)
+        start = blocked_end(n, steps)
+        assert np.array_equal(scanned[start:],
+                              plain_loop(p_mat, np.concatenate([scanned[start:start + 1],
+                                                                rows[start + 1:]])))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 8), count=st.integers(0, 4), shared=st.booleans(),
+           adjoint=st.booleans(), midpoint=st.booleans(), t_end=st.floats(0.5, 20.0),
+           extra=st.integers(0, 1500), seed=st.integers(0, 2**32 - 1))
+    def test_blocked_states_within_replay_tolerance(self, n, count, shared, adjoint, midpoint,
+                                                    t_end, extra, seed):
+        # the blocked scan reorders the per-step loop's sums: on Euler and
+        # midpoint propagators of random models, plain or transposed as the
+        # adjoint sweeps them, it stays within 1e-12 of each element's largest
+        # state (perfbench's REPLAY_RTOL; 4.5e-14 measured at worst), for any
+        # K mod block length
+        steps = _MIN_BLOCKS * _block_length(n) + extra
+        h = t_end / steps
+        rng = philox(seed)
+        props = []
+        for _ in range(1 if shared or not count else count):
+            a = random_reduced_system(rng, n, 1).drift()
+            if midpoint:
+                props.append(np.linalg.solve(np.eye(n) - 0.5 * h * a, np.eye(n) + 0.5 * h * a))
+            else:
+                props.append(np.eye(n) + h * a)
+        p_mat = np.stack(props) if count and not shared else props[0]
+        if adjoint:
+            p_mat = np.swapaxes(p_mat, -1, -2)
+        stack = (count,) if count else ()
+        rows = rng.normal(size=(steps + 1, *stack, n))
+        scanned = rows[..., None].copy() if count else rows.copy()
+        _affine_scan(p_mat, scanned)
+        scanned = scanned.reshape(rows.shape)
+        expected = plain_loop(p_mat, rows)
+        scale = np.abs(expected).max(axis=(0, -1))
+        assert (np.abs(scanned - expected).max(axis=(0, -1)) <= 1e-12 * scale).all()
 
 
 class TestBitExactIntegrators:
-    """Both integrators equal their per-step loops in the pre-kernel order."""
+    """Both integrators equal their per-step loops in the pre-kernel order
+    wherever the kernel steps: over all of a short K, and over the tail of a
+    blocked scan from the state its blocks reach."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(1, 8), k=st.integers(1, 3), steps=st.integers(1, 300),
@@ -169,23 +266,26 @@ class TestBitExactIntegrators:
         grid = p.TimeGrid(1.0, steps)
         u = random_signal(rng, grid, k)
         h, a = grid.h, sys.drift()
+        start = blocked_end(n, steps)
 
         propagator, hb = np.eye(n) + h * a, h * sys.B
-        w, expected = sys.w_hat, [sys.w_hat]
-        for j in range(steps):
+        states = p.simulate_euler(sys, u).states
+        w, expected = states[start], [states[start]]
+        for j in range(start, steps):
             w = propagator @ w + hb @ u.values[j]
             expected.append(w)
-        assert np.array_equal(p.simulate_euler(sys, u).states, np.array(expected))
+        assert np.array_equal(states[start:], np.array(expected))
 
         m_minus = np.eye(n) - 0.5 * h * a
         m_plus = np.eye(n) + 0.5 * h * a
         propagator = np.linalg.solve(m_minus, m_plus)
         source = np.linalg.solve(m_minus, h * sys.B)
-        w, expected = sys.w_hat, [sys.w_hat]
-        for j in range(steps):
+        states = p.simulate_discrete_gradient(sys, u).states
+        w, expected = states[start], [states[start]]
+        for j in range(start, steps):
             w = propagator @ w + source @ u.values[j + 1]
             expected.append(w)
-        assert np.array_equal(p.simulate_discrete_gradient(sys, u).states, np.array(expected))
+        assert np.array_equal(states[start:], np.array(expected))
 
     @pytest.mark.parametrize("simulate", [p.simulate_euler, p.simulate_discrete_gradient])
     def test_peak_memory_is_the_state_buffer(self, simulate):
@@ -227,16 +327,13 @@ class TestDiscreteGradient:
         np.testing.assert_allclose(traj.states, expected, rtol=0, atol=1e-12)
 
     def test_divergence_reports_step(self):
-        # zero dynamics, so w_{j+1} = w_j + h u_{j+1}: 1e308 + 0.5e308 is
-        # still finite at step 1, and 2e308 overflows at step 2
-        grid = p.TimeGrid(2.0, 4)  # h = 0.5
-        sys = p.ReducedPHSystem(
-            p.SkewSymmetricMatrix.zeros(1), p.PSDMatrix.zeros(1),
-            np.ones((1, 1)), np.array([1e308]))
-        u = p.Signal(grid, np.full((grid.num_nodes, 1), 1e308))
-        with pytest.raises(p.DivergenceError, match="discrete-gradient") as err:
-            p.simulate_discrete_gradient(sys, u)
-        assert err.value.step == 2
+        assert_midpoint_overflow_at_step_2(steps=4)
+
+    def test_divergence_on_the_blocked_path_reports_step(self):
+        # K = 1000 is blocked: the first chunk's blocked states overflow and
+        # it is rescanned stepwise from x_0
+        assert blocked_end(1, 1000) > 0
+        assert_midpoint_overflow_at_step_2(steps=1000)
 
     def test_skew_only_conserves_energy(self):
         rng = philox(21)
@@ -265,6 +362,19 @@ class TestDiscreteGradient:
             traj = p.simulate_discrete_gradient(sys, p.Signal.zeros(grid, 1))
             energy = p.hamiltonian(traj)
             assert np.all(energy[1:] <= energy[:-1] + 1e-12)
+
+
+def assert_midpoint_overflow_at_step_2(steps):
+    # zero dynamics, so w_{j+1} = w_j + h u_{j+1}: 1e308 + 0.5e308 is still
+    # finite at step 1, and 2e308 overflows at step 2
+    grid = p.TimeGrid(0.5 * steps, steps)  # h = 0.5
+    sys = p.ReducedPHSystem(
+        p.SkewSymmetricMatrix.zeros(1), p.PSDMatrix.zeros(1),
+        np.ones((1, 1)), np.array([1e308]))
+    u = p.Signal(grid, np.full((grid.num_nodes, 1), 1e308))
+    with pytest.raises(p.DivergenceError, match="discrete-gradient") as err:
+        p.simulate_discrete_gradient(sys, u)
+    assert err.value.step == 2
 
 
 class TestEnergyBalance:
