@@ -39,13 +39,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DivergenceError, InvalidModelError, LineSearchError
+from .errors import DimensionMismatchError, InvalidModelError, LineSearchError
 from .matrices import PSDMatrix, SkewSymmetricMatrix, SymmetricMatrix, project_psd
+from .matrices import _skew_from_lower, _sym_from_lower
 from .sensitivity import (
     STRUCTURE_FULL,
     STRUCTURES,
     Gradient,
     ParameterPoint,
+    _euler_cost,
     _output_cost,
     assemble_gradient,
     sensitivity_coefficients,
@@ -71,6 +73,8 @@ def _is_real(value) -> bool:
 
 
 def _is_integer(value) -> bool:
+    if isinstance(value, numbers.Integral):  # may be too large for a float
+        return not isinstance(value, bool)
     return _is_real(value) and math.isfinite(value) and int(value) == value
 
 
@@ -144,40 +148,38 @@ class ArmijoStep(NamedTuple):
     cost: float
 
 
-def _states_and_cost(sys: ReducedPHSystem, u: Signal,
-                     y_data: Signal) -> tuple[np.ndarray, float]:
-    """Explicit Euler states of ``sys`` under ``u`` and their output mismatch cost."""
+def _check_data(u: Signal, y_data: Signal, k: int, owner: str) -> None:
+    """Reject input and data off one grid, with other than ``k`` ports or
+    with a non-finite sample."""
     if u.grid != y_data.grid:
         raise DimensionMismatchError("input and data grids differ")
-    if u.k != sys.k or y_data.k != sys.k:
-        raise DimensionMismatchError("port counts of system, input and data differ")
-    try:
-        states = _euler_states(sys.drift(), sys.B, sys.w_hat, u.values, u.grid.h)
-    except DivergenceError as exc:
-        raise DivergenceError(exc.step, "cost evaluation") from None
-    return states, _output_cost(states, sys.B, y_data.values, u.grid.h)
+    if u.k != k or y_data.k != k:
+        raise DimensionMismatchError(f"port counts of {owner}, input and data differ")
+    for name, signal in (("u", u), ("y_data", y_data)):
+        if not np.isfinite(signal.values).all():
+            raise InvalidModelError(f"{name} contains non-finite values")
 
 
 def cost(sys: ReducedPHSystem, u: Signal, y_data: Signal) -> float:
     """Output mismatch 1/2 * sum_{j<K} h * |B^T w_j - y_data_j|^2 under explicit Euler."""
-    return _states_and_cost(sys, u, y_data)[1]
+    _check_data(u, y_data, sys.k, "system")
+    return _euler_cost(sys.drift(), sys.B, sys.w_hat, u.values, y_data.values, u.grid.h,
+                       "cost evaluation")[1]
 
 
 def _trial_points(v: ParameterPoint, g: Gradient, sigmas: list[float], psd_mode: str):
     """Stacked step sizes, J, R and w0 of the trial points v - sigma * g.
 
     The triangular free parameters are updated for every sigma at once and
-    mirrored as ``from_strict_lower``/``from_lower`` mirror them, so J is
-    exactly skew and R exactly symmetric.  Rows whose J or R overflowed are
-    dropped.  With ``psd_mode="project"``, each R that is not PSD is replaced
-    by its projection.
+    mirrored by ``phsid.matrices``' mirror, the one ``from_strict_lower`` and
+    ``from_lower`` use, so J is exactly skew and R exactly symmetric.  Rows
+    whose J or R overflowed are dropped.  With ``psd_mode="project"``, each R
+    that is not PSD is replaced by its projection.
     """
     s = np.array(sigmas, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        j = np.tril(v.J.array, -1) - s[:, None, None] * np.tril(g.h_J.array, -1)
-        r = np.tril(v.R.array) - s[:, None, None] * np.tril(g.h_R.array)
-        j = j - j.swapaxes(1, 2)
-        r = r + np.tril(r, -1).swapaxes(1, 2)
+        j = _skew_from_lower(v.J.array - s[:, None, None] * g.h_J.array)
+        r = _sym_from_lower(v.R.array - s[:, None, None] * g.h_R.array)
         w = v.w_hat - s[:, None] * g.h_x
     keep = np.isfinite(j).all(axis=(1, 2)) & np.isfinite(r).all(axis=(1, 2))
     s, j, r, w = s[keep], j[keep], r[keep], w[keep]
@@ -292,20 +294,19 @@ def calibrate(v0: ParameterPoint, u: Signal, y_data: Signal, b,
     if cfg is None:
         cfg = CalibrationConfig()
     b = np.asarray(b, dtype=float)
-    if u.grid != y_data.grid:
-        raise DimensionMismatchError("input and data grids differ")
     if b.ndim != 2 or b.shape[0] != v0.n:
         raise DimensionMismatchError(
             f"port matrix must be {v0.n} x k, got shape {b.shape}"
         )
-    if u.k != b.shape[1] or y_data.k != b.shape[1]:
-        raise DimensionMismatchError("port counts of B, input and data differ")
+    _check_data(u, y_data, b.shape[1], "B")
 
     basis = tangent_basis(v0.n, cfg.structure)
     evaluate = _BatchEvaluator(b, u, y_data)
 
     v = v0
-    states, current = _states_and_cost(v.to_system(b), u, y_data)
+    start = v.to_system(b)  # validates b against v
+    states, current = _euler_cost(start.drift(), start.B, start.w_hat, u.values,
+                                  y_data.values, u.grid.h, "cost evaluation")
     history = [current]
     sigmas: list[float] = []
     grad_sq: list[float] = []

@@ -42,12 +42,13 @@ time: writing a 100,001 x 3 table peaks under 2 MB of allocations.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationConfig, CalibrationResult
+from .calibration import CalibrationConfig, CalibrationResult, _is_integer, _is_real
 from .errors import DimensionMismatchError, MalformedFileError
 from .matrices import PSDMatrix, SPDMatrix, SkewSymmetricMatrix
 from .systems import (
@@ -72,9 +73,12 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in (("mean", self.mean), ("std", self.std)):
+            if not (_is_real(value) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number")
         if not self.std >= 0:
             raise ValueError("std must be nonnegative")
-        if not 0 <= int(self.seed) < _MAX_SEED:
+        if not (_is_integer(self.seed) and 0 <= self.seed < _MAX_SEED):
             raise ValueError("seed must be an unsigned 64-bit integer")
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -149,11 +153,9 @@ def load_model(path) -> PHSystem:
     missing = {"n", "k", "J", "R", "B", "x_hat"} - set(obj)
     if missing:
         raise MalformedFileError(f"missing model fields: {sorted(missing)}")
-    try:
-        n = int(obj["n"])
-        k = int(obj["k"])
-    except (TypeError, ValueError):
-        raise MalformedFileError("fields 'n' and 'k' must be integers") from None
+    if not (_is_integer(obj["n"]) and _is_integer(obj["k"])):
+        raise MalformedFileError("fields 'n' and 'k' must be integers")
+    n, k = int(obj["n"]), int(obj["k"])
     if n < 1 or k < 1:
         raise DimensionMismatchError("n and k must be >= 1")
 

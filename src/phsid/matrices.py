@@ -12,6 +12,9 @@ triangle including the diagonal for symmetric).  The defining identities
 
 therefore hold bit-exactly, not merely up to round-off.  IEEE-754 negation
 is exact, so mirroring the lower triangle preserves this under construction.
+:func:`_skew_from_lower` and :func:`_sym_from_lower` are the one definition
+of that mirror, for one matrix or a stack; the constructors and the line
+search's stacked trial points all call them.
 
 Definiteness is a spectral property and can only be checked numerically:
 positive semidefiniteness is validated with an absolute slack ``PSD_EIG_TOL``
@@ -36,6 +39,18 @@ SYMMETRY_RTOL = 1e-12
 
 #: Relative Frobenius tolerance for the Cholesky reconstruction V @ V.T.
 SPD_RECONSTRUCTION_RTOL = 1e-12
+
+
+def _skew_from_lower(lower: np.ndarray) -> np.ndarray:
+    """The strict lower triangle of ``lower`` (n, n) or (m, n, n), mirrored skew."""
+    strict = np.tril(lower, -1)
+    return strict - strict.swapaxes(-1, -2)
+
+
+def _sym_from_lower(lower: np.ndarray) -> np.ndarray:
+    """The lower triangle of ``lower`` (n, n) or (m, n, n), mirrored symmetric."""
+    tri = np.tril(lower)
+    return tri + np.tril(tri, -1).swapaxes(-1, -2)
 
 
 def _frozen_matrix(a, name) -> np.ndarray:
@@ -90,9 +105,7 @@ class SkewSymmetricMatrix:
     @classmethod
     def from_strict_lower(cls, lower) -> "SkewSymmetricMatrix":
         """Build from free parameters; entries on and above the diagonal are ignored."""
-        lower = np.asarray(lower, dtype=float)
-        strict = np.tril(lower, -1)
-        return cls(strict - strict.T)
+        return cls(_skew_from_lower(np.asarray(lower, dtype=float)))
 
     @classmethod
     def from_matrix(cls, a, rtol: float = SYMMETRY_RTOL) -> "SkewSymmetricMatrix":
@@ -140,9 +153,7 @@ class SymmetricMatrix:
     @classmethod
     def from_lower(cls, lower) -> "SymmetricMatrix":
         """Build from free parameters: the lower triangle including the diagonal."""
-        lower = np.asarray(lower, dtype=float)
-        tri = np.tril(lower)
-        return cls(tri + np.tril(tri, -1).T)
+        return cls(_sym_from_lower(np.asarray(lower, dtype=float)))
 
     @classmethod
     def from_matrix(cls, a, rtol: float = SYMMETRY_RTOL) -> "SymmetricMatrix":

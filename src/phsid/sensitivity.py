@@ -57,17 +57,22 @@ sums in another order, so the two agree up to rounding, not bit for bit.
 
 The tangent basis is an index set: each :class:`Direction` names one entry
 of one lower triangle (a skew pair of J, a symmetric entry of R, a
-coordinate of w0), never a dense matrix.  A direction's source in
-:func:`solve_sensitivity` is written by copying state columns, and the
-gradient is assembled by adding each coefficient onto its entry of a zero
-lower triangle, bit for bit what the dense ±1 basis matrices gave.  Only
-:func:`finite_difference_gradient` builds a direction's dense pattern, one
-probe at a time.
+coordinate of w0), never a dense matrix.  The one map from directions to
+entries is :class:`BasisSet`'s cached index arrays into a (3, n, n) stack of
+J, R and x blocks, x[i] at (i, i): :func:`sensitivity_coefficients` gathers
+every coefficient through it and :func:`assemble_gradient` scatters them
+onto zero lower triangles, mirrored by ``phsid.matrices``, bit for bit what
+the dense ±1 basis matrices gave.  :func:`finite_difference_gradient` takes
+each probe's ±1 pattern from :func:`assemble_gradient` of a unit vector, one
+probe at a time, and evaluates every point's cost through
+:func:`_euler_cost`, as ``phsid.calibration`` does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +85,7 @@ from .systems import (
     Trajectory,
     _affine_scan,
     _euler_states,
+    _step_scan,
 )
 
 STRUCTURE_FULL = "full"
@@ -161,6 +167,13 @@ class BasisSet:
     def labels(self) -> tuple[str, ...]:
         return tuple(d.label for d in self.directions)
 
+    @cached_property
+    def _index(self) -> tuple[np.ndarray, ...]:
+        """(block, i, j) index arrays of the directions into a (3, n, n) stack
+        of J, R and x blocks, x[i] at (i, i)."""
+        rows = [("JRx".index(d.block), d.i, d.j) for d in self.directions]
+        return tuple(np.array(rows, dtype=np.intp).reshape(-1, 3).T)
+
 
 @dataclass(frozen=True)
 class Gradient:
@@ -212,51 +225,32 @@ def _check_trajectory(sys: ReducedPHSystem, traj: Trajectory, grid: TimeGrid) ->
         raise DimensionMismatchError("system and trajectory dimensions differ")
 
 
-def _write_rows(rows: np.ndarray, w: np.ndarray, h: float, d: Direction) -> None:
-    """Write the sensitivity recurrence's data for direction ``d`` into the
-    (K+1, n) ``rows``: the initial state s_0 (e_i for x, else zero) in row 0
-    and h times the source term in rows 1..K.
-
-    The source is h_J w for a J pair and -h_R w for an R pair at the left
-    endpoints w = w[:-1], zero for an x direction.  Its nonzero columns are
-    copies of state columns: h * (w @ E.T) for the ±1 matrix E of ``d`` has
-    h * w[:, j] in column i and h * -w[:, i] in column j (J), and the R source
-    is its negation, whose zero columns are -0.0.
-    """
-    sign = -1.0 if d.block == "R" else 1.0
-    rows[0] = 0.0
-    rows[1:] = sign * 0.0
-    if d.block == "x":
-        rows[0, d.i] = 1.0
-        return
-    rows[1:, d.i] = h * (sign * w[:-1, d.j])
-    if d.j != d.i:
-        rows[1:, d.j] = h * -w[:-1, d.i]
-
-
 def solve_sensitivity(sys: ReducedPHSystem, traj: Trajectory,
                       direction: Direction, grid: TimeGrid) -> Trajectory:
     """Integrate the sensitivity ODE for one tangent basis direction.
 
-    Uses the same Euler stencil and grid as the state; the state trajectory
-    enters the source term node-wise at the left endpoint.
+    Uses the same Euler stencil and grid as the state, run by the per-step
+    loop ``phsid.systems._step_scan`` from s_0 (e_i for x, else zero).  The
+    source enters node-wise at the left endpoints w = w[:-1]: h_J w for a J
+    pair, -h_R w for an R pair, zero for x.  Its nonzero columns are copies
+    of state columns: h * (w @ E.T) for the ±1 matrix E of the direction has
+    h * w[:, j] in column i and h * -w[:, i] in column j (J), and the R
+    source is its negation, whose zero columns are -0.0.
     """
     _check_trajectory(sys, traj, grid)
-    n = sys.n
-    if direction.i >= n:
-        raise DimensionMismatchError(f"direction {direction.label} outside dimension {n}")
-    propagator = np.eye(n) + grid.h * sys.drift()
-    states = np.empty((grid.steps + 1, n))
-    _write_rows(states, traj.states, grid.h, direction)
-    s = states[0]
-    if direction.block == "x":
-        for j in range(grid.steps):
-            s = propagator @ s
-            states[j + 1] = s
+    n, d, w, h = sys.n, direction, traj.states, grid.h
+    if d.i >= n:
+        raise DimensionMismatchError(f"direction {d.label} outside dimension {n}")
+    sign = -1.0 if d.block == "R" else 1.0
+    states = np.full((grid.steps + 1, n), sign * 0.0)
+    states[0] = 0.0
+    if d.block == "x":
+        states[0, d.i] = 1.0
     else:
-        for j in range(grid.steps):
-            s = propagator @ s + states[j + 1]
-            states[j + 1] = s
+        states[1:, d.i] = h * (sign * w[:-1, d.j])
+        if d.j != d.i:
+            states[1:, d.j] = h * -w[:-1, d.i]
+    _step_scan(np.eye(n) + h * sys.drift(), states)
     return Trajectory(grid, states)
 
 
@@ -278,9 +272,9 @@ def directional_derivative(sys: ReducedPHSystem, traj: Trajectory,
 def assemble_gradient(coefficients, basis: BasisSet) -> Gradient:
     """Blockwise linear combination of the basis elements.
 
-    Each coefficient lands on its direction's entry of a zero lower triangle
-    (or of a zero vector for x), so the skew and symmetric blocks of the
-    result keep their invariants bit-exactly.
+    The coefficients are added onto their directions' entries of zero lower
+    triangles (and of a zero vector for x) in one scatter, so the skew and
+    symmetric blocks of the result keep their invariants bit-exactly.
     """
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (len(basis),):
@@ -288,16 +282,10 @@ def assemble_gradient(coefficients, basis: BasisSet) -> Gradient:
             f"got {coefficients.shape[0] if coefficients.ndim == 1 else coefficients.shape} "
             f"coefficients for {len(basis)} basis directions"
         )
-    n = basis.n
-    lower = {"J": np.zeros((n, n)), "R": np.zeros((n, n))}
-    h_x = np.zeros(n)
-    for c, d in zip(coefficients, basis.directions):
-        if d.block == "x":
-            h_x[d.i] += c
-        else:
-            lower[d.block][d.i, d.j] += c
-    return Gradient(SkewSymmetricMatrix.from_strict_lower(lower["J"]),
-                    SymmetricMatrix.from_lower(lower["R"]), h_x, coefficients)
+    blocks = np.zeros((3, basis.n, basis.n))
+    np.add.at(blocks, basis._index, coefficients)
+    return Gradient(SkewSymmetricMatrix.from_strict_lower(blocks[0]),
+                    SymmetricMatrix.from_lower(blocks[1]), blocks[2].diagonal(), coefficients)
 
 
 def sensitivity_coefficients(sys: ReducedPHSystem, traj: Trajectory,
@@ -332,25 +320,25 @@ def sensitivity_coefficients(sys: ReducedPHSystem, traj: Trajectory,
     _affine_scan(propagator.T, adjoint)
     # pairs lambda_{j+1} = adjoint[K-1-j] with w_j
     g = h * (adjoint[:-1].T @ w[-2::-1])
-    skew = g - g.T
-    sym = -(g + g.T)
-    np.fill_diagonal(sym, -np.diag(g))
-    lam0 = adjoint[-1]
-    entry = {"J": skew, "R": sym}
-    return np.array([lam0[d.i] if d.block == "x" else entry[d.block][d.i, d.j]
-                     for d in basis.directions])
+    entries = np.stack([g - g.T, -(g + g.T), np.diag(adjoint[-1])])
+    np.fill_diagonal(entries[1], -np.diag(g))
+    return entries[basis._index]
 
 
-def _mismatch_cost(j_arr: np.ndarray, r_arr: np.ndarray, b: np.ndarray,
-                   w0: np.ndarray, u_values: np.ndarray, y_values: np.ndarray,
-                   h: float) -> float:
-    """Euler-simulated output mismatch cost on raw arrays.
+def _euler_cost(drift: np.ndarray, b: np.ndarray, w0: np.ndarray, u_values: np.ndarray,
+                y_values: np.ndarray, h: float, label: str) -> tuple[np.ndarray, float]:
+    """Explicit Euler states under ``drift`` from ``w0`` and their output
+    mismatch cost; a DivergenceError names ``label`` as its scheme.
 
-    R only needs to be symmetric here; the Euler map and the cost are defined
-    on all of matrix space, which keeps central differences two-sided even at
-    the boundary of the PSD cone.
+    The drift J - R needs R only symmetric: the Euler map and the cost are
+    defined on all of matrix space, which keeps central differences
+    two-sided even at the boundary of the PSD cone.
     """
-    return _output_cost(_euler_states(j_arr - r_arr, b, w0, u_values, h), b, y_values, h)
+    try:
+        states = _euler_states(drift, b, w0, u_values, h)
+    except DivergenceError as exc:
+        raise DivergenceError(exc.step, label) from None
+    return states, _output_cost(states, b, y_values, h)
 
 
 def _output_cost(states: np.ndarray, b: np.ndarray, y_values: np.ndarray, h: float) -> float:
@@ -374,34 +362,22 @@ def finite_difference_gradient(v: ParameterPoint, b: np.ndarray, u: Signal,
     route, but no sensitivity machinery.  Perturbed points need not stay in
     the PSD cone.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError("eps must be positive and finite")
     if u.grid != y_data.grid:
         raise DimensionMismatchError("input and data grids differ")
-    h = u.grid.h
-    n = v.n
-    j0 = v.J.array
-    r0 = v.R.array
-    w0 = v.w_hat
+    j0, r0, w0 = v.J.array, v.R.array, v.w_hat
+    unit = np.zeros(len(basis))
     out = np.empty(len(basis))
     for idx, d in enumerate(basis.directions):
-        # the direction's dense ±1 pattern, one probe at a time
-        h_j, h_r, h_x = np.zeros((n, n)), np.zeros((n, n)), np.zeros(n)
-        if d.block == "J":
-            h_j[d.i, d.j], h_j[d.j, d.i] = 1.0, -1.0
-        elif d.block == "R":
-            h_r[d.i, d.j] = h_r[d.j, d.i] = 1.0
-        else:
-            h_x[d.i] = 1.0
-        try:
-            plus = _mismatch_cost(j0 + eps * h_j, r0 + eps * h_r,
-                                  b, w0 + eps * h_x, u.values, y_data.values, h)
-            minus = _mismatch_cost(j0 - eps * h_j, r0 - eps * h_r,
-                                   b, w0 - eps * h_x, u.values, y_data.values, h)
-        except DivergenceError as exc:
-            raise DivergenceError(
-                exc.step, f"finite-difference probe along {d.label}"
-            ) from None
+        unit[idx] = 1.0
+        pattern = assemble_gradient(unit, basis)  # the direction's dense ±1 blocks
+        unit[idx] = 0.0
+        plus, minus = (
+            _euler_cost((j0 + e * pattern.h_J.array) - (r0 + e * pattern.h_R.array), b,
+                        w0 + e * pattern.h_x, u.values, y_data.values, u.grid.h,
+                        f"finite-difference probe along {d.label}")[1]
+            for e in (eps, -eps))
         out[idx] = (plus - minus) / (2.0 * eps)
     return out
 

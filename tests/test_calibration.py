@@ -68,6 +68,19 @@ class TestCost:
         with pytest.raises(p.DimensionMismatchError, match="port counts"):
             p.cost(oscillator, p.Signal.zeros(grid, 1), p.Signal.zeros(grid, 2))
 
+    @pytest.mark.parametrize("field", ["u", "y_data"])
+    def test_non_finite_sample_rejected(self, oscillator, guess_point, field):
+        # unchecked, a NaN in the data ends calibrate after 0 iterations
+        # with "iteration limit reached" and cost nan
+        grid = p.TimeGrid(1.0, 10)
+        signals = {"u": np.ones((11, 1)), "y_data": np.ones((11, 1))}
+        signals[field][3, 0] = np.nan
+        u, y_data = (p.Signal(grid, signals[name]) for name in ("u", "y_data"))
+        with pytest.raises(p.InvalidModelError, match=f"^{field} contains non-finite"):
+            p.cost(oscillator, u, y_data)
+        with pytest.raises(p.InvalidModelError, match=f"^{field} contains non-finite"):
+            p.calibrate(guess_point, u, y_data, oscillator.B)
+
     def test_divergence_names_the_step(self):
         zeros = p.Signal.zeros(p.TimeGrid(1.0, 10), 1)
         with pytest.raises(p.DivergenceError, match=r"\(cost evaluation\)") as err:
@@ -422,10 +435,11 @@ class TestCalibrate:
         np.testing.assert_array_equal(r1.y_opt.values, r2.y_opt.values)
 
     def test_one_euler_sweep_per_batch(self, oscillator, guess_point, monkeypatch):
-        # the start point is integrated once and every batch of Armijo
-        # candidates in one stacked sweep; the gradients and y_opt reuse
-        # those states
+        # the start point is integrated once (through sensitivity._euler_cost)
+        # and every batch of Armijo candidates in one stacked sweep; the
+        # gradients and y_opt reuse those states
         import phsid.calibration as calibration
+        import phsid.sensitivity as sensitivity
         grid = p.TimeGrid(1.0, 1000)
         u, y_data = p.generate_reference(oscillator, grid, p.NoiseSpec(seed=30))
         swept = []
@@ -444,6 +458,7 @@ class TestCalibrate:
             return armijo_search(v, g, cost_at_v, counted, cfg)
 
         monkeypatch.setattr(calibration, "_euler_states", counting_states)
+        monkeypatch.setattr(sensitivity, "_euler_states", counting_states)
         monkeypatch.setattr(calibration, "armijo_search", counting_search)
         res = p.calibrate(guess_point, u, y_data, oscillator.B, p.CalibrationConfig(max_iter=3))
         assert res.iterations == 3
@@ -501,7 +516,8 @@ def sequential_search(v, g, cost_at_v, b, u, y_data, cfg):
             r_sym = p.SymmetricMatrix.from_lower(r_lower)
             r = p.project_psd(r_sym).array if cfg.psd_mode == "project" else r_sym.array
             try:
-                c = sensitivity._mismatch_cost(j, r, b, w0, u.values, y_data.values, u.grid.h)
+                c = sensitivity._euler_cost(j - r, b, w0, u.values, y_data.values, u.grid.h,
+                                            "reference search")[1]
             except p.DivergenceError:
                 c = np.inf
             if (np.isfinite(c) and c - cost_at_v <= -cfg.gamma * sigma * g.norm_sq
@@ -586,8 +602,8 @@ class TestBatchedSearch:
             costs = evaluator(j, r, w)
         assert len(costs) == width
         for i in range(width):
-            assert costs[i] == sensitivity._mismatch_cost(j[i], r[i], oscillator.B, w[i],
-                                                          u.values, y_data.values, grid.h)
+            assert costs[i] == sensitivity._euler_cost(j[i] - r[i], oscillator.B, w[i], u.values,
+                                                        y_data.values, grid.h, "single")[1]
 
     @settings(derandomize=True)
     @given(num_nodes=st.integers(2, 10**6), n=st.integers(1, 64), count=st.integers(1, 5000))
@@ -653,8 +669,8 @@ class TestBatchedSearch:
             costs = calibration._BatchEvaluator(oscillator.B, u, y_data)(j, r, w)
         assert np.isinf(costs[[1, 4]]).all()
         for i in (0, 2, 3, 5):
-            assert costs[i] == sensitivity._mismatch_cost(j[i], r[i], oscillator.B, w[i],
-                                                          u.values, y_data.values, grid.h)
+            assert costs[i] == sensitivity._euler_cost(j[i] - r[i], oscillator.B, w[i], u.values,
+                                                        y_data.values, grid.h, "single")[1]
 
 
 def perturbed(truth, rng, rel=0.1):

@@ -67,6 +67,27 @@ class TestGenerate:
                        "--out-y", str(tmp_path / "y.csv")])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag, value", [("--std", "inf"), ("--mean", "nan"),
+                                             ("--std", "nan"), ("--mean", "inf")])
+    def test_non_finite_noise_setting_is_input_error(self, tmp_path, model_file, capsys,
+                                                     flag, value):
+        rc = cli.main(["generate", "--model", str(model_file), flag, value,
+                       "--out-u", str(tmp_path / "u.csv"), "--out-y", str(tmp_path / "y.csv")])
+        assert rc == 1
+        assert f"{flag[2:]} must be a finite real number" in capsys.readouterr().err
+        assert not (tmp_path / "u.csv").exists()
+
+    @pytest.mark.parametrize("n, k", [(2.7, True), ("2", 1)])
+    def test_non_integer_model_dimensions_are_input_error(self, tmp_path, capsys, n, k):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"n": n, "k": k, "J": [[0.0, 1.0], [-1.0, 0.0]],
+                                    "R": [[0.5, 0.0], [0.0, 0.3]], "B": [[1.0], [1.0]],
+                                    "x_hat": [1.0, 2.0]}))
+        rc = cli.main(["generate", "--model", str(path),
+                       "--out-u", str(tmp_path / "u.csv"), "--out-y", str(tmp_path / "y.csv")])
+        assert rc == 1
+        assert "fields 'n' and 'k' must be integers" in capsys.readouterr().err
+
     def test_env_seed_fallback(self, tmp_path, model_file, monkeypatch):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
@@ -359,6 +380,16 @@ class TestCheckGradient:
         rc = cli.main(["check-gradient", "--data", str(y_path),
                        "--input", str(u_path), "--guess", str(guess_file)])
         assert rc == 3
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+    def test_invalid_eps_is_input_error(self, guess_file, data_files, capsys, eps):
+        u_path, y_path = data_files
+        rc = cli.main(["check-gradient", "--data", str(y_path), "--input", str(u_path),
+                       "--guess", str(guess_file), "--eps", eps])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "eps must be positive and finite" in err
+        assert "Warning" not in err
 
 
 class TestReport:

@@ -75,6 +75,19 @@ class TestGenerateInput:
         with pytest.raises(ValueError):
             p.NoiseSpec(seed=-1)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"mean": np.nan}, "mean"), ({"mean": np.inf}, "mean"), ({"std": np.inf}, "std"),
+        ({"std": np.nan}, "std"), ({"seed": 2.9}, "seed"), ({"seed": True}, "seed"),
+        ({"seed": np.nan}, "seed"), ({"seed": "3"}, "seed"), ({"seed": 10**400}, "seed"),
+    ])
+    def test_non_finite_or_non_integral_setting_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            p.NoiseSpec(**kwargs)
+
+    def test_integral_seed_becomes_int(self):
+        assert p.NoiseSpec(seed=3.0).seed == 3
+        assert p.NoiseSpec(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
 
 class TestGenerateReference:
     def test_initial_output_is_noise_independent(self, oscillator):
@@ -173,6 +186,19 @@ class TestModelFiles:
             "x_hat": [1.0, 2.0],
         }))
         with pytest.raises(p.DimensionMismatchError):
+            p.load_model(path)
+
+    @pytest.mark.parametrize("n, k", [(2.7, 1), (2, True), ("2", 1), (2, 1.5), (None, 1)])
+    def test_non_integer_dimensions_rejected(self, tmp_path, n, k):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "n": n, "k": k,
+            "J": [[0.0, 1.0], [-1.0, 0.0]],
+            "R": [[0.5, 0.0], [0.0, 0.3]],
+            "B": [[1.0], [1.0]],
+            "x_hat": [1.0, 2.0],
+        }))
+        with pytest.raises(p.MalformedFileError, match="fields 'n' and 'k' must be integers"):
             p.load_model(path)
 
     def test_malformed_json_rejected(self, tmp_path):

@@ -2,6 +2,9 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "fingerprint_diff.py"
 _SPEC = importlib.util.spec_from_file_location("fingerprint_diff", _PATH)
 fingerprint_diff = importlib.util.module_from_spec(_SPEC)
@@ -26,3 +29,29 @@ def test_moved_keys_lists_a_case_on_one_side_only_with_all_its_keys():
     old = [line(case="a", states="00")]
     assert fingerprint_diff.moved_keys(old, []) == ["a: case, states\n"]
     assert fingerprint_diff.moved_keys(old, old) == []
+
+
+def test_array_moves_reports_how_far_each_moved_array_moved(tmp_path):
+    old_dir, new_dir = tmp_path / "old", tmp_path / "new"
+    old_dir.mkdir()
+    new_dir.mkdir()
+    base = np.array([2.0, -4.0, 1.0])
+    arrays = {"a": (base, base + np.array([0.0, 4e-14, 0.0])), "b": (base, base.copy())}
+    for case, (before, after) in arrays.items():
+        np.save(fingerprint_diff.array_file(old_dir, case, "states"), before)
+        np.save(fingerprint_diff.array_file(new_dir, case, "states"), after)
+    old = [line(case="a", states="aa"), line(case="b", states="bb")]
+    new = [line(case="a", states="ab"), line(case="b", states="bb")]
+    moves = fingerprint_diff.array_moves(old, new, old_dir, new_dir)
+    # case b's digest did not move, so its arrays are not compared
+    assert len(moves) == 1
+    assert moves[0].startswith("a: states max|new - old| / max|old| = ")
+    assert float(moves[0].rsplit("= ", 1)[1]) == pytest.approx(1e-14, rel=0.01)
+
+
+def test_array_file_names_one_file_per_case_and_key(tmp_path):
+    names = {fingerprint_diff.array_file(tmp_path, case, key).name
+             for case in ("oscillator seed=7 full project", "wide-n8 model=0")
+             for key in ("v_opt", "y_opt")}
+    assert len(names) == 4
+    assert all(" " not in name and "=" not in name for name in names)

@@ -373,10 +373,26 @@ class TestFiniteDifferenceGradient:
     def test_invalid_eps(self, oscillator):
         grid = p.TimeGrid(1.0, 10)
         v = p.ParameterPoint(oscillator.J, oscillator.R, oscillator.w_hat)
-        with pytest.raises(ValueError):
-            p.finite_difference_gradient(v, oscillator.B, p.Signal.zeros(grid, 1),
-                                         p.Signal.zeros(grid, 1),
-                                         p.tangent_basis(2, "full"), eps=0.0)
+        for eps in (0.0, -1e-6, np.nan, np.inf):
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                p.finite_difference_gradient(v, oscillator.B, p.Signal.zeros(grid, 1),
+                                             p.Signal.zeros(grid, 1),
+                                             p.tangent_basis(2, "full"), eps=eps)
+
+    def test_probe_memory_is_independent_of_the_basis_length(self):
+        # each probe's pattern comes from one reused unit vector; probes
+        # built from np.eye(p) peak at about 9 MB at this size (p = 1056)
+        sys, traj, y_data = _random_problem(3, 32, 1, 20)
+        u = p.Signal(traj.grid, np.ones((21, 1)))
+        v = p.ParameterPoint(sys.J, sys.R, sys.w_hat)
+        basis = p.tangent_basis(32, "full")
+        tracemalloc.start()
+        try:
+            p.finite_difference_gradient(v, sys.B, u, y_data, basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_grid_mismatch_rejected(self, oscillator):
         v = p.ParameterPoint(oscillator.J, oscillator.R, oscillator.w_hat)
@@ -478,13 +494,13 @@ class TestStackedCoefficients:
         h, w = traj.grid.h, traj.states
         written = []
 
-        def recording_write(rows, *args):
-            real_write(rows, *args)
+        def recording_scan(prop, rows):
             written.append(rows.copy())
+            real_scan(prop, rows)
 
-        real_write = sensitivity._write_rows
+        real_scan = sensitivity._step_scan
         for d in p.tangent_basis(n, structure):
-            with mock.patch.object(sensitivity, "_write_rows", recording_write):
+            with mock.patch.object(sensitivity, "_step_scan", recording_scan):
                 p.solve_sensitivity(sys, traj, d, traj.grid)
             rows = written.pop()
             h_j, h_r, h_x = dense(d.label, n)

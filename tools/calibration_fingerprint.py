@@ -1,6 +1,6 @@
 """Print a bit-exact fingerprint of ``calibrate`` and of both integrators.
 
-    PYTHONPATH=src python3 tools/calibration_fingerprint.py > new.jsonl
+    PYTHONPATH=src python3 tools/calibration_fingerprint.py [ARRAY_DIR] > new.jsonl
 
 ``python3 tools/fingerprint_diff.py [BASE]`` runs it (and
 ``cli_fingerprint.py``) with a git revision's ``src`` and with the working
@@ -10,7 +10,9 @@ tree's, and diffs the outputs.  Identical lines mean identical
 the start point (``sensitivity_coefficients`` and the central-difference
 ``finite_difference_gradient``), and identical simulated states.  Floats
 are printed as hex and arrays as SHA-256 of their bytes, so any moved bit
-shows.
+shows.  Given ARRAY_DIR, it also saves each digested array there as
+``.npy`` (named by ``fingerprint_diff.array_file``), so that the diff can
+say how far a moved array moved.
 
 Calibration cases: the oscillator on noise seeds 7, 22, 25, 101 and 102
 with both structures and both PSD modes; the benchmark's random n=8, k=2
@@ -35,6 +37,8 @@ import phsid as p
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import grid, oscillator_guess, oscillator_truth, random_model  # noqa: E402
+
+from fingerprint_diff import array_file  # noqa: E402
 
 LONG_STEPS = 10_000
 
@@ -69,11 +73,13 @@ def simulations():
             yield f"wide-n8 model={model} {scheme} K={LONG_STEPS}", simulate(truth, u)
 
 
-def digest(*arrays) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
-    return h.hexdigest()
+def digest(array_dir: Path | None, case: str, key: str, *arrays) -> str:
+    """SHA-256 of the concatenated bytes of ``arrays``, which are also saved
+    as one flat ``.npy`` array under ``array_dir`` when it is given."""
+    flat = np.concatenate([np.ravel(np.asarray(a, dtype=float)) for a in arrays])
+    if array_dir is not None:
+        np.save(array_file(array_dir, case, key), flat)
+    return hashlib.sha256(flat.tobytes()).hexdigest()
 
 
 def start_gradients(start, u, y, b, structure):
@@ -84,7 +90,10 @@ def start_gradients(start, u, y, b, structure):
     return coeffs, p.finite_difference_gradient(start, b, u, y, basis)
 
 
-def main():
+def main(argv: list[str]):
+    array_dir = Path(argv[1]) if len(argv) > 1 else None
+    if array_dir is not None:
+        array_dir.mkdir(parents=True, exist_ok=True)
     for label, start, u, y, b, cfg in cases():
         res = p.calibrate(start, u, y, b, cfg)
         coeffs, fd = start_gradients(start, u, y, b, cfg.structure)
@@ -96,14 +105,16 @@ def main():
             "cost_history": [float(c).hex() for c in res.cost_history],
             "step_sizes": [float(s).hex() for s in res.step_sizes],
             "gradient_sq_norms": [float(g).hex() for g in res.gradient_sq_norms],
-            "v_opt": digest(res.v_opt.J.array, res.v_opt.R.array, res.v_opt.w_hat),
-            "y_opt": digest(res.y_opt.values),
+            "v_opt": digest(array_dir, label, "v_opt", res.v_opt.J.array,
+                            res.v_opt.R.array, res.v_opt.w_hat),
+            "y_opt": digest(array_dir, label, "y_opt", res.y_opt.values),
             "start_coefficients": [float(c).hex() for c in coeffs],
             "start_fd_gradient": [float(f).hex() for f in fd],
         }))
     for label, traj in simulations():
-        print(json.dumps({"case": label, "states": digest(traj.states)}))
+        print(json.dumps({"case": label, "states": digest(array_dir, label, "states",
+                                                           traj.states)}))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv)

@@ -8,21 +8,27 @@ temporary directory.  Then runs the working tree's
 with BASE's ``src`` and once with the working tree's ``src`` as PYTHONPATH,
 and prints a unified diff of each pair of outputs.  After each diff it lists
 every case whose JSON line differs with the names of the keys that moved,
-e.g. ``oscillator seed=7 full project: cost_history, v_opt``, then one
-summary line per tool.  Exits 0 when both pairs are identical and 1 when
-either differs.  The temporary directory is removed and no bytecode is written, so
-the run leaves nothing behind.
+e.g. ``oscillator seed=7 full project: cost_history, v_opt``.  For the
+arrays that ``calibration_fingerprint.py`` prints only as digests it then
+loads both sides' saved ``.npy`` copies and prints how far each moved array
+moved, ``max|new - old| / max|old|``.  Then one summary line per tool.
+Exits 0 when both pairs are identical and 1 when either differs.  The
+temporary directory is removed and no bytecode is written, so the run
+leaves nothing behind.
 """
 
 import difflib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS = ("calibration_fingerprint.py", "cli_fingerprint.py")
@@ -36,27 +42,57 @@ def extract_src(base: str, dest: str) -> Path:
     return Path(dest) / "src"
 
 
-def fingerprint(tool: str, src: Path) -> list[str]:
+def fingerprint(tool: str, src: Path, *args: Path) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    run = subprocess.run([sys.executable, str(ROOT / "tools" / tool)],
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / tool), *map(str, args)],
                          env=env, check=True, capture_output=True, text=True)
     return run.stdout.splitlines(keepends=True)
 
 
-def moved_keys(old: list[str], new: list[str]) -> list[str]:
-    """``case: key, key`` for each case whose JSON line differs, naming the
-    keys whose values differ; lines that are not JSON records are skipped."""
+def array_file(directory: Path, case: str, key: str) -> Path:
+    """Where ``calibration_fingerprint.py`` saves the array digested as
+    ``key`` of ``case``."""
+    return Path(directory) / f"{re.sub(r'[^A-Za-z0-9.-]+', '_', case)}.{key}.npy"
+
+
+def _moved(old: list[str], new: list[str]) -> dict[str, list[str]]:
+    """The keys whose values differ, for each case whose JSON line differs;
+    lines that are not JSON records are skipped."""
     def records(lines):
         return {rec["case"]: rec for rec in (json.loads(line) for line in lines
                                              if line.startswith("{"))}
 
     before, after = records(old), records(new)
-    out = []
+    out = {}
     for case in dict.fromkeys([*before, *after]):
         a, b = before.get(case, {}), after.get(case, {})
         keys = [k for k in dict.fromkeys([*a, *b]) if a.get(k) != b.get(k)]
         if keys:
-            out.append(f"{case}: {', '.join(keys)}\n")
+            out[case] = keys
+    return out
+
+
+def moved_keys(old: list[str], new: list[str]) -> list[str]:
+    """``case: key, key`` for each case whose JSON line differs."""
+    return [f"{case}: {', '.join(keys)}\n" for case, keys in _moved(old, new).items()]
+
+
+def array_moves(old: list[str], new: list[str], old_dir: Path, new_dir: Path) -> list[str]:
+    """``case: key max|new - old| / max|old| = ...`` for each moved key whose
+    array both sides saved."""
+    out = []
+    for case, keys in _moved(old, new).items():
+        for key in keys:
+            paths = [array_file(d, case, key) for d in (old_dir, new_dir)]
+            if not all(path.exists() for path in paths):
+                continue
+            a, b = (np.load(path) for path in paths)
+            if a.shape != b.shape:
+                out.append(f"{case}: {key} shape {a.shape} -> {b.shape}\n")
+                continue
+            scale = np.abs(a).max(initial=0.0) or 1.0
+            move = np.abs(b - a).max(initial=0.0) / scale
+            out.append(f"{case}: {key} max|new - old| / max|old| = {move:.3g}\n")
     return out
 
 
@@ -68,12 +104,16 @@ def main(argv: list[str]) -> int:
     differs = False
     with tempfile.TemporaryDirectory() as tmp:
         base_src = extract_src(base, tmp)
+        old_dir, new_dir = Path(tmp) / "base-arrays", Path(tmp) / "tree-arrays"
         for tool in TOOLS:
-            old, new = fingerprint(tool, base_src), fingerprint(tool, ROOT / "src")
+            saves = tool == "calibration_fingerprint.py"  # it saves its digested arrays
+            old = fingerprint(tool, base_src, *([old_dir] if saves else []))
+            new = fingerprint(tool, ROOT / "src", *([new_dir] if saves else []))
             diff = list(difflib.unified_diff(old, new, f"{base}: {tool}",
                                              f"working tree: {tool}"))
             sys.stdout.writelines(diff)
             sys.stdout.writelines(moved_keys(old, new))
+            sys.stdout.writelines(array_moves(old, new, old_dir, new_dir))
             print(f"{tool}: {len(new)} lines, {'DIFFERENT' if diff else 'identical'}")
             differs = differs or bool(diff)
     return 1 if differs else 0
