@@ -72,10 +72,19 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """Whether the real ``value`` is finite as a float; an integer too large
+    for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _is_integer(value) -> bool:
     if isinstance(value, numbers.Integral):  # may be too large for a float
         return not isinstance(value, bool)
-    return _is_real(value) and math.isfinite(value) and int(value) == value
+    return _is_real(value) and _is_finite(value) and int(value) == value
 
 
 @dataclass(frozen=True)
@@ -99,11 +108,11 @@ class CalibrationConfig:
         for name in ("sigma_init", "gamma", "eps_stop"):
             if not _is_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
-        if not (self.sigma_init > 0 and math.isfinite(self.sigma_init)):
+        if not (self.sigma_init > 0 and _is_finite(self.sigma_init)):
             raise ValueError("sigma_init must be positive and finite")
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
-        if not (self.eps_stop > 0 and math.isfinite(self.eps_stop)):
+        if not (self.eps_stop > 0 and _is_finite(self.eps_stop)):
             raise ValueError("eps_stop must be positive and finite")
         for name in ("max_iter", "max_halvings"):
             value = getattr(self, name)
@@ -143,9 +152,14 @@ class CalibrationResult:
 
 
 class ArmijoStep(NamedTuple):
+    """The accepted step: its size, the retracted point and its cost, and
+    ``row``, the point's index among the candidates of the last evaluator
+    call."""
+
     sigma: float
     point: ParameterPoint
     cost: float
+    row: int
 
 
 def _check_data(u: Signal, y_data: Signal, k: int, owner: str) -> None:
@@ -208,6 +222,7 @@ def armijo_search(v: ParameterPoint, g: Gradient, cost_at_v: float,
     return +inf to signal an unusable candidate; the candidates it left out
     lead the next batch.  The first candidate in order that passes the test
     is accepted, so the result is that of trying one sigma at a time.
+    The returned step names the accepted candidate's row in the last call.
     Raises :class:`LineSearchError` once ``max_halvings`` halvings are
     exhausted.
     """
@@ -238,7 +253,7 @@ def armijo_search(v: ParameterPoint, g: Gradient, cost_at_v: float,
                 # PSDMatrix rejects an R that psd_mode="none" left outside the cone
                 point = ParameterPoint(SkewSymmetricMatrix(j[i]),
                                        PSDMatrix(SymmetricMatrix(r[i])), w[i])
-                return ArmijoStep(float(s[i]), point, float(cand_cost))
+                return ArmijoStep(float(s[i]), point, float(cand_cost), i)
         pending = [a[len(costs):] for a in pending]
 
 
@@ -274,18 +289,12 @@ class _BatchEvaluator:
             own = np.ascontiguousarray(states[:, i])
             if np.isfinite(own).all():
                 costs[i] = _output_cost(own, self.b, self.y_values, self.h)
-        self._last = (drifts, w0, states)
+        self._last = states
         return costs
 
-    def states_of(self, point: ParameterPoint) -> np.ndarray:
-        """Euler states of ``point``, a candidate of the last call."""
-        drifts, w0, states = self._last
-        drift = point.J.array - point.R.array
-        for i in range(len(w0)):
-            # candidates with equal parameters have equal states
-            if np.array_equal(drifts[i], drift) and np.array_equal(w0[i], point.w_hat):
-                return np.ascontiguousarray(states[:, i])
-        raise ValueError("point was not a candidate of the last evaluation")
+    def states_of(self, row: int) -> np.ndarray:
+        """Euler states of the candidate in ``row`` of the last call."""
+        return np.ascontiguousarray(self._last[:, row])
 
 
 def calibrate(v0: ParameterPoint, u: Signal, y_data: Signal, b,
@@ -331,7 +340,7 @@ def calibrate(v0: ParameterPoint, u: Signal, y_data: Signal, b,
             message = f"iterate left the admissible set (psd_mode='{cfg.psd_mode}'): {exc}"
             break
         v = step.point
-        states = evaluate.states_of(v)
+        states = evaluate.states_of(step.row)
         current = step.cost
         iterations += 1
         history.append(current)

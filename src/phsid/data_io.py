@@ -42,13 +42,18 @@ time: writing a 100,001 x 3 table peaks under 2 MB of allocations.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationConfig, CalibrationResult, _is_integer, _is_real
+from .calibration import (
+    CalibrationConfig,
+    CalibrationResult,
+    _is_finite,
+    _is_integer,
+    _is_real,
+)
 from .errors import DimensionMismatchError, MalformedFileError
 from .matrices import PSDMatrix, SPDMatrix, SkewSymmetricMatrix
 from .systems import (
@@ -74,7 +79,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name, value in (("mean", self.mean), ("std", self.std)):
-            if not (_is_real(value) and math.isfinite(value)):
+            if not (_is_real(value) and _is_finite(value)):
                 raise ValueError(f"{name} must be a finite real number")
         if not self.std >= 0:
             raise ValueError("std must be nonnegative")
@@ -125,6 +130,8 @@ def _as_array(raw, name) -> np.ndarray:
         arr = np.array(raw, dtype=float)
     except (TypeError, ValueError):
         raise MalformedFileError(f"field {name!r} is not a numeric array") from None
+    except OverflowError:
+        raise MalformedFileError(f"field {name!r} has an entry too large for a float") from None
     if not np.all(np.isfinite(arr)):
         raise MalformedFileError(f"field {name!r} contains non-finite values")
     return arr

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import phsid as p
-from phsid.systems import _MIN_BLOCKS, _block_length
+from phsid.systems import _CHUNK_VALUES, _MIN_BLOCKS, _block_length
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -17,6 +17,21 @@ def blocked_end(n, steps):
     if not m or steps < _MIN_BLOCKS * m:
         return 0
     return steps // m * m
+
+
+def scan_levels(n, steps):
+    """How many levels of a K = ``steps`` scan at dimension ``n`` block, in
+    its first chunk: the steps, then the block starts of each level that
+    blocked, each level holding at most a chunk of blocks."""
+    m = _block_length(n)
+    if not m:
+        return 0
+    chunk_blocks = max(1, _CHUNK_VALUES // (m * n))
+    levels, rows = 0, steps
+    while rows >= _MIN_BLOCKS * m:
+        levels += 1
+        rows = min(rows // m, chunk_blocks)
+    return levels
 
 
 def philox(seed):

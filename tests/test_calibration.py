@@ -117,6 +117,13 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"^{name} must be a real number, got"):
                 p.CalibrationConfig(**{name: bad})
 
+    @pytest.mark.parametrize("name, message", [
+        ("sigma_init", "be positive and finite"), ("gamma", "lie in"),
+        ("eps_stop", "be positive and finite")])
+    def test_integer_too_large_for_a_float_rejected(self, name, message):
+        with pytest.raises(ValueError, match=f"^{name} must {message}"):
+            p.CalibrationConfig(**{name: 10**400})
+
     def test_integral_counts_become_int(self):
         cfg = p.CalibrationConfig(max_iter=3.0, max_halvings=np.int64(7))
         assert type(cfg.max_iter) is int and cfg.max_iter == 3
@@ -536,7 +543,7 @@ def batched_search(v, g, cost_at_v, b, u, y_data, cfg):
     evaluator = calibration._BatchEvaluator(b, u, y_data)
     step = p.armijo_search(v, g, cost_at_v, evaluator, cfg)
     j, r, w0 = step.point.J.array, step.point.R.array, step.point.w_hat
-    np.testing.assert_array_equal(evaluator.states_of(step.point),
+    np.testing.assert_array_equal(evaluator.states_of(step.row),
                                   calibration._euler_states(j - r, b, w0, u.values, u.grid.h))
     return step.sigma, j, r, w0, step.cost
 

@@ -88,6 +88,24 @@ class TestGenerate:
         assert rc == 1
         assert "fields 'n' and 'k' must be integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["J", "x_hat"])
+    def test_integer_too_large_for_a_float_in_model_is_input_error(self, tmp_path, capsys,
+                                                                    field):
+        model = {"n": 2, "k": 1, "J": [[0, 1], [-1, 0]], "R": [[0.5, 0.0], [0.0, 0.3]],
+                 "B": [[1.0], [1.0]], "x_hat": [1.0, 2.0]}
+        if field == "J":
+            model["J"] = [[0, 10**400], [-10**400, 0]]
+        else:
+            model["x_hat"] = [10**400, 2.0]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        rc = cli.main(["generate", "--model", str(path),
+                       "--out-u", str(tmp_path / "u.csv"), "--out-y", str(tmp_path / "y.csv")])
+        assert rc == 1
+        assert (capsys.readouterr().err
+                == f"error: field '{field}' has an entry too large for a float\n")
+        assert not (tmp_path / "u.csv").exists()
+
     def test_env_seed_fallback(self, tmp_path, model_file, monkeypatch):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
@@ -260,6 +278,21 @@ class TestCalibrate:
                        "--diff", str(tmp_path / "d.csv")])
         assert rc == 1
         assert "eps_stop" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_integer_too_large_for_a_float_in_config_is_input_error(self, tmp_path, guess_file,
+                                                                     data_files, capsys):
+        u_path, y_path = data_files
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sigma_init": 10**400}))
+        rc = cli.main(["calibrate", "--data", str(y_path), "--input", str(u_path),
+                       "--guess", str(guess_file), "--config", str(cfg_path),
+                       "--out", str(tmp_path / "r.json"),
+                       "--history", str(tmp_path / "h.csv"),
+                       "--diff", str(tmp_path / "d.csv")])
+        assert rc == 1
+        assert (capsys.readouterr().err
+                == "error: invalid config: sigma_init must be positive and finite\n")
         assert not (tmp_path / "r.json").exists()
 
     def test_invalid_guess_rejected(self, tmp_path, data_files):

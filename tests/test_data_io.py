@@ -79,6 +79,7 @@ class TestGenerateInput:
         ({"mean": np.nan}, "mean"), ({"mean": np.inf}, "mean"), ({"std": np.inf}, "std"),
         ({"std": np.nan}, "std"), ({"seed": 2.9}, "seed"), ({"seed": True}, "seed"),
         ({"seed": np.nan}, "seed"), ({"seed": "3"}, "seed"), ({"seed": 10**400}, "seed"),
+        ({"mean": 10**400}, "mean"), ({"std": -10**400}, "std"),
     ])
     def test_non_finite_or_non_integral_setting_rejected(self, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -199,6 +200,21 @@ class TestModelFiles:
             "x_hat": [1.0, 2.0],
         }))
         with pytest.raises(p.MalformedFileError, match="fields 'n' and 'k' must be integers"):
+            p.load_model(path)
+
+    @pytest.mark.parametrize("field", ["J", "R", "Q", "B", "x_hat"])
+    def test_integer_too_large_for_a_float_rejected(self, tmp_path, field):
+        model = {"n": 2, "k": 1, "J": [[0, 1], [-1, 0]], "R": [[1, 0], [0, 1]],
+                 "Q": [[1, 0], [0, 1]], "B": [[1], [1]], "x_hat": [1, 2]}
+        entries = model[field]
+        if isinstance(entries[0], list):
+            entries[0][0] = 10**400
+        else:
+            entries[0] = 10**400
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model))
+        with pytest.raises(p.MalformedFileError,
+                           match=f"field '{field}' has an entry too large for a float"):
             p.load_model(path)
 
     def test_malformed_json_rejected(self, tmp_path):

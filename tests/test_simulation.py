@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from conftest import (
     random_reduced_system,
     random_signal,
     random_skew,
+    scan_levels,
 )
+from phsid import systems
 from phsid.systems import (
     _CHUNK_VALUES,
     _MIN_BLOCKS,
@@ -105,15 +108,16 @@ class TestSimulateEuler:
         assert err.value.step == 2
 
     def test_divergence_in_a_later_chunk_names_the_per_step_loop_step(self):
-        # w' = -2.2 w with h = 1: the propagator -1.2 and its powers up to the
-        # block length are finite, and the states overflow after about 3900
-        # steps, past the first chunk of blocks (_CHUNK_VALUES rows at n = 1);
-        # the rescan from that chunk's start names the per-step loop's step
-        grid = p.TimeGrid(5000.0, 5000)
+        # w' = -2.04 w with h = 1: the propagator -1.04 and its powers up to
+        # the block length are finite, and the states overflow after about
+        # 18100 steps, past the first chunk of blocks (_CHUNK_VALUES rows at
+        # n = 1); the rescan from that chunk's start names the per-step loop's
+        # step
+        grid = p.TimeGrid(20000.0, 20000)
         sys = p.ReducedPHSystem(
-            p.SkewSymmetricMatrix.zeros(1), p.PSDMatrix.from_matrix([[2.2]]),
+            p.SkewSymmetricMatrix.zeros(1), p.PSDMatrix.from_matrix([[2.04]]),
             np.zeros((1, 1)), np.array([1.0]))
-        propagator = 1.0 + grid.h * -2.2
+        propagator = 1.0 + grid.h * -2.04
         w, first = 1.0, None
         with np.errstate(over="ignore"):
             for j in range(1, grid.num_nodes):
@@ -125,6 +129,35 @@ class TestSimulateEuler:
         with pytest.raises(p.DivergenceError) as err:
             p.simulate_euler(sys, p.Signal.zeros(grid, 1))
         assert err.value.step == first
+
+    def test_divergence_inside_a_block_start_level_names_the_per_step_loop_step(self):
+        # w' = -2.04 w with h = 1 from 1e300: the propagator -1.04 and the
+        # powers of every level are finite, and the states overflow after
+        # about 485 steps.  K = 16384 is one chunk whose 256 block starts
+        # block again: the starts overflow first in the level of block
+        # starts, whose rescan leaves them non-finite, so the steps' level
+        # rescans with the propagator and names the per-step loop's step
+        grid = p.TimeGrid(16384.0, 16384)
+        assert scan_levels(1, grid.steps) == 2
+        sys = p.ReducedPHSystem(
+            p.SkewSymmetricMatrix.zeros(1), p.PSDMatrix.from_matrix([[2.04]]),
+            np.zeros((1, 1)), np.array([1e300]))
+        propagator = 1.0 + grid.h * -2.04
+        w, first = 1e300, None
+        with np.errstate(over="ignore"):
+            for j in range(1, grid.num_nodes):
+                w = propagator * w
+                if not np.isfinite(w):
+                    first = j
+                    break
+        with mock.patch.object(systems, "_affine_scan", wraps=systems._affine_scan) as scan:
+            with pytest.raises(p.DivergenceError) as err:
+                p.simulate_euler(sys, p.Signal.zeros(grid, 1))
+        assert err.value.step == first
+        # the block starts' level, called with P^64, returned non-finite starts
+        level_p, starts = scan.call_args_list[1].args[:2]
+        assert level_p.shape == (1, 1) and starts.shape == (257, 1, 1, 1)
+        assert not np.isfinite(starts).all()
 
     def test_port_count_mismatch(self, oscillator):
         grid = p.TimeGrid(1.0, 5)
@@ -197,6 +230,20 @@ def plain_loop(p_mat, rows):
     return out
 
 
+def random_propagators(rng, n, count, h, midpoint, adjoint):
+    """Euler or midpoint propagators of ``count`` random models at step
+    ``h``, (count, n, n), plain or transposed as the adjoint sweeps them."""
+    props = []
+    for _ in range(count):
+        a = random_reduced_system(rng, n, 1).drift()
+        if midpoint:
+            props.append(np.linalg.solve(np.eye(n) - 0.5 * h * a, np.eye(n) + 0.5 * h * a))
+        else:
+            props.append(np.eye(n) + h * a)
+    props = np.stack(props)
+    return props.swapaxes(-1, -2) if adjoint else props
+
+
 class TestAffineScan:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n=st.integers(1, 6), m=st.integers(0, 5), shared=st.booleans(),
@@ -227,21 +274,14 @@ class TestAffineScan:
         # the blocked scan reorders the per-step loop's sums: on Euler and
         # midpoint propagators of random models, plain or transposed as the
         # adjoint sweeps them, it stays within 1e-12 of each element's largest
-        # state (perfbench's REPLAY_RTOL; 4.5e-14 measured at worst), for any
+        # state (perfbench's REPLAY_RTOL; 1.3e-13 measured at worst), for any
         # K mod block length
         steps = _MIN_BLOCKS * _block_length(n) + extra
         h = t_end / steps
         rng = philox(seed)
-        props = []
-        for _ in range(1 if shared or not count else count):
-            a = random_reduced_system(rng, n, 1).drift()
-            if midpoint:
-                props.append(np.linalg.solve(np.eye(n) - 0.5 * h * a, np.eye(n) + 0.5 * h * a))
-            else:
-                props.append(np.eye(n) + h * a)
-        p_mat = np.stack(props) if count and not shared else props[0]
-        if adjoint:
-            p_mat = np.swapaxes(p_mat, -1, -2)
+        props = random_propagators(rng, n, 1 if shared or not count else count, h, midpoint,
+                                   adjoint)
+        p_mat = props if count and not shared else props[0]
         stack = (count,) if count else ()
         rows = rng.normal(size=(steps + 1, *stack, n))
         scanned = rows[..., None].copy() if count else rows.copy()
@@ -250,6 +290,51 @@ class TestAffineScan:
         expected = plain_loop(p_mat, rows)
         scale = np.abs(expected).max(axis=(0, -1))
         assert (np.abs(scanned - expected).max(axis=(0, -1)) <= 1e-12 * scale).all()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 21), deep=st.booleans(), count=st.integers(1, 3),
+           shared=st.booleans(), midpoint=st.booleans(), t_end=st.floats(0.5, 20.0),
+           extra=st.integers(0, 700), seed=st.integers(0, 2**32 - 1))
+    def test_recursive_levels_within_replay_tolerance_and_bit_exact_per_element(
+            self, n, deep, count, shared, midpoint, t_end, extra, seed):
+        # K long enough that the block starts block again (2 levels), and at
+        # n >= 8, where a chunk holds enough starts, their starts too (3
+        # levels): every state stays within 1e-12 of each element's largest
+        # state of the per-step loop, each level's powers are built once, and
+        # each stack element equals its own single sweep bit for bit
+        levels = 3 if deep and n >= 8 else 2
+        m = _block_length(n)
+        steps = _MIN_BLOCKS * m ** levels + extra
+        assert scan_levels(n, steps) >= levels
+        rng = philox(seed)
+        props = random_propagators(rng, n, 1 if shared else count, t_end / steps, midpoint,
+                                   adjoint=False)
+        p_mat = props[0] if shared else props
+        rows = rng.normal(size=(steps + 1, count, n))
+        scanned = rows[..., None].copy()
+        with mock.patch.object(systems, "_powers", wraps=systems._powers) as powers:
+            _affine_scan(p_mat, scanned)
+        assert powers.call_count == scan_levels(n, steps)
+        scanned = scanned[..., 0]
+        expected = plain_loop(p_mat, rows)
+        scale = np.abs(expected).max(axis=(0, -1))
+        assert (np.abs(scanned - expected).max(axis=(0, -1)) <= 1e-12 * scale).all()
+        for i in range(count):
+            single = rows[:, i:i + 1, :, None].copy()
+            _affine_scan(p_mat if shared else p_mat[i], single)
+            assert np.array_equal(scanned[:, i], single[:, 0, :, 0])
+
+    def test_each_level_builds_its_powers_once_per_simulation(self):
+        # n = 8, K = 1e4: five chunks of at most 256 blocks, whose starts
+        # block twice more; the powers of P, P^8 and P^64 are each built once
+        rng = philox(12)
+        sys = random_reduced_system(rng, 8, 2)
+        grid = p.TimeGrid(1.0, 10_000)
+        assert scan_levels(8, grid.steps) == 3
+        assert grid.steps > 4 * _CHUNK_VALUES // 8
+        with mock.patch.object(systems, "_powers", wraps=systems._powers) as powers:
+            p.simulate_euler(sys, random_signal(rng, grid, 2))
+        assert powers.call_count == 3
 
 
 class TestBitExactIntegrators:

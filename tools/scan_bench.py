@@ -1,0 +1,190 @@
+"""Time the scan-bound operations of a git revision and of the working tree.
+
+    python3 tools/scan_bench.py [--base REV] [--repeats R] [--tiny] [--out FILE]
+
+Extracts ``src/`` of BASE (default ``HEAD``) with ``git archive`` into a
+temporary directory, as ``fingerprint_diff.py`` does, and starts one worker
+process per side, with BASE's ``src`` or the working tree's as PYTHONPATH.
+A worker builds every case and runs each once as a warm-up.  Then, R times
+(default 7) for every case, the two workers time it back to back, the side
+that goes first alternating, so that a slow phase of the host hits both
+sides of a pair.  A worker times a case as the median of ``CALLS`` calls
+with ``perf_counter``.
+
+Cases: ``simulate_euler`` and ``simulate_discrete_gradient`` at
+n in {2, 8, 16} x K in {1e3, 1e4, 1e5} (perfbench's random n, k=2 truth of
+model seed n, h = 1e-3), and ``calibrate`` on perfbench's ``wide-n8``
+models 0 and 6 and on the oscillator with noise seed 7 (K = 1e3).
+``--tiny`` runs n = 2, K = 200 and calibrations of 2 iterations, for tests.
+
+The report, printed or written to FILE as JSON, gives per case and side the
+median and interquartile range of the R timings in ms, the ratio of the
+medians (``speedup``, base over change), the median and interquartile range
+of the R per-pair ratios (``paired_speedup``), and the machine: CPU, CPU
+count, numpy version and the OPENBLAS_NUM_THREADS setting the workers ran
+with.  No bytecode is written and the temporary directory is removed.
+"""
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(ROOT / "tools"))
+from fingerprint_diff import extract_src  # noqa: E402
+
+CALLS = 5
+
+
+def cases(tiny: bool):
+    """(name, call) for every timed operation, built from the ``phsid`` on
+    the path."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import phsid
+    from workloads import grid, oscillator_guess, oscillator_truth, random_model
+
+    sizes = ((2,), (200,)) if tiny else ((2, 8, 16), (1_000, 10_000, 100_000))
+    for n in sizes[0]:
+        truth, _ = random_model(n, n, 2)
+        for steps in sizes[1]:
+            u = phsid.generate_input(grid(steps), 2, phsid.NoiseSpec(seed=n))
+            for label, simulate in (("euler", phsid.simulate_euler),
+                                    ("midpoint", phsid.simulate_discrete_gradient)):
+                yield f"simulate {label} n={n} K={steps}", (
+                    lambda simulate=simulate, u=u, truth=truth: simulate(truth, u))
+    steps = 200 if tiny else 1_000
+    problems = [(f"calibrate wide-n8 model={m}", *random_model(m, 8, 2), m, 400)
+                for m in (0, 6)]
+    problems.append(("calibrate oscillator", oscillator_truth(), oscillator_guess(), 7, 500))
+    for name, truth, start, seed, max_iter in problems:
+        u, y = phsid.generate_reference(truth, grid(steps), phsid.NoiseSpec(seed=seed))
+        cfg = phsid.CalibrationConfig(max_iter=2 if tiny else max_iter)
+        yield name, (lambda start=start, u=u, y=y, b=truth.B, cfg=cfg:
+                     phsid.calibrate(start, u, y, b, cfg))
+
+
+def serve(tiny: bool) -> None:
+    """The worker: print the case names, then answer each case name read
+    from stdin with the median seconds of ``CALLS`` calls of it."""
+    built = dict(cases(tiny))
+    for call in built.values():
+        call()
+    print(json.dumps(list(built)), flush=True)
+    for line in sys.stdin:
+        call = built[line.strip()]
+        seconds = []
+        for _ in range(CALLS):
+            start = time.perf_counter()
+            call()
+            seconds.append(time.perf_counter() - start)
+        print(json.dumps(float(np.median(seconds))), flush=True)
+
+
+class Worker:
+    """A worker process that imports phsid from ``src``."""
+
+    def __init__(self, src: Path, tiny: bool):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, str(Path(__file__).resolve()), "--worker"] + ["--tiny"] * tiny
+        self.proc = subprocess.Popen(argv, env=env, stdin=subprocess.PIPE,
+                                     stdout=subprocess.PIPE, text=True)
+        self.names = json.loads(self._answer())
+
+    def _answer(self) -> str:
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"worker exited with status {self.proc.wait()}")
+        return line
+
+    def time(self, name: str) -> float:
+        self.proc.stdin.write(name + "\n")
+        self.proc.stdin.flush()
+        return json.loads(self._answer())
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def compare(base_src: Path, tree_src: Path, repeats: int, tiny: bool) -> dict:
+    """Per case, the median and IQR (ms) of each side's timings, the ratio
+    base / change of the medians and the median and IQR of the per-pair
+    ratios."""
+    workers = {}
+    try:
+        for side, src in (("base", base_src), ("change", tree_src)):
+            workers[side] = Worker(src, tiny)
+        ms = {name: {"base": [], "change": []} for name in workers["base"].names}
+        for r in range(repeats):
+            order = ("base", "change") if r % 2 == 0 else ("change", "base")
+            for name, times in ms.items():
+                for side in order:
+                    times[side].append(1e3 * workers[side].time(name))
+    finally:
+        for worker in workers.values():
+            worker.close()
+    report = {}
+    for name, times in ms.items():
+        row = {}
+        for side, values in times.items():
+            q1, median, q3 = np.percentile(values, [25, 50, 75])
+            row[side] = {"median_ms": round(float(median), 4), "iqr_ms": round(float(q3 - q1), 4)}
+        row["speedup"] = round(row["base"]["median_ms"] / row["change"]["median_ms"], 3)
+        ratios = np.array(times["base"]) / np.array(times["change"])
+        q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+        row["paired_speedup"] = {"median": round(float(median), 3), "iqr": round(float(q3 - q1), 3)}
+        report[name] = row
+    return report
+
+
+def machine() -> dict:
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            cpu = next(line.split(":", 1)[1].strip() for line in info
+                       if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {"cpu": cpu, "cpu_count": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__,
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "unset")}
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD")
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--tiny", action="store_true")
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        serve(args.tiny)
+        return 0
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    with tempfile.TemporaryDirectory() as tmp:
+        cases_report = compare(extract_src(args.base, tmp), ROOT / "src", args.repeats, args.tiny)
+    base = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.base],
+                          check=True, capture_output=True, text=True).stdout.strip()
+    report = {"base": base, "change": "working tree", "repeats": args.repeats,
+              "calls_per_timing": CALLS, "machine": machine(), "cases": cases_report}
+    text = json.dumps(report, indent=2) + "\n"
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
