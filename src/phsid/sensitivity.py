@@ -39,9 +39,9 @@ the residual r_j = B^T w_j - y_data_j and P = I + h (J-R),
 
 run through the integrators' affine-recurrence kernel
 ``phsid.systems._affine_scan`` in reverse time, a blocked scan on P^T that
-advances a block of steps per gemm and runs the block starts by calling
-itself on (P^T)^m (within rounding of the per-step loop, which it runs
-itself for short K, the tail steps and an overflow), and
+advances a block of steps per gemm and scans the block starts the same way
+with (P^T)^m (within rounding of the per-step loop, which it runs itself
+for short K, the tail steps and an overflow), and
 
     G = h * sum_{j<K} lambda_{j+1} w_j^T,
 

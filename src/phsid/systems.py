@@ -31,15 +31,15 @@ Both run through one shell, :func:`_integrate`: it allocates the state
 buffer, writes the forcing S v_j of every step into it with one batched
 matmul and hands it to :func:`_affine_scan`, the one step kernel, which the
 backward sweep of the adjoint gradient shares.  The kernel is a blocked
-scan: it advances a block of m steps with a gemm, and it runs the block
-starts, the same recurrence with propagator P^m, by calling itself, so
-that only the last level of block starts steps.  Its states differ from the
-per-step loop ``P @ w + S @ v_j`` by rounding, at most 1.3e-13 of max|w|
-in the measurements; the per-step loop itself runs for short K, over the
-K mod m tail steps and where the blocked states leave the finite range.
-One :func:`_check_finite` raises
-DivergenceError at the first non-finite state, for either scheme, at the
-step the per-step loop reaches.
+scan: it advances a block of m steps with a gemm, and it scans the block
+starts, the same recurrence with propagator P^m, the same way one level
+down, so that only the last level of block starts steps.  Its states
+differ from the per-step loop ``P @ w + S @ v_j`` by rounding, at most
+1.3e-13 of max|w| in the measurements; the per-step loop itself runs for
+short K, over the K mod m tail steps and where the blocked states leave
+the finite range.  One :func:`_check_finite` raises DivergenceError at the
+first non-finite state, for either scheme, at the step the per-step loop
+reaches.
 """
 
 from __future__ import annotations
@@ -234,7 +234,8 @@ def cholesky_reduce(sys: PHSystem) -> ReducedPHSystem:
 # nor do fewer than _MIN_BLOCKS of them.  It holds the forcing of
 # _CHUNK_VALUES // (m n) blocks of each stack element at a time; at n <= 21
 # such a chunk has enough block starts (>= 256 at n = 8) for the recursive
-# scan of the block starts to block again.
+# scan of the block starts to block again.  Its temporaries are about two
+# chunks per element plus the levels' operators, whatever K.
 _BLOCK_WIDTH = 64
 _MIN_BLOCKS = 4
 _CHUNK_VALUES = 1 << 14
@@ -294,16 +295,17 @@ def _toeplitz(pw: np.ndarray) -> np.ndarray:
 
 
 class _ScanLevel:
-    """The operators of one level of the blocked scan, for a propagator P
-    (n, n) or one per stack element (c, n, n), with blocks of m steps.
+    """One level of the blocked scan: the operators for a propagator P
+    (n, n), or one per stack element (c, n, n), with blocks of m steps, and
+    the scan that applies them to every chunk.
 
     ``op_t`` is the transposed block-Toeplitz operator of P^0 .. P^(m-1),
     ``powers_t`` maps a row state x_s to P^1 x_s .. P^m x_s, ``p_m`` is P^m
     in the shape of P, and ``finite`` says per element whether the powers
     are finite.  ``inner`` is the level of the block starts, whose
-    propagator is P^m; it is built on first use.  One call of
-    :func:`_affine_scan` builds each level once and applies it to every
-    chunk; ``op_t`` is dropped once no chunk needs it.
+    propagator is P^m; it is built on first use, so one call of
+    :func:`_affine_scan` builds each level once.  ``op_t`` is dropped once
+    no chunk needs it.
     """
 
     def __init__(self, p: np.ndarray, m: int):
@@ -314,12 +316,80 @@ class _ScanLevel:
             self.op_t = _toeplitz(pw).swapaxes(1, 2)
         # (c, n, mn): a row state times it gives P^1 x_s .. P^m x_s
         self.powers_t = pw[:, 1:].transpose(0, 3, 1, 2).reshape(-1, n, m * n)
+        self.p, self.m = p, m
         self.p_m = pw[:, m] if p.ndim == 3 else pw[0, m]
         self.inner: _ScanLevel | None = None
 
+    def scan(self, rows: np.ndarray, final: bool = True) -> None:
+        """:func:`_affine_scan` over ``rows`` of at least ``_MIN_BLOCKS`` blocks.
 
-def _affine_scan(p: np.ndarray, rows: np.ndarray, level: _ScanLevel | None = None,
-                 final: bool = True) -> _ScanLevel | None:
+        ``final`` says that the level will not scan again: it then drops
+        ``op_t`` once its last chunk has used it, so that the next level's
+        operators can take that memory instead of fresh pages.  Without
+        that, ``calibrate`` on two n = 8 models, whose candidate stacks are
+        scanned in one chunk, took 5% longer (1 BLAS thread).
+        """
+        p, m = self.p, self.m
+        n = p.shape[-1]
+        end = (rows.shape[0] - 1) // m * m
+        x = rows[..., 0] if rows.ndim == 4 else rows[:, None]  # (K+1, count, n)
+        count = x.shape[1]
+        chunk = max(1, _CHUNK_VALUES // (m * n)) * m
+        shared = p.ndim == 2
+        live = self.finite & np.ones(count, dtype=bool)
+        restart = np.zeros(count, dtype=int)  # where a dead element's rescan starts
+        # z_{s,i}: the forcing's share of x_{s+i}, one buffer for every chunk
+        z_all = np.empty((count, min(chunk, end) // m, m * n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, end, chunk):
+                if not live.any():
+                    break
+                blocks = (min(lo + chunk, end) - lo) // m
+                group = max(1, _CHUNK_VALUES // (blocks * m * n))
+                groups = ([slice(g, g + group) for g in range(0, count, group)]
+                          if count > group else [slice(None)])
+                dest = x[lo + 1:lo + 1 + blocks * m].reshape(blocks, m, count, n)
+                z = z_all[:, :blocks]
+                for els in groups:  # each group's copied forcing is freed at once
+                    np.matmul(dest[:, :, els].transpose(2, 0, 1, 3).reshape(-1, blocks, m * n),
+                              self.op_t if shared else self.op_t[els], out=z[els])
+                last = final and lo + chunk >= end
+                if last:
+                    self.op_t = None
+                starts = np.empty((blocks + 1, count, n, 1))
+                starts[0, :, :, 0] = x[lo]
+                starts[1:, :, :, 0] = z.reshape(count, blocks, m, n)[:, :, -1].swapaxes(0, 1)
+                # x_{s+m} = P^m x_s + z_{s,m}, blocked again where the starts are long enough
+                if blocks < _MIN_BLOCKS * m:
+                    _step_scan(self.p_m, starts)
+                else:
+                    if self.inner is None:
+                        self.inner = _ScanLevel(self.p_m, m)
+                    self.inner.scan(starts, last)
+                starts_t = np.ascontiguousarray(starts[:-1, :, :, 0].swapaxes(0, 1))
+                for els in groups:
+                    z[els] += np.matmul(starts_t[els],
+                                        self.powers_t if shared else self.powers_t[els])
+                states = z.reshape(count, blocks, m, n)
+                # store the block ends that the next blocks were advanced from
+                states[:, :, -1] = starts[1:, :, :, 0].swapaxes(0, 1)
+                ok = live & np.isfinite(states).all(axis=(1, 2, 3))
+                if ok.all():
+                    dest[...] = states.transpose(1, 2, 0, 3)
+                else:
+                    dest[:, :, ok] = states[ok].transpose(1, 2, 0, 3)
+                    restart[live & ~ok] = lo
+                    live &= ok
+        for lo in sorted(set(restart[~live].tolist())):
+            # these elements still hold their forcing from row lo + 1 on
+            idx = np.flatnonzero(~live & (restart == lo))
+            sub = x[lo:end + 1, idx][..., None]
+            _step_scan(p if shared else p[idx], sub)
+            x[lo + 1:end + 1, idx] = sub[1:, :, :, 0]
+        _step_scan(p, rows[end:])
+
+
+def _affine_scan(p: np.ndarray, rows: np.ndarray) -> None:
     """Run the affine recurrence x_{j+1} = P x_j + f_j in place over ``rows``.
 
     On entry ``rows[0]`` holds x_0 and ``rows[j+1]`` the forcing f_j; on
@@ -335,24 +405,24 @@ def _affine_scan(p: np.ndarray, rows: np.ndarray, level: _ScanLevel | None = Non
 
     For a chunk of blocks, one gemm applies the block-Toeplitz operator of
     P^0 .. P^(m-1) to their forcing, giving the sums z.  The block starts
-    follow the affine recurrence x_{s+m} = P^m x_s + z_{s,m}, which this
-    function runs over them by calling itself with P^m: it blocks again
-    while a level has at least ``_MIN_BLOCKS`` blocks, and the last level
-    steps.  One more gemm fills in the states inside the blocks from the
-    block starts and P^1 .. P^m.  A stack is multiplied a group of elements
-    at a time, so that its copied forcing and its products stay within
-    ``_CHUNK_VALUES`` values.  A stack applies one operator per element by
-    batched matmul, in the shapes of a single sweep, so each element's
-    states equal its own sweep bit for bit.  The blocked states differ from
-    the per-step loop by rounding, at most 1.3e-13 of max|x| in the
-    measurements.
+    follow the affine recurrence x_{s+m} = P^m x_s + z_{s,m}, which the
+    next level (a :class:`_ScanLevel` with P^m) scans the same way: a level
+    blocks again while it has at least ``_MIN_BLOCKS`` blocks, and the last
+    level steps.  One more gemm fills in the states inside the blocks from
+    the block starts and P^1 .. P^m.  Each level's operators are built once
+    per call and reused by every chunk.  A stack applies one operator per
+    element by batched matmul, in the shapes of a single sweep, so each
+    element's states equal its own sweep bit for bit.  The blocked states
+    differ from the per-step loop by rounding, at most 1.3e-13 of max|x| in
+    the measurements.
 
-    Each level's operators (a :class:`_ScanLevel`) are built once per call,
-    on first use, and passed down as ``level``; the return value is this
-    level's operators, None where it stepped.  ``final`` says that the
-    caller will not pass them in again: then each level drops its Toeplitz
-    operator once its last chunk has used it, so that the next level's
-    operators can take that memory.
+    Memory beyond ``rows``: z, one buffer of a chunk of every stack
+    element, at most ``_CHUNK_VALUES`` values each and never more than the
+    rows themselves (as large as ``rows`` where K n is below
+    ``_CHUNK_VALUES``); the copied forcing and the fill-in products, formed
+    a group of elements at a time within ``_CHUNK_VALUES`` values; and each
+    level's operators, about (m n)^2 values per element.  The state buffer
+    dominates only where K n is well above ``_CHUNK_VALUES``.
 
     :func:`_step_scan`, the per-step loop, runs instead where K is shorter
     than ``_MIN_BLOCKS`` blocks and over the last K mod m steps.  It also
@@ -365,62 +435,11 @@ def _affine_scan(p: np.ndarray, rows: np.ndarray, level: _ScanLevel | None = Non
     Overflow in the blocked stages is ignored; overflow in the per-step
     loop is left to the caller's error state.
     """
-    n = p.shape[-1]
-    m = _block_length(n)
+    m = _block_length(p.shape[-1])
     if not m or rows.shape[0] - 1 < _MIN_BLOCKS * m:
         _step_scan(p, rows)
-        return None
-    end = (rows.shape[0] - 1) // m * m
-    x = rows[..., 0] if rows.ndim == 4 else rows[:, None]  # (K+1, count, n)
-    count = x.shape[1]
-    chunk = max(1, _CHUNK_VALUES // (m * n)) * m
-    if level is None:
-        level = _ScanLevel(p, m)
-    shared = p.ndim == 2
-    live = level.finite & np.ones(count, dtype=bool)
-    restart = np.zeros(count, dtype=int)  # where a dead element's rescan starts
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, end, chunk):
-            if not live.any():
-                break
-            blocks = (min(lo + chunk, end) - lo) // m
-            group = max(1, _CHUNK_VALUES // (blocks * m * n))
-            groups = [slice(g, g + group) for g in range(0, count, group)]
-            dest = x[lo + 1:lo + 1 + blocks * m].reshape(blocks, m, count, n)
-            z = np.empty((count, blocks, m * n))  # z_{s,i}: the forcing's share of x_{s+i}
-            for els in groups:
-                forcing = dest[:, :, els].transpose(2, 0, 1, 3).reshape(-1, blocks, m * n)
-                np.matmul(forcing, level.op_t if shared else level.op_t[els], out=z[els])
-            last = final and lo + chunk >= end
-            if last:  # unused from here on: the inner level's operators may take its memory
-                level.op_t = None
-            starts = np.empty((blocks + 1, count, n, 1))
-            starts[0, :, :, 0] = x[lo]
-            starts[1:, :, :, 0] = z.reshape(count, blocks, m, n)[:, :, -1].swapaxes(0, 1)
-            # x_{s+m} = P^m x_s + z_{s,m}
-            level.inner = _affine_scan(level.p_m, starts, level.inner, last)
-            starts_t = np.ascontiguousarray(starts[:-1, :, :, 0].swapaxes(0, 1))
-            for els in groups:
-                z[els] += np.matmul(starts_t[els],
-                                    level.powers_t if shared else level.powers_t[els])
-            states = z.reshape(count, blocks, m, n)
-            # store the block ends that the next blocks were advanced from
-            states[:, :, -1] = starts[1:, :, :, 0].swapaxes(0, 1)
-            ok = live & np.isfinite(states).all(axis=(1, 2, 3))
-            if ok.all():
-                dest[...] = states.transpose(1, 2, 0, 3)
-            else:
-                dest[:, :, ok] = states[ok].transpose(1, 2, 0, 3)
-                restart[live & ~ok] = lo
-                live &= ok
-    for lo in sorted(set(restart[~live].tolist())):
-        # these elements still hold their forcing from row lo + 1 on
-        idx = np.flatnonzero(~live & (restart == lo))
-        sub = x[lo:end + 1, idx][..., None]
-        _step_scan(p if shared else p[idx], sub)
-        x[lo + 1:end + 1, idx] = sub[1:, :, :, 0]
-    _step_scan(p, rows[end:])
-    return level
+    else:
+        _ScanLevel(p, m).scan(rows)
 
 
 def _integrate(p: np.ndarray, s: np.ndarray, w0: np.ndarray,

@@ -150,13 +150,17 @@ class TestSimulateEuler:
                 if not np.isfinite(w):
                     first = j
                     break
-        with mock.patch.object(systems, "_affine_scan", wraps=systems._affine_scan) as scan:
+        scan_level = systems._ScanLevel.scan
+        with mock.patch.object(systems._ScanLevel, "scan", autospec=True,
+                               side_effect=scan_level) as scan:
             with pytest.raises(p.DivergenceError) as err:
                 p.simulate_euler(sys, p.Signal.zeros(grid, 1))
         assert err.value.step == first
-        # the block starts' level, called with P^64, returned non-finite starts
-        level_p, starts = scan.call_args_list[1].args[:2]
-        assert level_p.shape == (1, 1) and starts.shape == (257, 1, 1, 1)
+        # the block starts' level, the inner level of the steps' level with
+        # P^64, left its starts non-finite
+        (steps_level, _), (starts_level, starts) = (c.args[:2] for c in scan.call_args_list)
+        assert starts_level is steps_level.inner
+        assert starts_level.p.shape == (1, 1) and starts.shape == (257, 1, 1, 1)
         assert not np.isfinite(starts).all()
 
     def test_port_count_mismatch(self, oscillator):
@@ -335,6 +339,46 @@ class TestAffineScan:
         with mock.patch.object(systems, "_powers", wraps=systems._powers) as powers:
             p.simulate_euler(sys, random_signal(rng, grid, 2))
         assert powers.call_count == 3
+
+
+def scan_peak(p_mat, rows):
+    """Bytes that :func:`_affine_scan` allocates beyond ``rows`` at its peak."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _affine_scan(p_mat, rows)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestScanMemory:
+    @pytest.mark.parametrize("n, steps", [(2, 8192), (1, 16_384), (8, 2048), (8, 10_000),
+                                          (2, 100_000)])
+    def test_temporaries_stay_within_four_chunks_whatever_k(self, n, steps):
+        # z and one fill-in product are a chunk each; the levels' operators
+        # and block starts come to less than two chunks more.  Where K n is
+        # near _CHUNK_VALUES that is twice the rows; at K = 1e5 a fifth
+        rng = philox(steps)
+        p_mat = random_propagators(rng, n, 1, 1.0 / steps, midpoint=False, adjoint=False)[0]
+        rows = rng.normal(size=(steps + 1, n))
+        assert scan_peak(p_mat, rows) <= 4 * _CHUNK_VALUES * 8
+        assert np.isfinite(rows).all()
+
+    def test_a_stack_holds_no_more_than_its_elements_one_at_a_time(self):
+        # the Armijo evaluator's shape: 8 candidates of n = 8 at K = 1000,
+        # one chunk.  z holds the whole stack, as the candidates' own sweeps
+        # would; the copied forcing and the fill-in products are formed a
+        # group of candidates at a time, within _CHUNK_VALUES values
+        n, count, steps = 8, 8, 1000
+        rng = philox(5)
+        props = random_propagators(rng, n, count, 1.0 / steps, midpoint=False, adjoint=False)
+        rows = rng.normal(size=(steps + 1, count, n, 1))
+        singles = [rows[:, i:i + 1].copy() for i in range(count)]
+        stacked = scan_peak(props, rows)
+        assert stacked <= sum(scan_peak(props[i], single) for i, single in enumerate(singles))
+        for i, single in enumerate(singles):
+            assert np.array_equal(rows[:, i], single[:, 0])
 
 
 class TestBitExactIntegrators:
