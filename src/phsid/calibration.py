@@ -32,8 +32,6 @@ breaks descent.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
@@ -41,6 +39,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidModelError, LineSearchError
 from .matrices import PSDMatrix, SkewSymmetricMatrix, SymmetricMatrix, project_psd
+from .matrices import _is_finite, _is_integer, _is_real
 from .matrices import _skew_from_lower, _sym_from_lower
 from .sensitivity import (
     STRUCTURE_FULL,
@@ -66,25 +65,6 @@ _BATCH_WIDTH = 8
 # Bytes of the stacked states one evaluator call sweeps, (K+1) x n floats per
 # step-size candidate.
 _PASS_BYTES = 1 << 20
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """Whether the real ``value`` is finite as a float; an integer too large
-    for a float is not."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _is_integer(value) -> bool:
-    if isinstance(value, numbers.Integral):  # may be too large for a float
-        return not isinstance(value, bool)
-    return _is_real(value) and _is_finite(value) and int(value) == value
 
 
 @dataclass(frozen=True)

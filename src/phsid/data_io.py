@@ -47,15 +47,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import (
-    CalibrationConfig,
-    CalibrationResult,
-    _is_finite,
-    _is_integer,
-    _is_real,
-)
+from .calibration import CalibrationConfig, CalibrationResult
 from .errors import DimensionMismatchError, MalformedFileError
-from .matrices import PSDMatrix, SPDMatrix, SkewSymmetricMatrix
+from .matrices import PSDMatrix, SPDMatrix, SkewSymmetricMatrix, _is_finite, _is_integer, _is_real
 from .systems import (
     PHSystem,
     ReducedPHSystem,

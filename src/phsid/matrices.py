@@ -24,6 +24,8 @@ congruence transforms and projections.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +75,25 @@ def _frozen_vector(a, name) -> np.ndarray:
         raise InvalidModelError(f"{name} contains non-finite entries")
     a.flags.writeable = False
     return a
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """Whether the real ``value`` is finite as a float; an integer too large
+    for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _is_integer(value) -> bool:
+    if isinstance(value, numbers.Integral):  # may be too large for a float
+        return not isinstance(value, bool)
+    return _is_real(value) and _is_finite(value) and int(value) == value
 
 
 @dataclass(frozen=True)

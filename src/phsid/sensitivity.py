@@ -38,10 +38,9 @@ the residual r_j = B^T w_j - y_data_j and P = I + h (J-R),
     lambda_K = 0,   lambda_j = P^T lambda_{j+1} + h B r_j   (j = K-1, ..., 0),
 
 run through the integrators' affine-recurrence kernel
-``phsid.systems._affine_scan`` in reverse time, a blocked scan on P^T that
-advances a block of steps per gemm and scans the block starts the same way
-with (P^T)^m (within rounding of the per-step loop, which it runs itself
-for short K, the tail steps and an overflow), and
+``phsid.systems._affine_scan`` in reverse time, a recursive-doubling scan
+on P^T over chunks of steps (within rounding of the per-step loop, which
+it runs itself only after an overflow), and
 
     G = h * sum_{j<K} lambda_{j+1} w_j^T,
 
@@ -51,9 +50,9 @@ its coefficient off G and lambda_0:
     J[i,j] -> G[i,j] - G[j,i]        R[i,i] -> -G[i,i]
     R[i,j] -> -(G[i,j] + G[j,i])     x[i]   -> lambda_0[i]
 
-The sweep costs O(K m n^2) flops in gemms (m the scan's block length) and
-a few dozen numpy calls per chunk of blocks, and G one gemm, whatever the
-number of directions.
+The sweep costs O(K n^2 log L) flops in gemms (L the scan's chunk length)
+and a few dozen numpy calls per chunk, and G one gemm, whatever the number
+of directions.
 The adjoint forms the same derivatives as the per-direction route with its
 sums in another order, so the two agree up to rounding, not bit for bit.
 

@@ -30,16 +30,14 @@ v_j = u_{j+1} for the midpoint rule (M = I - h/2 (J-R), N = I + h/2 (J-R)).
 Both run through one shell, :func:`_integrate`: it allocates the state
 buffer, writes the forcing S v_j of every step into it with one batched
 matmul and hands it to :func:`_affine_scan`, the one step kernel, which the
-backward sweep of the adjoint gradient shares.  The kernel is a blocked
-scan: it advances a block of m steps with a gemm, and it scans the block
-starts, the same recurrence with propagator P^m, the same way one level
-down, so that only the last level of block starts steps.  Its states
-differ from the per-step loop ``P @ w + S @ v_j`` by rounding, at most
-1.3e-13 of max|w| in the measurements; the per-step loop itself runs for
-short K, over the K mod m tail steps and where the blocked states leave
-the finite range.  One :func:`_check_finite` raises DivergenceError at the
-first non-finite state, for either scheme, at the step the per-step loop
-reaches.
+backward sweep of the adjoint gradient shares.  The kernel is a
+recursive-doubling scan over chunks of steps, at every n and K: round d
+adds to each row the row 2^d steps earlier, propagated by P^(2^d).  Its
+states differ from the per-step loop ``P @ w + S @ v_j`` by rounding, at
+most 7.9e-13 of max|w| in the measurements; the per-step loop itself runs
+only where a chunk's states leave the finite range.  One
+:func:`_check_finite` raises DivergenceError at the first non-finite
+state, for either scheme, at the step the per-step loop reaches.
 """
 
 from __future__ import annotations
@@ -54,6 +52,9 @@ from .matrices import (
     SPDMatrix,
     SkewSymmetricMatrix,
     _frozen_vector,
+    _is_finite,
+    _is_integer,
+    _is_real,
 )
 
 
@@ -65,9 +66,9 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.t_end) and self.t_end > 0):
+        if not (_is_real(self.t_end) and _is_finite(self.t_end) and self.t_end > 0):
             raise DimensionMismatchError("t_end must be positive and finite")
-        if int(self.steps) != self.steps or self.steps < 1:
+        if not (_is_integer(self.steps) and self.steps >= 1):
             raise DimensionMismatchError("steps must be an integer >= 1")
         object.__setattr__(self, "t_end", float(self.t_end))
         object.__setattr__(self, "steps", int(self.steps))
@@ -229,23 +230,9 @@ def cholesky_reduce(sys: PHSystem) -> ReducedPHSystem:
     return ReducedPHSystem(j_red, r_red, v.T @ sys.B, v.T @ sys.x_hat)
 
 
-# The blocked scan advances m = _BLOCK_WIDTH // n steps per block, so each
-# block operator is about 64 x 64; blocks shorter than 3 steps do not pay,
-# nor do fewer than _MIN_BLOCKS of them.  It holds the forcing of
-# _CHUNK_VALUES // (m n) blocks of each stack element at a time; at n <= 21
-# such a chunk has enough block starts (>= 256 at n = 8) for the recursive
-# scan of the block starts to block again.  Its temporaries are about two
-# chunks per element plus the levels' operators, whatever K.
-_BLOCK_WIDTH = 64
-_MIN_BLOCKS = 4
+# The scan holds a chunk of _CHUNK_VALUES values of each stack element at a
+# time, _CHUNK_VALUES // n steps, in a chunk buffer and a product buffer.
 _CHUNK_VALUES = 1 << 14
-
-
-def _block_length(n: int) -> int:
-    """Steps per block of the blocked scan at state dimension ``n``, or 0
-    where the scan runs stepwise."""
-    m = _BLOCK_WIDTH // n
-    return m if m >= 3 else 0
 
 
 def _step_scan(p: np.ndarray, rows: np.ndarray) -> None:
@@ -266,129 +253,6 @@ def _step_scan(p: np.ndarray, rows: np.ndarray) -> None:
         add(nxt, step, out=nxt)
 
 
-def _powers(p: np.ndarray, m: int) -> np.ndarray:
-    """P^0 .. P^m of each propagator of ``p`` (c, n, n), as (c, m+1, n, n),
-    by doubling: one stacked matmul per power of two."""
-    n = p.shape[-1]
-    pw = np.empty((p.shape[0], m + 1, n, n))
-    pw[:, 0] = np.eye(n)
-    pw[:, 1] = p
-    k = 1
-    while k < m:
-        top = min(2 * k, m)
-        np.matmul(pw[:, 1:top - k + 1], pw[:, k:k + 1], out=pw[:, k + 1:top + 1])
-        k = top
-    return pw
-
-
-def _toeplitz(pw: np.ndarray) -> np.ndarray:
-    """Block lower-triangular Toeplitz operators (c, mn, mn) with block
-    (i, l) = P^(i-l) for i >= l, from the powers (c, m+1, n, n)."""
-    c, m, n = pw.shape[0], pw.shape[1] - 1, pw.shape[-1]
-    # row a of padded: row a of P^(m-1), ..., P^0, then m-1 zero blocks
-    padded = np.zeros((c, n, 2 * m - 1, n))
-    padded[:, :, :m] = pw[:, m - 1::-1].transpose(0, 2, 1, 3)
-    padded = padded.reshape(c, n, (2 * m - 1) * n)
-    # operator row (i, a) is padded[a, (m-1-i)n : (2m-1-i)n]
-    windows = np.lib.stride_tricks.sliding_window_view(padded, m * n, axis=2)[:, :, ::-n]
-    return np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(c, m * n, m * n)
-
-
-class _ScanLevel:
-    """One level of the blocked scan: the operators for a propagator P
-    (n, n), or one per stack element (c, n, n), with blocks of m steps, and
-    the scan that applies them to every chunk.
-
-    ``op_t`` is the transposed block-Toeplitz operator of P^0 .. P^(m-1),
-    ``powers_t`` maps a row state x_s to P^1 x_s .. P^m x_s, ``p_m`` is P^m
-    in the shape of P, and ``finite`` says per element whether the powers
-    are finite.  ``inner`` is the level of the block starts, whose
-    propagator is P^m; it is built on first use, so one call of
-    :func:`_affine_scan` builds each level once.  ``op_t`` is dropped once
-    no chunk needs it.
-    """
-
-    def __init__(self, p: np.ndarray, m: int):
-        n = p.shape[-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            pw = _powers(p.reshape(-1, n, n), m)
-            self.finite = np.isfinite(pw).all(axis=(1, 2, 3))
-            self.op_t = _toeplitz(pw).swapaxes(1, 2)
-        # (c, n, mn): a row state times it gives P^1 x_s .. P^m x_s
-        self.powers_t = pw[:, 1:].transpose(0, 3, 1, 2).reshape(-1, n, m * n)
-        self.p, self.m = p, m
-        self.p_m = pw[:, m] if p.ndim == 3 else pw[0, m]
-        self.inner: _ScanLevel | None = None
-
-    def scan(self, rows: np.ndarray, final: bool = True) -> None:
-        """:func:`_affine_scan` over ``rows`` of at least ``_MIN_BLOCKS`` blocks.
-
-        ``final`` says that the level will not scan again: it then drops
-        ``op_t`` once its last chunk has used it, so that the next level's
-        operators can take that memory instead of fresh pages.  Without
-        that, ``calibrate`` on two n = 8 models, whose candidate stacks are
-        scanned in one chunk, took 5% longer (1 BLAS thread).
-        """
-        p, m = self.p, self.m
-        n = p.shape[-1]
-        end = (rows.shape[0] - 1) // m * m
-        x = rows[..., 0] if rows.ndim == 4 else rows[:, None]  # (K+1, count, n)
-        count = x.shape[1]
-        chunk = max(1, _CHUNK_VALUES // (m * n)) * m
-        shared = p.ndim == 2
-        live = self.finite & np.ones(count, dtype=bool)
-        restart = np.zeros(count, dtype=int)  # where a dead element's rescan starts
-        # z_{s,i}: the forcing's share of x_{s+i}, one buffer for every chunk
-        z_all = np.empty((count, min(chunk, end) // m, m * n))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, end, chunk):
-                if not live.any():
-                    break
-                blocks = (min(lo + chunk, end) - lo) // m
-                group = max(1, _CHUNK_VALUES // (blocks * m * n))
-                groups = ([slice(g, g + group) for g in range(0, count, group)]
-                          if count > group else [slice(None)])
-                dest = x[lo + 1:lo + 1 + blocks * m].reshape(blocks, m, count, n)
-                z = z_all[:, :blocks]
-                for els in groups:  # each group's copied forcing is freed at once
-                    np.matmul(dest[:, :, els].transpose(2, 0, 1, 3).reshape(-1, blocks, m * n),
-                              self.op_t if shared else self.op_t[els], out=z[els])
-                last = final and lo + chunk >= end
-                if last:
-                    self.op_t = None
-                starts = np.empty((blocks + 1, count, n, 1))
-                starts[0, :, :, 0] = x[lo]
-                starts[1:, :, :, 0] = z.reshape(count, blocks, m, n)[:, :, -1].swapaxes(0, 1)
-                # x_{s+m} = P^m x_s + z_{s,m}, blocked again where the starts are long enough
-                if blocks < _MIN_BLOCKS * m:
-                    _step_scan(self.p_m, starts)
-                else:
-                    if self.inner is None:
-                        self.inner = _ScanLevel(self.p_m, m)
-                    self.inner.scan(starts, last)
-                starts_t = np.ascontiguousarray(starts[:-1, :, :, 0].swapaxes(0, 1))
-                for els in groups:
-                    z[els] += np.matmul(starts_t[els],
-                                        self.powers_t if shared else self.powers_t[els])
-                states = z.reshape(count, blocks, m, n)
-                # store the block ends that the next blocks were advanced from
-                states[:, :, -1] = starts[1:, :, :, 0].swapaxes(0, 1)
-                ok = live & np.isfinite(states).all(axis=(1, 2, 3))
-                if ok.all():
-                    dest[...] = states.transpose(1, 2, 0, 3)
-                else:
-                    dest[:, :, ok] = states[ok].transpose(1, 2, 0, 3)
-                    restart[live & ~ok] = lo
-                    live &= ok
-        for lo in sorted(set(restart[~live].tolist())):
-            # these elements still hold their forcing from row lo + 1 on
-            idx = np.flatnonzero(~live & (restart == lo))
-            sub = x[lo:end + 1, idx][..., None]
-            _step_scan(p if shared else p[idx], sub)
-            x[lo + 1:end + 1, idx] = sub[1:, :, :, 0]
-        _step_scan(p, rows[end:])
-
-
 def _affine_scan(p: np.ndarray, rows: np.ndarray) -> None:
     """Run the affine recurrence x_{j+1} = P x_j + f_j in place over ``rows``.
 
@@ -397,49 +261,68 @@ def _affine_scan(p: np.ndarray, rows: np.ndarray) -> None:
     (c, n, 1) stacks of columns with one shared P (n, n) or one per element
     (c, n, n).
 
-    The scan is blocked, the chunked form of a linear-recurrence prefix
-    scan, and recursive.  Within a block of m = :func:`_block_length` steps
-    from x_s,
+    The scan is a recursive-doubling prefix scan (Kogge & Stone 1973,
+    Hillis & Steele 1986) over chunks of L = ``_CHUNK_VALUES // n`` steps.
+    A chunk buffer y holds, per stack element, the chunk's start state and
+    then its forcing, as row vectors.  After the rounds s = 1, 2, 4, ...
+    while s <= L of
 
-        x_{s+i} = P^i x_s + sum_{l<i} P^(i-1-l) f_{s+l},   i = 1 .. m.
+        y[s:] += y[:-s] @ (P^T)^s,
 
-    For a chunk of blocks, one gemm applies the block-Toeplitz operator of
-    P^0 .. P^(m-1) to their forcing, giving the sums z.  The block starts
-    follow the affine recurrence x_{s+m} = P^m x_s + z_{s,m}, which the
-    next level (a :class:`_ScanLevel` with P^m) scans the same way: a level
-    blocks again while it has at least ``_MIN_BLOCKS`` blocks, and the last
-    level steps.  One more gemm fills in the states inside the blocks from
-    the block starts and P^1 .. P^m.  Each level's operators are built once
-    per call and reused by every chunk.  A stack applies one operator per
-    element by batched matmul, in the shapes of a single sweep, so each
-    element's states equal its own sweep bit for bit.  The blocked states
-    differ from the per-step loop by rounding, at most 1.3e-13 of max|x| in
-    the measurements.
+    y[i] is the state i steps past the chunk's start, and the chunk's last
+    state starts the next chunk.  The powers (P^T)^s are built once per
+    call by repeated squaring.  A stack applies one power per element by
+    batched matmul, in the shapes of a single sweep, so each element's
+    states equal its own sweep bit for bit.  The states differ from the
+    per-step loop by rounding, at most 7.9e-13 of max|x| in the
+    measurements.  Memory beyond ``rows``: y and one product buffer, each
+    at most ``_CHUNK_VALUES`` values per stack element, and the powers.
 
-    Memory beyond ``rows``: z, one buffer of a chunk of every stack
-    element, at most ``_CHUNK_VALUES`` values each and never more than the
-    rows themselves (as large as ``rows`` where K n is below
-    ``_CHUNK_VALUES``); the copied forcing and the fill-in products, formed
-    a group of elements at a time within ``_CHUNK_VALUES`` values; and each
-    level's operators, about (m n)^2 values per element.  The state buffer
-    dominates only where K n is well above ``_CHUNK_VALUES``.
-
-    :func:`_step_scan`, the per-step loop, runs instead where K is shorter
-    than ``_MIN_BLOCKS`` blocks and over the last K mod m steps.  It also
-    runs, element by element, from the first chunk whose blocked states
-    are not finite, or from x_0 where a power of P is not finite: a
-    chunk's forcing stays in ``rows`` until its states are written back,
+    Where an element's chunk is not finite, :func:`_step_scan`, the
+    per-step loop, rescans that element from the chunk's start to the end:
+    a chunk's forcing stays in ``rows`` until its states are written back,
     so the rescan reaches the same first non-finite step as the per-step
-    loop.  Where a level of block starts overflows, its rescan leaves the
-    starts non-finite, so the level above rescans those elements with P.
-    Overflow in the blocked stages is ignored; overflow in the per-step
-    loop is left to the caller's error state.
+    loop.  Overflow in the doubling rounds is ignored; overflow in the
+    rescan is left to the caller's error state.
     """
-    m = _block_length(p.shape[-1])
-    if not m or rows.shape[0] - 1 < _MIN_BLOCKS * m:
-        _step_scan(p, rows)
-    else:
-        _ScanLevel(p, m).scan(rows)
+    n = p.shape[-1]
+    x = rows[..., 0] if rows.ndim == 4 else rows[:, None]  # (K+1, count, n)
+    steps, count = x.shape[0] - 1, x.shape[1]
+    chunk = max(1, _CHUNK_VALUES // n)
+    width = min(chunk, steps)
+    y = np.empty((count, width + 1, n))
+    product = np.empty((count, width, n))
+    live = np.ones(count, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = [p.swapaxes(-1, -2)]  # (P^T)^(2^d)
+        while 1 << len(powers) <= width:
+            powers.append(powers[-1] @ powers[-1])
+    for lo in range(0, steps, chunk):
+        length = min(chunk, steps - lo)
+        chunk_y = y[:, :length + 1]
+        chunk_y[:, 0] = x[lo]
+        chunk_y[:, 1:] = x[lo + 1:lo + 1 + length].swapaxes(0, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for d, q in enumerate(powers):
+                s = 1 << d
+                if s > length:
+                    break
+                np.matmul(chunk_y[:, :-s], q, out=product[:, :length + 1 - s])
+                chunk_y[:, s:] += product[:, :length + 1 - s]
+            ok = live & np.isfinite(chunk_y).all(axis=(1, 2))
+        if ok.all():
+            x[lo + 1:lo + 1 + length] = chunk_y[:, 1:].swapaxes(0, 1)
+            continue
+        x[lo + 1:lo + 1 + length, ok] = chunk_y[ok, 1:].swapaxes(0, 1)
+        dead = np.flatnonzero(live & ~ok)
+        if dead.size:
+            # these elements still hold their forcing from row lo + 1 on
+            sub = x[lo:, dead][..., None]
+            _step_scan(p if p.ndim == 2 else p[dead], sub)
+            x[lo + 1:, dead] = sub[1:, :, :, 0]
+        live = ok
+        if not live.any():
+            break
 
 
 def _integrate(p: np.ndarray, s: np.ndarray, w0: np.ndarray,
@@ -451,7 +334,7 @@ def _integrate(p: np.ndarray, s: np.ndarray, w0: np.ndarray,
     (K+1, m, n).  The forcing S v_j of every step is written into rows 1..
     of the state buffer by one batched matmul (the same gemv per step as a
     single product) and copied across the stack, and :func:`_affine_scan`
-    then runs the recurrence over it in place: a blocked scan, within
+    then runs the recurrence over it in place: a doubling scan, within
     rounding of the per-step loop, where each stack element's states equal
     its own sweep bit for bit.  Non-finite states are returned as they are.
     """

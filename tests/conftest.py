@@ -4,34 +4,8 @@ import numpy as np
 import pytest
 
 import phsid as p
-from phsid.systems import _CHUNK_VALUES, _MIN_BLOCKS, _block_length
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def blocked_end(n, steps):
-    """Rows 1 .. blocked_end of a K = ``steps`` scan at dimension ``n`` come
-    from the blocked scan, the rest from the per-step loop; 0 where the whole
-    scan steps."""
-    m = _block_length(n)
-    if not m or steps < _MIN_BLOCKS * m:
-        return 0
-    return steps // m * m
-
-
-def scan_levels(n, steps):
-    """How many levels of a K = ``steps`` scan at dimension ``n`` block, in
-    its first chunk: the steps, then the block starts of each level that
-    blocked, each level holding at most a chunk of blocks."""
-    m = _block_length(n)
-    if not m:
-        return 0
-    chunk_blocks = max(1, _CHUNK_VALUES // (m * n))
-    levels, rows = 0, steps
-    while rows >= _MIN_BLOCKS * m:
-        levels += 1
-        rows = min(rows // m, chunk_blocks)
-    return levels
 
 
 def philox(seed):

@@ -13,7 +13,6 @@ import phsid.calibration as calibration
 import phsid.sensitivity as sensitivity
 from conftest import (
     FIXTURES,
-    blocked_end,
     diverging_system,
     philox,
     random_psd,
@@ -659,12 +658,11 @@ class TestBatchedSearch:
                             outcome(sequential_search, v, g, cost_at_v, b, u, y_data, cfg))
 
     def test_overflowing_candidates_on_the_blocked_path(self, oscillator, guess_point):
-        # K = 1000 steps is past the blocked scan's threshold at n = 2.  A J of
+        # K = 1000 steps is one chunk of the doubling scan at n = 2.  A J of
         # 1e200 overflows the powers of its propagator and a rate of 1e5 only
         # its states; both cost +inf, and every other candidate costs what a
         # sweep of its own gives
         grid = p.TimeGrid(1.0, 1000)
-        assert blocked_end(2, grid.steps) > 0
         u, y_data = p.generate_reference(oscillator, grid, p.NoiseSpec(seed=31))
         j = np.stack([guess_point.J.array * (1 + 0.1 * i) for i in range(6)])
         j[1] = diverging_system().J.array
@@ -696,15 +694,13 @@ class TestRecovery:
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(n=st.integers(1, 4), k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
     def test_perturbed_start_reaches_eps_stop(self, n, k, seed):
-        # noise-free data of a random truth, K = 300 steps: past the blocked
-        # scan's threshold at every n <= 4, so the evaluator, the adjoint and
-        # y_opt all run blocked.  The final cost below eps_stop bounds the RMS
-        # output mismatch over j < K by sqrt(2 eps_stop / t_end) = 4.5e-3;
-        # the largest mismatch stays within 5% of max |y_data|
+        # noise-free data of a random truth, K = 300 steps.  The final cost
+        # below eps_stop bounds the RMS output mismatch over j < K by
+        # sqrt(2 eps_stop / t_end) = 4.5e-3; the largest mismatch stays
+        # within 5% of max |y_data|
         rng = philox(seed)
         truth = random_reduced_system(rng, n, k)
         grid = p.TimeGrid(1.0, 300)
-        assert blocked_end(n, grid.steps) > 0
         u = random_signal(rng, grid, k)
         y_data = p.output(truth, p.simulate_euler(truth, u))
         cfg = p.CalibrationConfig(eps_stop=1e-5, max_iter=3000)

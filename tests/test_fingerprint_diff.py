@@ -49,6 +49,24 @@ def test_array_moves_reports_how_far_each_moved_array_moved(tmp_path):
     assert float(moves[0].rsplit("= ", 1)[1]) == pytest.approx(1e-14, rel=0.01)
 
 
+def test_array_moves_reports_how_far_each_moved_hex_list_moved(tmp_path):
+    def hexes(values):
+        return [float(v).hex() for v in values]
+
+    base = [0.5, -0.25, 2.0]
+    old = [line(case="a", cost_history=hexes(base), gradient_sq_norms=hexes(base)),
+           line(case="b", start_coefficients=hexes(base))]
+    new = [line(case="a", cost_history=hexes([0.5, -0.25 + 2e-15, 2.0]),
+                gradient_sq_norms=hexes(base)),
+           line(case="b", start_coefficients=hexes(base + [1.0]))]
+    # no .npy files were saved: the lists are read from the JSON lines
+    moves = fingerprint_diff.array_moves(old, new, tmp_path, tmp_path)
+    assert len(moves) == 2
+    assert moves[0].startswith("a: cost_history max|new - old| / max|old| = ")
+    assert float(moves[0].rsplit("= ", 1)[1]) == pytest.approx(1e-15, rel=0.01)
+    assert moves[1] == "b: start_coefficients shape (3,) -> (4,)\n"
+
+
 def test_array_file_names_one_file_per_case_and_key(tmp_path):
     names = {fingerprint_diff.array_file(tmp_path, case, key).name
              for case in ("oscillator seed=7 full project", "wide-n8 model=0")

@@ -9,7 +9,6 @@ from scipy.linalg import expm
 
 import phsid as p
 from conftest import (
-    blocked_end,
     diverging_system,
     oscillator_system,
     philox,
@@ -17,16 +16,9 @@ from conftest import (
     random_reduced_system,
     random_signal,
     random_skew,
-    scan_levels,
 )
 from phsid import systems
-from phsid.systems import (
-    _CHUNK_VALUES,
-    _MIN_BLOCKS,
-    _affine_scan,
-    _block_length,
-    _euler_states,
-)
+from phsid.systems import _CHUNK_VALUES, _affine_scan, _euler_states
 
 
 def euler_oracle(a, b, w0, u_values, h):
@@ -99,20 +91,19 @@ class TestSimulateEuler:
         assert 0 < err.value.step < 20
 
     def test_divergence_on_the_blocked_path_names_step_2(self):
-        # K = 1000 is past the blocked scan's threshold; the powers of the
-        # propagator overflow, so the scan steps from x_0
+        # K = 1000 is one chunk of the doubling scan; the powers of the
+        # propagator overflow, so the chunk is not finite and the scan steps
+        # from x_0
         grid = p.TimeGrid(1.0, 1000)
-        assert blocked_end(2, grid.steps) > 0
         with pytest.raises(p.DivergenceError) as err:
             p.simulate_euler(diverging_system(), p.Signal.zeros(grid, 1))
         assert err.value.step == 2
 
     def test_divergence_in_a_later_chunk_names_the_per_step_loop_step(self):
         # w' = -2.04 w with h = 1: the propagator -1.04 and its powers up to
-        # the block length are finite, and the states overflow after about
-        # 18100 steps, past the first chunk of blocks (_CHUNK_VALUES rows at
-        # n = 1); the rescan from that chunk's start names the per-step loop's
-        # step
+        # the chunk length are finite, and the states overflow after about
+        # 18100 steps, past the first chunk (_CHUNK_VALUES steps at n = 1);
+        # the rescan from that chunk's start names the per-step loop's step
         grid = p.TimeGrid(20000.0, 20000)
         sys = p.ReducedPHSystem(
             p.SkewSymmetricMatrix.zeros(1), p.PSDMatrix.from_matrix([[2.04]]),
@@ -125,43 +116,10 @@ class TestSimulateEuler:
                 if not np.isfinite(w):
                     first = j
                     break
-        assert blocked_end(1, grid.steps) > first > _CHUNK_VALUES
+        assert grid.steps > first > _CHUNK_VALUES
         with pytest.raises(p.DivergenceError) as err:
             p.simulate_euler(sys, p.Signal.zeros(grid, 1))
         assert err.value.step == first
-
-    def test_divergence_inside_a_block_start_level_names_the_per_step_loop_step(self):
-        # w' = -2.04 w with h = 1 from 1e300: the propagator -1.04 and the
-        # powers of every level are finite, and the states overflow after
-        # about 485 steps.  K = 16384 is one chunk whose 256 block starts
-        # block again: the starts overflow first in the level of block
-        # starts, whose rescan leaves them non-finite, so the steps' level
-        # rescans with the propagator and names the per-step loop's step
-        grid = p.TimeGrid(16384.0, 16384)
-        assert scan_levels(1, grid.steps) == 2
-        sys = p.ReducedPHSystem(
-            p.SkewSymmetricMatrix.zeros(1), p.PSDMatrix.from_matrix([[2.04]]),
-            np.zeros((1, 1)), np.array([1e300]))
-        propagator = 1.0 + grid.h * -2.04
-        w, first = 1e300, None
-        with np.errstate(over="ignore"):
-            for j in range(1, grid.num_nodes):
-                w = propagator * w
-                if not np.isfinite(w):
-                    first = j
-                    break
-        scan_level = systems._ScanLevel.scan
-        with mock.patch.object(systems._ScanLevel, "scan", autospec=True,
-                               side_effect=scan_level) as scan:
-            with pytest.raises(p.DivergenceError) as err:
-                p.simulate_euler(sys, p.Signal.zeros(grid, 1))
-        assert err.value.step == first
-        # the block starts' level, the inner level of the steps' level with
-        # P^64, left its starts non-finite
-        (steps_level, _), (starts_level, starts) = (c.args[:2] for c in scan.call_args_list)
-        assert starts_level is steps_level.inner
-        assert starts_level.p.shape == (1, 1) and starts.shape == (257, 1, 1, 1)
-        assert not np.isfinite(starts).all()
 
     def test_port_count_mismatch(self, oscillator):
         grid = p.TimeGrid(1.0, 5)
@@ -204,9 +162,9 @@ class TestStackedEuler:
         assert_diverged_element_is_returned(steps=100)
 
     def test_diverged_element_alone_is_rescanned_on_the_blocked_path(self):
-        # K = 1000 is blocked; the diverging element's chunk overflows and it
-        # alone is rescanned stepwise, the others keep their blocked states
-        assert blocked_end(2, 1000) > 0
+        # K = 1000 is one chunk of the doubling scan; the diverging element's
+        # chunk overflows and it alone is rescanned stepwise, the others keep
+        # their doubling-scan states
         assert_diverged_element_is_returned(steps=1000)
 
 
@@ -249,38 +207,19 @@ def random_propagators(rng, n, count, h, midpoint, adjoint):
 
 
 class TestAffineScan:
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(n=st.integers(1, 6), m=st.integers(0, 5), shared=st.booleans(),
-           steps=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
-    def test_equals_the_plain_loop(self, n, m, shared, steps, seed):
-        # m = 0 is a plain vector; m >= 1 a stack of (n, 1) columns, with one
-        # shared P or one P per element.  Where the kernel steps, it is the
-        # plain loop bit for bit: over all of a short K, and over the K mod
-        # block-length tail of a blocked scan, from the state the blocks reach
-        rng = philox(seed)
-        stack = (m,) if m else ()
-        p_mat = rng.normal(size=(n, n) if shared or not m else (m, n, n)) / n
-        rows = rng.normal(size=(steps + 1, *stack, n))
-        scanned = rows[..., None].copy() if m else rows.copy()
-        _affine_scan(p_mat, scanned)
-        scanned = scanned.reshape(rows.shape)
-        start = blocked_end(n, steps)
-        assert np.array_equal(scanned[start:],
-                              plain_loop(p_mat, np.concatenate([scanned[start:start + 1],
-                                                                rows[start + 1:]])))
-
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(1, 8), count=st.integers(0, 4), shared=st.booleans(),
            adjoint=st.booleans(), midpoint=st.booleans(), t_end=st.floats(0.5, 20.0),
-           extra=st.integers(0, 1500), seed=st.integers(0, 2**32 - 1))
+           steps=st.integers(1, 2500), seed=st.integers(0, 2**32 - 1))
     def test_blocked_states_within_replay_tolerance(self, n, count, shared, adjoint, midpoint,
-                                                    t_end, extra, seed):
-        # the blocked scan reorders the per-step loop's sums: on Euler and
+                                                    t_end, steps, seed):
+        # the doubling scan reorders the per-step loop's sums: on Euler and
         # midpoint propagators of random models, plain or transposed as the
         # adjoint sweeps them, it stays within 1e-12 of each element's largest
-        # state (perfbench's REPLAY_RTOL; 1.3e-13 measured at worst), for any
-        # K mod block length
-        steps = _MIN_BLOCKS * _block_length(n) + extra
+        # state (perfbench's REPLAY_RTOL; 7.9e-13 measured at worst), from
+        # K = 1 on and past the first chunk at n = 8.  count = 0 is a plain
+        # vector, count >= 1 a stack of (n, 1) columns with one shared P or
+        # one P per element
         h = t_end / steps
         rng = philox(seed)
         props = random_propagators(rng, n, 1 if shared or not count else count, h, midpoint,
@@ -296,29 +235,23 @@ class TestAffineScan:
         assert (np.abs(scanned - expected).max(axis=(0, -1)) <= 1e-12 * scale).all()
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(n=st.integers(1, 21), deep=st.booleans(), count=st.integers(1, 3),
-           shared=st.booleans(), midpoint=st.booleans(), t_end=st.floats(0.5, 20.0),
-           extra=st.integers(0, 700), seed=st.integers(0, 2**32 - 1))
-    def test_recursive_levels_within_replay_tolerance_and_bit_exact_per_element(
-            self, n, deep, count, shared, midpoint, t_end, extra, seed):
-        # K long enough that the block starts block again (2 levels), and at
-        # n >= 8, where a chunk holds enough starts, their starts too (3
-        # levels): every state stays within 1e-12 of each element's largest
-        # state of the per-step loop, each level's powers are built once, and
-        # each stack element equals its own single sweep bit for bit
-        levels = 3 if deep and n >= 8 else 2
-        m = _block_length(n)
-        steps = _MIN_BLOCKS * m ** levels + extra
-        assert scan_levels(n, steps) >= levels
+    @given(n=st.integers(1, 21), count=st.integers(1, 3), shared=st.booleans(),
+           midpoint=st.booleans(), t_end=st.floats(0.5, 20.0), extra=st.integers(0, 700),
+           seed=st.integers(0, 2**32 - 1))
+    def test_chunks_within_replay_tolerance_and_bit_exact_per_element(
+            self, n, count, shared, midpoint, t_end, extra, seed):
+        # K spans at least three chunks of _CHUNK_VALUES // n steps, each
+        # started from the last state of the one before: every state stays
+        # within 1e-12 of each element's largest state of the per-step loop,
+        # and each stack element equals its own single sweep bit for bit
+        steps = 2 * (_CHUNK_VALUES // n) + 1 + extra
         rng = philox(seed)
         props = random_propagators(rng, n, 1 if shared else count, t_end / steps, midpoint,
                                    adjoint=False)
         p_mat = props[0] if shared else props
         rows = rng.normal(size=(steps + 1, count, n))
         scanned = rows[..., None].copy()
-        with mock.patch.object(systems, "_powers", wraps=systems._powers) as powers:
-            _affine_scan(p_mat, scanned)
-        assert powers.call_count == scan_levels(n, steps)
+        _affine_scan(p_mat, scanned)
         scanned = scanned[..., 0]
         expected = plain_loop(p_mat, rows)
         scale = np.abs(expected).max(axis=(0, -1))
@@ -328,17 +261,31 @@ class TestAffineScan:
             _affine_scan(p_mat if shared else p_mat[i], single)
             assert np.array_equal(scanned[:, i], single[:, 0, :, 0])
 
-    def test_each_level_builds_its_powers_once_per_simulation(self):
-        # n = 8, K = 1e4: five chunks of at most 256 blocks, whose starts
-        # block twice more; the powers of P, P^8 and P^64 are each built once
-        rng = philox(12)
-        sys = random_reduced_system(rng, 8, 2)
-        grid = p.TimeGrid(1.0, 10_000)
-        assert scan_levels(8, grid.steps) == 3
-        assert grid.steps > 4 * _CHUNK_VALUES // 8
-        with mock.patch.object(systems, "_powers", wraps=systems._powers) as powers:
-            p.simulate_euler(sys, random_signal(rng, grid, 2))
-        assert powers.call_count == 3
+    @pytest.mark.parametrize("n", [1, 2, 8, 21, 22, 32])
+    def test_per_step_loop_runs_only_after_an_overflow(self, n):
+        # the doubling scan serves every n and K, n > 21 too: on finite runs
+        # of K = 1, a few steps and more than one chunk, single sweeps and
+        # stacks with a shared P or one per element, the per-step loop never
+        # runs; a run that overflows rescans its chunk with it
+        rng = philox(n)
+        chunk = _CHUNK_VALUES // n
+        for steps in (1, 5, chunk + 3):
+            props = random_propagators(rng, n, 3, 1.0 / steps, midpoint=False, adjoint=False)
+            for p_mat, shape in ((props[0], (steps + 1, n)), (props[0], (steps + 1, 3, n, 1)),
+                                 (props, (steps + 1, 3, n, 1))):
+                rows = rng.normal(size=shape)
+                with mock.patch.object(systems, "_step_scan",
+                                       wraps=systems._step_scan) as step_scan:
+                    _affine_scan(p_mat, rows)
+                assert step_scan.call_count == 0
+                assert np.isfinite(rows).all()
+        # 16 I overflows within 256 steps, in the first chunk at n <= 32
+        rows = rng.normal(size=(chunk + 4, n))
+        with mock.patch.object(systems, "_step_scan", wraps=systems._step_scan) as step_scan:
+            with np.errstate(over="ignore", invalid="ignore"):
+                _affine_scan(16.0 * np.eye(n), rows)
+        assert step_scan.call_count == 1
+        assert not np.isfinite(rows[-1]).any()
 
 
 def scan_peak(p_mat, rows):
@@ -382,39 +329,32 @@ class TestScanMemory:
 
 
 class TestBitExactIntegrators:
-    """Both integrators equal their per-step loops in the pre-kernel order
-    wherever the kernel steps: over all of a short K, and over the tail of a
-    blocked scan from the state its blocks reach."""
+    """Both integrators are :func:`_affine_scan` run on their textbook
+    propagator and forcing, bit for bit."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(n=st.integers(1, 8), k=st.integers(1, 3), steps=st.integers(1, 300),
+    @given(n=st.integers(1, 8), k=st.integers(1, 3), steps=st.integers(1, 2500),
            seed=st.integers(0, 2**32 - 1))
-    def test_integrators_equal_per_step_loops(self, n, k, steps, seed):
+    def test_integrators_equal_the_kernel_bit_for_bit(self, n, k, steps, seed):
         rng = philox(seed)
         sys = random_reduced_system(rng, n, k)
         grid = p.TimeGrid(1.0, steps)
         u = random_signal(rng, grid, k)
         h, a = grid.h, sys.drift()
-        start = blocked_end(n, steps)
 
-        propagator, hb = np.eye(n) + h * a, h * sys.B
-        states = p.simulate_euler(sys, u).states
-        w, expected = states[start], [states[start]]
-        for j in range(start, steps):
-            w = propagator @ w + hb @ u.values[j]
-            expected.append(w)
-        assert np.array_equal(states[start:], np.array(expected))
+        def kernel_states(propagator, source, inputs):
+            rows = np.array([sys.w_hat] + [source @ v for v in inputs])
+            _affine_scan(propagator, rows)
+            return rows
+
+        expected = kernel_states(np.eye(n) + h * a, h * sys.B, u.values[:-1])
+        assert np.array_equal(p.simulate_euler(sys, u).states, expected)
 
         m_minus = np.eye(n) - 0.5 * h * a
         m_plus = np.eye(n) + 0.5 * h * a
-        propagator = np.linalg.solve(m_minus, m_plus)
-        source = np.linalg.solve(m_minus, h * sys.B)
-        states = p.simulate_discrete_gradient(sys, u).states
-        w, expected = states[start], [states[start]]
-        for j in range(start, steps):
-            w = propagator @ w + source @ u.values[j + 1]
-            expected.append(w)
-        assert np.array_equal(states[start:], np.array(expected))
+        expected = kernel_states(np.linalg.solve(m_minus, m_plus),
+                                 np.linalg.solve(m_minus, h * sys.B), u.values[1:])
+        assert np.array_equal(p.simulate_discrete_gradient(sys, u).states, expected)
 
     @pytest.mark.parametrize("simulate", [p.simulate_euler, p.simulate_discrete_gradient])
     def test_peak_memory_is_the_state_buffer(self, simulate):
@@ -459,9 +399,8 @@ class TestDiscreteGradient:
         assert_midpoint_overflow_at_step_2(steps=4)
 
     def test_divergence_on_the_blocked_path_reports_step(self):
-        # K = 1000 is blocked: the first chunk's blocked states overflow and
+        # K = 1000 is one chunk of the doubling scan: its states overflow and
         # it is rescanned stepwise from x_0
-        assert blocked_end(1, 1000) > 0
         assert_midpoint_overflow_at_step_2(steps=1000)
 
     def test_skew_only_conserves_energy(self):

@@ -19,7 +19,13 @@ class TestTimeGrid:
         assert grid.num_nodes == 5
         np.testing.assert_array_equal(grid.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
 
-    @pytest.mark.parametrize("t_end,steps", [(0.0, 10), (-1.0, 10), (1.0, 0), (np.inf, 10)])
+    @pytest.mark.parametrize("t_end,steps", [
+        (0.0, 10), (-1.0, 10), (1.0, 0), (np.inf, 10),
+        pytest.param(1.0, float("inf"), id="steps-inf"),
+        pytest.param(1.0, float("nan"), id="steps-nan"),
+        pytest.param(10**400, 5, id="t_end-too-large-for-a-float"),
+        pytest.param(1.0, True, id="steps-bool"),
+    ])
     def test_rejects_bad_parameters(self, t_end, steps):
         with pytest.raises(p.DimensionMismatchError):
             p.TimeGrid(t_end, steps)

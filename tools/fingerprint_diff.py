@@ -8,10 +8,12 @@ temporary directory.  Then runs the working tree's
 with BASE's ``src`` and once with the working tree's ``src`` as PYTHONPATH,
 and prints a unified diff of each pair of outputs.  After each diff it lists
 every case whose JSON line differs with the names of the keys that moved,
-e.g. ``oscillator seed=7 full project: cost_history, v_opt``.  For the
-arrays that ``calibration_fingerprint.py`` prints only as digests it then
-loads both sides' saved ``.npy`` copies and prints how far each moved array
-moved, ``max|new - old| / max|old|``.  Then one summary line per tool.
+e.g. ``oscillator seed=7 full project: cost_history, v_opt``.  Then it
+prints how far each moved array moved, ``max|new - old| / max|old|``: for
+the lists printed as hex floats (``cost_history``, ``gradient_sq_norms``,
+``start_coefficients``, ...) from the two JSON lines, and for the arrays
+that ``calibration_fingerprint.py`` prints only as digests from both
+sides' saved ``.npy`` copies.  Then one summary line per tool.
 Exits 0 when both pairs are identical and 1 when either differs.  The
 temporary directory is removed and no bytecode is written, so the run
 leaves nothing behind.
@@ -55,14 +57,15 @@ def array_file(directory: Path, case: str, key: str) -> Path:
     return Path(directory) / f"{re.sub(r'[^A-Za-z0-9.-]+', '_', case)}.{key}.npy"
 
 
-def _moved(old: list[str], new: list[str]) -> dict[str, list[str]]:
-    """The keys whose values differ, for each case whose JSON line differs;
-    lines that are not JSON records are skipped."""
-    def records(lines):
-        return {rec["case"]: rec for rec in (json.loads(line) for line in lines
-                                             if line.startswith("{"))}
+def _records(lines: list[str]) -> dict[str, dict]:
+    """The JSON records of ``lines`` by case; other lines are skipped."""
+    return {rec["case"]: rec for rec in (json.loads(line) for line in lines
+                                         if line.startswith("{"))}
 
-    before, after = records(old), records(new)
+
+def _moved(old: list[str], new: list[str]) -> dict[str, list[str]]:
+    """The keys whose values differ, for each case whose JSON line differs."""
+    before, after = _records(old), _records(new)
     out = {}
     for case in dict.fromkeys([*before, *after]):
         a, b = before.get(case, {}), after.get(case, {})
@@ -78,15 +81,20 @@ def moved_keys(old: list[str], new: list[str]) -> list[str]:
 
 
 def array_moves(old: list[str], new: list[str], old_dir: Path, new_dir: Path) -> list[str]:
-    """``case: key max|new - old| / max|old| = ...`` for each moved key whose
-    array both sides saved."""
+    """``case: key max|new - old| / max|old| = ...`` for each moved key that
+    is a list of hex floats on both sides or whose array both sides saved."""
+    before, after = _records(old), _records(new)
     out = []
     for case, keys in _moved(old, new).items():
         for key in keys:
+            values = [before.get(case, {}).get(key), after.get(case, {}).get(key)]
             paths = [array_file(d, case, key) for d in (old_dir, new_dir)]
-            if not all(path.exists() for path in paths):
+            if all(isinstance(v, list) for v in values):
+                a, b = (np.array([float.fromhex(x) for x in v]) for v in values)
+            elif all(path.exists() for path in paths):
+                a, b = (np.load(path) for path in paths)
+            else:
                 continue
-            a, b = (np.load(path) for path in paths)
             if a.shape != b.shape:
                 out.append(f"{case}: {key} shape {a.shape} -> {b.shape}\n")
                 continue

@@ -12,7 +12,7 @@ sides of a pair.  A worker times a case as the median of ``CALLS`` calls
 with ``perf_counter``.
 
 Cases: ``simulate_euler`` and ``simulate_discrete_gradient`` at
-n in {2, 8, 16} x K in {1e3, 1e4, 1e5} (perfbench's random n, k=2 truth of
+n in {2, 8, 16, 32} x K in {1e3, 1e4, 1e5} (perfbench's random n, k=2 truth of
 model seed n, h = 1e-3), and ``calibrate`` on perfbench's ``wide-n8``
 models 0 and 6 and on the oscillator with noise seed 7 (K = 1e3).
 ``--tiny`` runs n = 2, K = 200 and calibrations of 2 iterations, for tests.
@@ -52,7 +52,7 @@ def cases(tiny: bool):
     import phsid
     from workloads import grid, oscillator_guess, oscillator_truth, random_model
 
-    sizes = ((2,), (200,)) if tiny else ((2, 8, 16), (1_000, 10_000, 100_000))
+    sizes = ((2,), (200,)) if tiny else ((2, 8, 16, 32), (1_000, 10_000, 100_000))
     for n in sizes[0]:
         truth, _ = random_model(n, n, 2)
         for steps in sizes[1]:
