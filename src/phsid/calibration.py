@@ -248,10 +248,13 @@ class _BatchEvaluator:
 
     A call integrates as many of the candidates as fit in ``_PASS_BYTES`` of
     stacked states (at least one) in one Euler sweep and returns their costs,
-    +inf for a candidate that diverged.  Each candidate's cost is formed from
-    its own contiguous (K+1, n) states, as :func:`cost` forms it, so it
-    equals a one-candidate evaluation bit for bit.  The sweep of the last
-    call is kept, so the accepted candidate's states need no second sweep.
+    +inf for a candidate that diverged.  The sweep's states are
+    element-major, so each candidate's (K+1, n) states are a contiguous
+    slice of them; its cost is formed from that slice, as :func:`cost` forms
+    it, and equals a one-candidate evaluation bit for bit.  Only the
+    candidates that the scan's mask names finite are costed.  The sweep of
+    the last call is kept, so the accepted candidate's states need no
+    second sweep.
     """
 
     def __init__(self, b: np.ndarray, u: Signal, y_data: Signal):
@@ -263,18 +266,16 @@ class _BatchEvaluator:
         num_nodes, n = self.u_values.shape[0], w_stack.shape[1]
         m = _pass_width(num_nodes, n, w_stack.shape[0])
         drifts, w0 = j_stack[:m] - r_stack[:m], w_stack[:m]
-        states = _euler_states(drifts, self.b, w0, self.u_values, self.h)
+        states, finite = _euler_states(drifts, self.b, w0, self.u_values, self.h)
         costs = np.full(m, np.inf)
-        for i in range(m):
-            own = np.ascontiguousarray(states[:, i])
-            if np.isfinite(own).all():
-                costs[i] = _output_cost(own, self.b, self.y_values, self.h)
+        for i in np.flatnonzero(finite):
+            costs[i] = _output_cost(states[i], self.b, self.y_values, self.h)
         self._last = states
         return costs
 
     def states_of(self, row: int) -> np.ndarray:
         """Euler states of the candidate in ``row`` of the last call."""
-        return np.ascontiguousarray(self._last[:, row])
+        return self._last[row]
 
 
 def calibrate(v0: ParameterPoint, u: Signal, y_data: Signal, b,

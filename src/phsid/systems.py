@@ -28,16 +28,19 @@ Both are the affine recurrence w_{j+1} = P w_j + S v_j: P = I + h(J-R),
 S = h B and v_j = u_j for Euler, P = M^{-1} N, S = M^{-1} h B and
 v_j = u_{j+1} for the midpoint rule (M = I - h/2 (J-R), N = I + h/2 (J-R)).
 Both run through one shell, :func:`_integrate`: it allocates the state
-buffer, writes the forcing S v_j of every step into it with one batched
-matmul and hands it to :func:`_affine_scan`, the one step kernel, which the
-backward sweep of the adjoint gradient shares.  The kernel is a
-recursive-doubling scan over chunks of steps, at every n and K: round d
-adds to each row the row 2^d steps earlier, propagated by P^(2^d).  Its
-states differ from the per-step loop ``P @ w + S @ v_j`` by rounding, at
-most 7.9e-13 of max|w| in the measurements; the per-step loop itself runs
-only where a chunk's states leave the finite range.  One
-:func:`_check_finite` raises DivergenceError at the first non-finite
-state, for either scheme, at the step the per-step loop reaches.
+buffer, element-major (m, K+1, n) for a stack of m models, writes the
+forcing S v_j of every step into it with one gemm, ``inputs @ S^T``, and
+hands it to :func:`_affine_scan`, the one step kernel, which the backward
+sweep of the adjoint gradient shares.  The kernel is a recursive-doubling
+scan over chunks of steps, at every n and K, run in place on the buffer:
+round d adds to each row the row 2^d steps earlier, propagated by P^(2^d).
+Its states differ from the per-step loop ``P @ w + S @ v_j`` by rounding,
+at most 7.9e-13 of max|w| in the measurements; the per-step loop itself
+runs only where a chunk's states leave the finite range.  The kernel tests
+each chunk for finiteness once and returns which elements stayed finite,
+so :func:`_check_finite` reads the states again only where one did not; it
+raises DivergenceError at the first non-finite state, for either scheme,
+at the step the per-step loop reaches.
 """
 
 from __future__ import annotations
@@ -230,19 +233,22 @@ def cholesky_reduce(sys: PHSystem) -> ReducedPHSystem:
     return ReducedPHSystem(j_red, r_red, v.T @ sys.B, v.T @ sys.x_hat)
 
 
-# The scan holds a chunk of _CHUNK_VALUES values of each stack element at a
-# time, _CHUNK_VALUES // n steps, in a chunk buffer and a product buffer.
+# The scan runs the rounds of a chunk of _CHUNK_VALUES values of each stack
+# element, _CHUNK_VALUES // n steps, at a time, and holds that chunk's forcing
+# and one round's products beside the rows.
 _CHUNK_VALUES = 1 << 14
 
 
 def _step_scan(p: np.ndarray, rows: np.ndarray) -> None:
-    """The per-step loop of :func:`_affine_scan`, with the same contract.
+    """The per-step loop x_{j+1} = P x_j + f_j, in place over time-major ``rows``.
 
-    Each step is two C calls, ``matmul(P, x_j)`` into a scratch row and its
-    addition onto f_j, so every element's states equal the plain
-    ``P @ x_j + f_j`` loop bit for bit.  A stack of one steps as a plain
-    vector: the same gemv, with less per-call overhead than a stack of one
-    column.
+    ``rows`` (K+1, n) with P (n, n), or (K+1, c, n, 1) stacks of columns
+    with one shared P (n, n) or one per element (c, n, n); on entry
+    ``rows[0]`` holds x_0 and ``rows[j+1]`` the forcing f_j.  Each step is
+    two C calls, ``matmul(P, x_j)`` into a scratch row and its addition onto
+    f_j, so every element's states equal the plain ``P @ x_j + f_j`` loop
+    bit for bit.  A stack of one steps as a plain vector: the same gemv,
+    with less per-call overhead than a stack of one column.
     """
     if rows.ndim == 4 and rows.shape[1] == 1:
         rows, p = rows[:, 0, :, 0], p.reshape(p.shape[-2:])
@@ -253,109 +259,113 @@ def _step_scan(p: np.ndarray, rows: np.ndarray) -> None:
         add(nxt, step, out=nxt)
 
 
-def _affine_scan(p: np.ndarray, rows: np.ndarray) -> None:
+def _affine_scan(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Run the affine recurrence x_{j+1} = P x_j + f_j in place over ``rows``.
 
-    On entry ``rows[0]`` holds x_0 and ``rows[j+1]`` the forcing f_j; on
-    return ``rows[j]`` holds x_j.  Rows are (n,) vectors with P (n, n), or
-    (c, n, 1) stacks of columns with one shared P (n, n) or one per element
-    (c, n, n).
+    On entry ``rows[..., 0, :]`` holds x_0 and ``rows[..., j+1, :]`` the
+    forcing f_j; on return ``rows[..., j, :]`` holds x_j.  ``rows`` is one
+    sweep (K+1, n) with P (n, n), or an element-major stack (c, K+1, n) with
+    one shared P (n, n) or one per element (c, n, n).  Returns the mask
+    (c,), (1,) for one sweep, of the elements whose states are all finite.
 
     The scan is a recursive-doubling prefix scan (Kogge & Stone 1973,
     Hillis & Steele 1986) over chunks of L = ``_CHUNK_VALUES // n`` steps.
-    A chunk buffer y holds, per stack element, the chunk's start state and
-    then its forcing, as row vectors.  After the rounds s = 1, 2, 4, ...
-    while s <= L of
+    On the chunk's own rows y, a view that starts at the chunk's start
+    state, the rounds s = 1, 2, 4, ... while s <= L of
 
-        y[s:] += y[:-s] @ (P^T)^s,
+        y[s:] += y[:-s] @ (P^T)^s
 
-    y[i] is the state i steps past the chunk's start, and the chunk's last
-    state starts the next chunk.  The powers (P^T)^s are built once per
-    call by repeated squaring.  A stack applies one power per element by
-    batched matmul, in the shapes of a single sweep, so each element's
-    states equal its own sweep bit for bit.  The states differ from the
-    per-step loop by rounding, at most 7.9e-13 of max|x| in the
-    measurements.  Memory beyond ``rows``: y and one product buffer, each
-    at most ``_CHUNK_VALUES`` values per stack element, and the powers.
+    leave in y[i] the state i steps past the chunk's start, and the chunk's
+    last state starts the next chunk.  The powers (P^T)^s are built once per
+    call by repeated squaring from a contiguous P^T.  A stack applies one
+    power per element by batched matmul, in the shapes of a single sweep, so
+    each element's states equal its own sweep bit for bit.  The states
+    differ from the per-step loop by rounding, at most 7.9e-13 of max|x| in
+    the measurements.  Memory beyond ``rows`` on a finite run: a copy of the
+    chunk's forcing and one product buffer, each at most ``_CHUNK_VALUES``
+    values per stack element, and the powers.
 
-    Where an element's chunk is not finite, :func:`_step_scan`, the
-    per-step loop, rescans that element from the chunk's start to the end:
-    a chunk's forcing stays in ``rows`` until its states are written back,
-    so the rescan reaches the same first non-finite step as the per-step
-    loop.  Overflow in the doubling rounds is ignored; overflow in the
-    rescan is left to the caller's error state.
+    Each chunk is tested for finiteness once, after its rounds.  An element
+    whose chunk is not finite gets its forcing back from the copy and
+    :func:`_step_scan`, the per-step loop, rescans it from the chunk's start
+    to the end, so the rescan reaches the same first non-finite step as the
+    per-step loop, and the mask reads the rescanned states.  The remaining
+    rows of the other elements are then copied out and scanned on their own
+    from the next chunk's start, so their chunks and bits do not change.
+    Overflow in the doubling rounds is ignored; overflow in the rescan is
+    left to the caller's error state.
     """
-    n = p.shape[-1]
-    x = rows[..., 0] if rows.ndim == 4 else rows[:, None]  # (K+1, count, n)
-    steps, count = x.shape[0] - 1, x.shape[1]
+    x = rows if rows.ndim == 3 else rows[None]  # (count, K+1, n)
+    count, steps, n = x.shape[0], x.shape[1] - 1, x.shape[2]
     chunk = max(1, _CHUNK_VALUES // n)
     width = min(chunk, steps)
-    y = np.empty((count, width + 1, n))
+    forcing = np.empty((count, width, n))
     product = np.empty((count, width, n))
-    live = np.ones(count, dtype=bool)
+    finite = np.ones(count, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = [p.swapaxes(-1, -2)]  # (P^T)^(2^d)
+        powers = [np.ascontiguousarray(p.swapaxes(-1, -2))]  # (P^T)^(2^d)
         while 1 << len(powers) <= width:
             powers.append(powers[-1] @ powers[-1])
     for lo in range(0, steps, chunk):
         length = min(chunk, steps - lo)
-        chunk_y = y[:, :length + 1]
-        chunk_y[:, 0] = x[lo]
-        chunk_y[:, 1:] = x[lo + 1:lo + 1 + length].swapaxes(0, 1)
+        y = x[:, lo:lo + length + 1]
+        forcing[:, :length] = y[:, 1:]
         with np.errstate(over="ignore", invalid="ignore"):
             for d, q in enumerate(powers):
                 s = 1 << d
                 if s > length:
                     break
-                np.matmul(chunk_y[:, :-s], q, out=product[:, :length + 1 - s])
-                chunk_y[:, s:] += product[:, :length + 1 - s]
-            ok = live & np.isfinite(chunk_y).all(axis=(1, 2))
+                np.matmul(y[:, :-s], q, out=product[:, :length + 1 - s])
+                y[:, s:] += product[:, :length + 1 - s]
+            ok = np.isfinite(y).all(axis=(1, 2))
         if ok.all():
-            x[lo + 1:lo + 1 + length] = chunk_y[:, 1:].swapaxes(0, 1)
             continue
-        x[lo + 1:lo + 1 + length, ok] = chunk_y[ok, 1:].swapaxes(0, 1)
-        dead = np.flatnonzero(live & ~ok)
-        if dead.size:
-            # these elements still hold their forcing from row lo + 1 on
-            sub = x[lo:, dead][..., None]
-            _step_scan(p if p.ndim == 2 else p[dead], sub)
-            x[lo + 1:, dead] = sub[1:, :, :, 0]
-        live = ok
-        if not live.any():
-            break
+        dead = np.flatnonzero(~ok)
+        y[dead, 1:] = forcing[dead, :length]
+        sub = x[dead, lo:].swapaxes(0, 1)[..., None].copy()  # time-major
+        _step_scan(p if p.ndim == 2 else p[dead], sub)
+        x[dead, lo + 1:] = sub[1:, :, :, 0].swapaxes(0, 1)
+        finite[dead] = np.isfinite(sub).all(axis=(0, 2, 3))
+        live = np.flatnonzero(ok)
+        if live.size and lo + length < steps:
+            rest = x[live, lo + length:]
+            finite[live] = _affine_scan(p if p.ndim == 2 else p[live], rest)
+            x[live, lo + length + 1:] = rest[:, 1:]
+        break
+    return finite
 
 
 def _integrate(p: np.ndarray, s: np.ndarray, w0: np.ndarray,
-               inputs: np.ndarray) -> np.ndarray:
-    """States of the recurrence w_{j+1} = P w_j + S v_j, v_j = ``inputs[j]``.
+               inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """States of the recurrence w_{j+1} = P w_j + S v_j, v_j = ``inputs[j]``,
+    and the scan's mask of the elements that stayed finite.
 
     One propagator ``p`` (n, n) with ``w0`` (n,) gives states (K+1, n); a
     stack of m propagators (m, n, n) with initial states (m, n) gives
-    (K+1, m, n).  The forcing S v_j of every step is written into rows 1..
-    of the state buffer by one batched matmul (the same gemv per step as a
-    single product) and copied across the stack, and :func:`_affine_scan`
-    then runs the recurrence over it in place: a doubling scan, within
-    rounding of the per-step loop, where each stack element's states equal
-    its own sweep bit for bit.  Non-finite states are returned as they are.
+    element-major states (m, K+1, n).  The forcing S v_j of every step is
+    written into rows 1.. of the first element by one gemm,
+    ``inputs @ S^T``, and copied to the other elements, and
+    :func:`_affine_scan` then runs the recurrence over the buffer in place:
+    a doubling scan, within rounding of the per-step loop, where each stack
+    element's states equal its own sweep bit for bit.  Non-finite states
+    are returned as they are.
     """
     steps, n = inputs.shape[0], p.shape[-1]
     stacked = p.ndim == 3
-    count = p.shape[0] if stacked else 1
-    # (n, 1) columns, so that the stacked product is a gemv per element
-    states = np.empty((steps + 1, count, n, 1))
-    states[0, :, :, 0] = w0
+    states = np.empty((p.shape[0] if stacked else 1, steps + 1, n))
+    states[:, 0] = w0
     with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(s, inputs[:, :, None], out=states[1:, 0])
-        states[1:, 1:] = states[1:, :1]  # one input drives every element
-        _affine_scan(p, states)
-    return states.reshape((steps + 1, count, n) if stacked else (steps + 1, n))
+        np.matmul(inputs, s.T, out=states[0, 1:])
+        states[1:, 1:] = states[0, 1:]  # one input drives every element
+        finite = _affine_scan(p, states)
+    return (states if stacked else states[0]), finite
 
 
-def _check_finite(states: np.ndarray, scheme: str) -> None:
-    """Raise DivergenceError naming the first row of ``states`` with a non-finite entry."""
-    finite = np.isfinite(states).all(axis=1)
-    if not finite.all():
-        raise DivergenceError(int(np.argmin(finite)), scheme)
+def _check_finite(states: np.ndarray, finite: np.ndarray, scheme: str) -> None:
+    """Raise DivergenceError naming the first row of one sweep's ``states``
+    with a non-finite entry, if the scan's mask ``finite`` says there is one."""
+    if not finite[0]:
+        raise DivergenceError(int(np.argmin(np.isfinite(states).all(axis=1))), scheme)
 
 
 def _euler_states(a: np.ndarray, b: np.ndarray, w0: np.ndarray,
@@ -364,13 +374,16 @@ def _euler_states(a: np.ndarray, b: np.ndarray, w0: np.ndarray,
 
     :func:`_integrate` with P = I + h a and S = h b on u_0 .. u_{K-1}, for one
     drift ``a`` (n, n) or a stack of m drifts (m, n, n).  A single drift
-    raises DivergenceError through :func:`_check_finite` at the first
-    non-finite step; a stack is returned as it is, the elements that
-    diverged holding non-finite states.
+    gives its states (K+1, n) and raises DivergenceError through
+    :func:`_check_finite` at the first non-finite step.  A stack gives its
+    element-major states (m, K+1, n) as they are, the elements that diverged
+    holding non-finite states, and the mask (m,) of the elements that stayed
+    finite.
     """
-    states = _integrate(np.eye(a.shape[-1]) + h * a, h * b, w0, u_values[:-1])
-    if a.ndim == 2:
-        _check_finite(states, "explicit Euler")
+    states, finite = _integrate(np.eye(a.shape[-1]) + h * a, h * b, w0, u_values[:-1])
+    if a.ndim == 3:
+        return states, finite
+    _check_finite(states, finite, "explicit Euler")
     return states
 
 
@@ -417,9 +430,9 @@ def simulate_discrete_gradient(sys: ReducedPHSystem, u: Signal) -> Trajectory:
     a = sys.drift()
     m_minus = np.eye(sys.n) - 0.5 * h * a
     m_plus = np.eye(sys.n) + 0.5 * h * a
-    states = _integrate(np.linalg.solve(m_minus, m_plus), np.linalg.solve(m_minus, h * sys.B),
-                        sys.w_hat, u.values[1:])
-    _check_finite(states, "discrete-gradient scheme")
+    states, finite = _integrate(np.linalg.solve(m_minus, m_plus),
+                                np.linalg.solve(m_minus, h * sys.B), sys.w_hat, u.values[1:])
+    _check_finite(states, finite, "discrete-gradient scheme")
     return Trajectory(u.grid, states)
 
 

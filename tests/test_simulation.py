@@ -90,7 +90,7 @@ class TestSimulateEuler:
             p.simulate_euler(sys, p.Signal.zeros(grid, 1))
         assert 0 < err.value.step < 20
 
-    def test_divergence_on_the_blocked_path_names_step_2(self):
+    def test_overflowing_propagator_powers_name_step_2(self):
         # K = 1000 is one chunk of the doubling scan; the powers of the
         # propagator overflow, so the chunk is not finite and the scan steps
         # from x_0
@@ -145,7 +145,6 @@ class TestStackedEuler:
     @given(n=st.integers(1, 6), k=st.integers(1, 3), m=st.integers(1, 8),
            steps=st.integers(1, 1200), seed=st.integers(0, 2**32 - 1))
     def test_each_element_equals_its_own_sweep(self, n, k, m, steps, seed):
-        # from K = 256 at n = 1 (K = 40 at n = 6) the scan is blocked
         rng = philox(seed)
         drifts = np.stack([random_skew(rng, n).array - random_psd(rng, n).array
                            for _ in range(m)])
@@ -153,15 +152,16 @@ class TestStackedEuler:
         w0 = rng.normal(size=(m, n))
         u_values = rng.normal(size=(steps + 1, k))
         h = 1.0 / steps
-        states = _euler_states(drifts, b, w0, u_values, h)
-        assert states.shape == (steps + 1, m, n)
+        states, finite = _euler_states(drifts, b, w0, u_values, h)
+        assert states.shape == (m, steps + 1, n)
+        assert finite.all()
         for i in range(m):
-            assert np.array_equal(states[:, i], _euler_states(drifts[i], b, w0[i], u_values, h))
+            assert np.array_equal(states[i], _euler_states(drifts[i], b, w0[i], u_values, h))
 
     def test_diverged_element_is_returned_not_raised(self):
         assert_diverged_element_is_returned(steps=100)
 
-    def test_diverged_element_alone_is_rescanned_on_the_blocked_path(self):
+    def test_diverged_element_alone_is_rescanned_at_k_1000(self):
         # K = 1000 is one chunk of the doubling scan; the diverging element's
         # chunk overflows and it alone is rescanned stepwise, the others keep
         # their doubling-scan states
@@ -174,13 +174,13 @@ def assert_diverged_element_is_returned(steps):
     u_values = np.ones((grid.num_nodes, 1))
     drifts = np.stack([np.diag([-0.5, -0.3]), np.diag([1e6, 1e6]), np.diag([-0.1, -0.2])])
     w0 = np.array([[1.0, 2.0], [1.0, 1.0], [0.5, 0.5]])
-    states = _euler_states(drifts, b, w0, u_values, grid.h)
-    assert not np.isfinite(states[:, 1]).all()
+    states, _ = _euler_states(drifts, b, w0, u_values, grid.h)
+    assert not np.isfinite(states[1]).all()
     with pytest.raises(p.DivergenceError):
         _euler_states(drifts[1], b, w0[1], u_values, grid.h)
     for i in (0, 2):
         single = _euler_states(drifts[i], b, w0[i], u_values, grid.h)
-        assert np.array_equal(states[:, i], single)
+        assert np.array_equal(states[i], single)
 
 
 def plain_loop(p_mat, rows):
@@ -217,9 +217,9 @@ class TestAffineScan:
         # midpoint propagators of random models, plain or transposed as the
         # adjoint sweeps them, it stays within 1e-12 of each element's largest
         # state (perfbench's REPLAY_RTOL; 7.9e-13 measured at worst), from
-        # K = 1 on and past the first chunk at n = 8.  count = 0 is a plain
-        # vector, count >= 1 a stack of (n, 1) columns with one shared P or
-        # one P per element
+        # K = 1 on and past the first chunk at n = 8.  count = 0 is one
+        # sweep (K+1, n), count >= 1 an element-major stack (count, K+1, n)
+        # with one shared P or one P per element
         h = t_end / steps
         rng = philox(seed)
         props = random_propagators(rng, n, 1 if shared or not count else count, h, midpoint,
@@ -227,9 +227,9 @@ class TestAffineScan:
         p_mat = props if count and not shared else props[0]
         stack = (count,) if count else ()
         rows = rng.normal(size=(steps + 1, *stack, n))
-        scanned = rows[..., None].copy() if count else rows.copy()
+        scanned = np.moveaxis(rows, 0, -2).copy()
         _affine_scan(p_mat, scanned)
-        scanned = scanned.reshape(rows.shape)
+        scanned = np.moveaxis(scanned, -2, 0)
         expected = plain_loop(p_mat, rows)
         scale = np.abs(expected).max(axis=(0, -1))
         assert (np.abs(scanned - expected).max(axis=(0, -1)) <= 1e-12 * scale).all()
@@ -250,16 +250,15 @@ class TestAffineScan:
                                    adjoint=False)
         p_mat = props[0] if shared else props
         rows = rng.normal(size=(steps + 1, count, n))
-        scanned = rows[..., None].copy()
+        scanned = rows.swapaxes(0, 1).copy()
         _affine_scan(p_mat, scanned)
-        scanned = scanned[..., 0]
         expected = plain_loop(p_mat, rows)
         scale = np.abs(expected).max(axis=(0, -1))
-        assert (np.abs(scanned - expected).max(axis=(0, -1)) <= 1e-12 * scale).all()
+        assert (np.abs(scanned.swapaxes(0, 1) - expected).max(axis=(0, -1)) <= 1e-12 * scale).all()
         for i in range(count):
-            single = rows[:, i:i + 1, :, None].copy()
+            single = rows[:, i].copy()
             _affine_scan(p_mat if shared else p_mat[i], single)
-            assert np.array_equal(scanned[:, i], single[:, 0, :, 0])
+            assert np.array_equal(scanned[i], single)
 
     @pytest.mark.parametrize("n", [1, 2, 8, 21, 22, 32])
     def test_per_step_loop_runs_only_after_an_overflow(self, n):
@@ -271,21 +270,90 @@ class TestAffineScan:
         chunk = _CHUNK_VALUES // n
         for steps in (1, 5, chunk + 3):
             props = random_propagators(rng, n, 3, 1.0 / steps, midpoint=False, adjoint=False)
-            for p_mat, shape in ((props[0], (steps + 1, n)), (props[0], (steps + 1, 3, n, 1)),
-                                 (props, (steps + 1, 3, n, 1))):
+            for p_mat, shape in ((props[0], (steps + 1, n)), (props[0], (3, steps + 1, n)),
+                                 (props, (3, steps + 1, n))):
                 rows = rng.normal(size=shape)
                 with mock.patch.object(systems, "_step_scan",
                                        wraps=systems._step_scan) as step_scan:
-                    _affine_scan(p_mat, rows)
+                    finite = _affine_scan(p_mat, rows)
                 assert step_scan.call_count == 0
-                assert np.isfinite(rows).all()
+                assert np.isfinite(rows).all() and finite.all()
         # 16 I overflows within 256 steps, in the first chunk at n <= 32
         rows = rng.normal(size=(chunk + 4, n))
         with mock.patch.object(systems, "_step_scan", wraps=systems._step_scan) as step_scan:
             with np.errstate(over="ignore", invalid="ignore"):
-                _affine_scan(16.0 * np.eye(n), rows)
+                finite = _affine_scan(16.0 * np.eye(n), rows)
         assert step_scan.call_count == 1
-        assert not np.isfinite(rows[-1]).any()
+        assert not np.isfinite(rows[-1]).any() and not finite.any()
+
+
+class TestFiniteMask:
+    @pytest.mark.parametrize("steps", [5, _CHUNK_VALUES // 2 + 3])
+    @pytest.mark.parametrize("diverging", [(True,), (False, True), (True, False, False, True),
+                                           (False, True, True, False)])
+    def test_mask_names_the_elements_that_stayed_finite(self, steps, diverging):
+        # per-element P: 16 I from 1e305 overflows within five steps, in the
+        # first chunk at n = 2; K = _CHUNK_VALUES // 2 + 3 runs the finite
+        # elements on past that chunk
+        n, diverging = 2, np.array(diverging)
+        rng = philox(steps + len(diverging))
+        props = random_propagators(rng, n, len(diverging), 1.0 / steps, midpoint=False,
+                                   adjoint=False)
+        props[diverging] = 16.0 * np.eye(n)
+        rows = rng.normal(size=(len(diverging), steps + 1, n))
+        rows[diverging] *= 1e305
+        scanned = rows.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = _affine_scan(props, scanned)
+        assert np.array_equal(finite, np.isfinite(scanned).all(axis=(1, 2)))
+        assert np.array_equal(finite, ~diverging)
+        for i in np.flatnonzero(finite):
+            single = rows[i].copy()
+            assert _affine_scan(props[i], single).all()
+            assert np.array_equal(scanned[i], single)
+
+    @pytest.mark.parametrize("steps", [5, _CHUNK_VALUES // 2 + 3])
+    def test_mask_follows_the_rescan_not_the_rounds(self, steps):
+        # a shared 16 I: the elements from 1e305 overflow, and those that
+        # start at zero with zero forcing stay zero, though past 256 steps
+        # the powers overflow and the rounds give them NaN; the rescan
+        # restores their zeros and the mask says so
+        n = 2
+        rows = 1e305 * philox(steps).normal(size=(4, steps + 1, n))
+        rows[[1, 2]] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = _affine_scan(16.0 * np.eye(n), rows)
+        assert np.array_equal(finite, np.isfinite(rows).all(axis=(1, 2)))
+        assert np.array_equal(finite, [False, True, True, False])
+        assert not rows[[1, 2]].any()
+
+    @pytest.mark.parametrize("simulate, rate, w0, u, steps", [
+        # Euler's propagator 1 - rate: -16 overflows 1e305 at step 3, and
+        # -1.04 overflows 1 past the first chunk (_CHUNK_VALUES steps at n = 1)
+        (p.simulate_euler, 17.0, 1e305, 0.0, 5),
+        (p.simulate_euler, 2.04, 1.0, 0.0, 20_000),
+        # the midpoint's propagator 1 with forcing u: 1e308 + 5e307 is finite
+        # and overflows at step 2, and 1e304 per step overflows at step 17977
+        (p.simulate_discrete_gradient, 0.0, 1e308, 5e307, 5),
+        (p.simulate_discrete_gradient, 0.0, 0.0, 1e304, 20_000),
+    ])
+    def test_integrators_raise_at_the_per_step_loops_step(self, simulate, rate, w0, u, steps):
+        grid = p.TimeGrid(float(steps), steps)  # h = 1
+        sys = p.ReducedPHSystem(
+            p.SkewSymmetricMatrix.zeros(1), p.PSDMatrix.from_matrix([[rate]]),
+            np.ones((1, 1)), np.array([w0]))
+        propagator = 1.0 - rate if simulate is p.simulate_euler else 1.0
+        w, first = np.float64(w0), None
+        with np.errstate(over="ignore"):
+            for j in range(1, grid.num_nodes):
+                w = propagator * w + u
+                if not np.isfinite(w):
+                    first = j
+                    break
+        assert first is not None
+        with pytest.raises(p.DivergenceError) as err:
+            simulate(sys, p.Signal(grid, np.full((grid.num_nodes, 1), u)))
+        assert err.value.step == first
 
 
 def scan_peak(p_mat, rows):
@@ -303,9 +371,10 @@ class TestScanMemory:
     @pytest.mark.parametrize("n, steps", [(2, 8192), (1, 16_384), (8, 2048), (8, 10_000),
                                           (2, 100_000)])
     def test_temporaries_stay_within_four_chunks_whatever_k(self, n, steps):
-        # z and one fill-in product are a chunk each; the levels' operators
-        # and block starts come to less than two chunks more.  Where K n is
-        # near _CHUNK_VALUES that is twice the rows; at K = 1e5 a fifth
+        # the copy of the chunk's forcing and one product buffer are a chunk
+        # each; the powers and the chunk's finiteness test come to a small
+        # part of one more.  Where K n is near _CHUNK_VALUES that is about
+        # twice the rows; at K = 1e5 a sixth
         rng = philox(steps)
         p_mat = random_propagators(rng, n, 1, 1.0 / steps, midpoint=False, adjoint=False)[0]
         rows = rng.normal(size=(steps + 1, n))
@@ -314,23 +383,22 @@ class TestScanMemory:
 
     def test_a_stack_holds_no_more_than_its_elements_one_at_a_time(self):
         # the Armijo evaluator's shape: 8 candidates of n = 8 at K = 1000,
-        # one chunk.  z holds the whole stack, as the candidates' own sweeps
-        # would; the copied forcing and the fill-in products are formed a
-        # group of candidates at a time, within _CHUNK_VALUES values
+        # one chunk.  The forcing copy and the product buffer hold a chunk of
+        # every element, as the candidates' own sweeps would
         n, count, steps = 8, 8, 1000
         rng = philox(5)
         props = random_propagators(rng, n, count, 1.0 / steps, midpoint=False, adjoint=False)
-        rows = rng.normal(size=(steps + 1, count, n, 1))
-        singles = [rows[:, i:i + 1].copy() for i in range(count)]
+        rows = rng.normal(size=(count, steps + 1, n))
+        singles = [rows[i].copy() for i in range(count)]
         stacked = scan_peak(props, rows)
         assert stacked <= sum(scan_peak(props[i], single) for i, single in enumerate(singles))
         for i, single in enumerate(singles):
-            assert np.array_equal(rows[:, i], single[:, 0])
+            assert np.array_equal(rows[i], single)
 
 
 class TestBitExactIntegrators:
     """Both integrators are :func:`_affine_scan` run on their textbook
-    propagator and forcing, bit for bit."""
+    propagator and their forcing ``inputs @ S.T``, bit for bit."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(1, 8), k=st.integers(1, 3), steps=st.integers(1, 2500),
@@ -343,7 +411,7 @@ class TestBitExactIntegrators:
         h, a = grid.h, sys.drift()
 
         def kernel_states(propagator, source, inputs):
-            rows = np.array([sys.w_hat] + [source @ v for v in inputs])
+            rows = np.concatenate([sys.w_hat[None], inputs @ source.T])
             _affine_scan(propagator, rows)
             return rows
 
@@ -372,8 +440,8 @@ class TestBitExactIntegrators:
             finally:
                 tracemalloc.stop()
 
-        # Trajectory adopts the state buffer: the buffer and the boolean
-        # finiteness mask come to 1.19x the states, a K x n forcing temporary
+        # Trajectory adopts the state buffer: the buffer and the scan's two
+        # chunk buffers come to 1.18x the states, a K x n forcing temporary
         # or a copy of the states to 2.0x.
         assert peak() <= 1.5 * states_bytes
 
@@ -398,7 +466,7 @@ class TestDiscreteGradient:
     def test_divergence_reports_step(self):
         assert_midpoint_overflow_at_step_2(steps=4)
 
-    def test_divergence_on_the_blocked_path_reports_step(self):
+    def test_overflowing_chunk_is_rescanned_to_report_step(self):
         # K = 1000 is one chunk of the doubling scan: its states overflow and
         # it is rescanned stepwise from x_0
         assert_midpoint_overflow_at_step_2(steps=1000)

@@ -13,9 +13,13 @@ with ``perf_counter``.
 
 Cases: ``simulate_euler`` and ``simulate_discrete_gradient`` at
 n in {2, 8, 16, 32} x K in {1e3, 1e4, 1e5} (perfbench's random n, k=2 truth of
-model seed n, h = 1e-3), and ``calibrate`` on perfbench's ``wide-n8``
-models 0 and 6 and on the oscillator with noise seed 7 (K = 1e3).
-``--tiny`` runs n = 2, K = 200 and calibrations of 2 iterations, for tests.
+model seed n, h = 1e-3), one call of the Armijo cost evaluator
+``calibration._BatchEvaluator`` on 8 candidates, spaced evenly from the
+start point to the truth of perfbench's ``wide-n8`` model 0 (n = 8, k = 2,
+K = 1e3), so that the stacked sweep has a case of its own, and
+``calibrate`` on ``wide-n8`` models 0 and 6 and on the oscillator with noise
+seed 7 (K = 1e3).  ``--tiny`` runs the simulations at n = 2, the rest at
+K = 200 and calibrations of 2 iterations, for tests.
 
 The report, printed or written to FILE as JSON, gives per case and side the
 median and interquartile range of the R timings in ms, the ratio of the
@@ -50,6 +54,7 @@ def cases(tiny: bool):
     the path."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import phsid
+    from phsid import calibration
     from workloads import grid, oscillator_guess, oscillator_truth, random_model
 
     sizes = ((2,), (200,)) if tiny else ((2, 8, 16, 32), (1_000, 10_000, 100_000))
@@ -62,6 +67,14 @@ def cases(tiny: bool):
                 yield f"simulate {label} n={n} K={steps}", (
                     lambda simulate=simulate, u=u, truth=truth: simulate(truth, u))
     steps = 200 if tiny else 1_000
+    truth, start = random_model(0, 8, 2)
+    u, y = phsid.generate_reference(truth, grid(steps), phsid.NoiseSpec(seed=0))
+    t = np.linspace(0.0, 1.0, 8)[:, None]
+    j = start.J.array + t[:, :, None] * (truth.J.array - start.J.array)
+    r = start.R.array + t[:, :, None] * (truth.R.array - start.R.array)
+    w = start.w_hat + t * (truth.w_hat - start.w_hat)
+    evaluate = calibration._BatchEvaluator(truth.B, u, y)
+    yield f"evaluate 8 candidates n=8 K={steps}", lambda: evaluate(j, r, w)
     problems = [(f"calibrate wide-n8 model={m}", *random_model(m, 8, 2), m, 400)
                 for m in (0, 6)]
     problems.append(("calibrate oscillator", oscillator_truth(), oscillator_guess(), 7, 500))
