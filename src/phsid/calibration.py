@@ -10,10 +10,12 @@ The loop fits v = (J, R, w0) to reference output data by repeating
     3. find a step size with Armijo backtracking (start at sigma_init,
        halve until the decrease beats gamma * sigma * |g|^2); the candidates
        sigma_init, sigma_init/2, ... are built a batch of up to
-       ``_BATCH_WIDTH`` at a time as stacked arrays, projecting only the R
-       blocks that are not PSD, and integrated in one stacked Euler sweep
-       per batch; the first one in that order that passes the test is
-       accepted, exactly as a one-at-a-time search would,
+       ``_BATCH_WIDTH`` at a time as stacked arrays, the R blocks that are
+       not PSD projected in one stacked call per batch, and integrated in
+       one stacked Euler sweep per evaluator call.  After the first search
+       a call sweeps only the leading rows up to one past the row accepted
+       last; the rest lead the next call.  The first candidate in order that
+       passes the test is accepted, exactly as a one-at-a-time search would,
     4. update v <- retract(v - sigma * g),
 
 until the cost drops below ``eps_stop`` or a guard (iteration cap, halving
@@ -38,9 +40,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidModelError, LineSearchError
-from .matrices import PSDMatrix, SkewSymmetricMatrix, SymmetricMatrix, project_psd
+from .matrices import PSDMatrix, SkewSymmetricMatrix, SymmetricMatrix
+from .matrices import project_psd  # noqa: F401 -- perfbench/tracing.py wraps it at this name
 from .matrices import _is_finite, _is_integer, _is_real
-from .matrices import _skew_from_lower, _sym_from_lower
+from .matrices import _project_psd_stack, _skew_from_lower, _sym_from_lower
 from .sensitivity import (
     STRUCTURE_FULL,
     STRUCTURES,
@@ -167,8 +170,9 @@ def _trial_points(v: ParameterPoint, g: Gradient, sigmas: list[float], psd_mode:
     The triangular free parameters are updated for every sigma at once and
     mirrored by ``phsid.matrices``' mirror, the one ``from_strict_lower`` and
     ``from_lower`` use, so J is exactly skew and R exactly symmetric.  Rows
-    whose J or R overflowed are dropped.  With ``psd_mode="project"``, each R
-    that is not PSD is replaced by its projection.
+    whose J or R overflowed are dropped.  With ``psd_mode="project"``, the R
+    blocks that a stacked ``eigvalsh`` finds not PSD are replaced by their
+    projections, all in one call of the stacked projection core.
     """
     s = np.array(sigmas, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -178,8 +182,9 @@ def _trial_points(v: ParameterPoint, g: Gradient, sigmas: list[float], psd_mode:
     keep = np.isfinite(j).all(axis=(1, 2)) & np.isfinite(r).all(axis=(1, 2))
     s, j, r, w = s[keep], j[keep], r[keep], w[keep]
     if psd_mode == PSD_PROJECT:
-        for i in np.flatnonzero(np.linalg.eigvalsh(r)[:, 0] < 0.0):
-            r[i] = project_psd(SymmetricMatrix(r[i])).array
+        clip = np.flatnonzero(np.linalg.eigvalsh(r)[:, 0] < 0.0)
+        if len(clip):
+            r[clip] = _project_psd_stack(r[clip])
     return [s, j, r, w]
 
 
@@ -194,20 +199,21 @@ def armijo_search(v: ParameterPoint, g: Gradient, cost_at_v: float,
         cost(v') - cost(v) <= -gamma * sigma * |g|^2,
 
     with cost(v') < cost(v) unless g is zero.  Candidates are built in that
-    order, a batch at a time as stacked arrays (only the R blocks that are
-    not PSD are projected), and handed to ``cost_evaluator`` in batches of up
-    to ``_BATCH_WIDTH``: stacked J (m, n, n), R (m, n, n) and w0 (m, n)
-    blocks as raw arrays.  The evaluator returns the costs of the first m'
-    of them, 1 <= m' <= m (all m unless it bounds its memory), and may
-    return +inf to signal an unusable candidate; the candidates it left out
-    lead the next batch.  The first candidate in order that passes the test
-    is accepted, so the result is that of trying one sigma at a time.
-    The returned step names the accepted candidate's row in the last call.
-    Raises :class:`LineSearchError` once ``max_halvings`` halvings are
-    exhausted.
+    order, a batch at a time as stacked arrays (the R blocks that are not
+    PSD are projected as one stack), and handed to ``cost_evaluator`` in
+    batches of up to ``_BATCH_WIDTH``: stacked J (m, n, n), R (m, n, n) and
+    w0 (m, n) blocks as raw arrays.  The evaluator returns the costs of the
+    first m' of them, 1 <= m' <= m (all m unless it bounds its memory or
+    follows the last accepted row), and may return +inf to signal an
+    unusable candidate; the candidates it left out lead the next batch.
+    The first candidate in order that passes the test is accepted, so the
+    result is that of trying one sigma at a time.  The returned step names
+    the accepted candidate's row in the last call.  Raises
+    :class:`LineSearchError` once ``max_halvings`` halvings are exhausted.
     """
     g_sq = g.norm_sq
-    pending = _trial_points(v, g, [], cfg.psd_mode)  # empty stacks
+    n = v.n
+    pending = [np.empty(0), np.empty((0, n, n)), np.empty((0, n, n)), np.empty((0, n))]
     sigma, untried = cfg.sigma_init, cfg.max_halvings + 1
     while True:
         while len(pending[0]) < _BATCH_WIDTH and untried:
@@ -246,25 +252,29 @@ def _pass_width(num_nodes: int, n: int, count: int) -> int:
 class _BatchEvaluator:
     """The cost evaluator ``calibrate`` hands to :func:`armijo_search`.
 
-    A call integrates as many of the candidates as fit in ``_PASS_BYTES`` of
-    stacked states (at least one) in one Euler sweep and returns their costs,
-    +inf for a candidate that diverged.  The sweep's states are
-    element-major, so each candidate's (K+1, n) states are a contiguous
-    slice of them; its cost is formed from that slice, as :func:`cost` forms
-    it, and equals a one-candidate evaluation bit for bit.  Only the
-    candidates that the scan's mask names finite are costed.  The sweep of
-    the last call is kept, so the accepted candidate's states need no
-    second sweep.
+    A call integrates the leading candidates of its batch in one Euler sweep
+    and returns their costs, +inf for a candidate that diverged.  Until
+    :meth:`states_of` names an accepted row, a call takes the whole batch;
+    after it, ``row + 2`` candidates, since the next search mostly accepts
+    near the row the last one did.  Either way it takes no more than fit in
+    ``_PASS_BYTES`` of stacked states, and at least one.  The sweep's
+    states are element-major, so each candidate's (K+1, n) states are a
+    contiguous slice of them; its cost is formed from that slice, as
+    :func:`cost` forms it, and equals a one-candidate evaluation bit for
+    bit.  Only the candidates that the scan's mask names finite are costed.
+    The sweep of the last call is kept, so the accepted candidate's states
+    need no second sweep.
     """
 
     def __init__(self, b: np.ndarray, u: Signal, y_data: Signal):
         self.b, self.u_values, self.y_values = b, u.values, y_data.values
         self.h = u.grid.h
         self._last = None
+        self._width = _BATCH_WIDTH
 
     def __call__(self, j_stack, r_stack, w_stack) -> np.ndarray:
         num_nodes, n = self.u_values.shape[0], w_stack.shape[1]
-        m = _pass_width(num_nodes, n, w_stack.shape[0])
+        m = _pass_width(num_nodes, n, min(self._width, w_stack.shape[0]))
         drifts, w0 = j_stack[:m] - r_stack[:m], w_stack[:m]
         states, finite = _euler_states(drifts, self.b, w0, self.u_values, self.h)
         costs = np.full(m, np.inf)
@@ -274,7 +284,9 @@ class _BatchEvaluator:
         return costs
 
     def states_of(self, row: int) -> np.ndarray:
-        """Euler states of the candidate in ``row`` of the last call."""
+        """Euler states of the candidate in ``row`` of the last call, the
+        accepted one; later calls sweep up to one row past it."""
+        self._width = min(_BATCH_WIDTH, row + 2)
         return self._last[row]
 
 

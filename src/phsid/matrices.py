@@ -276,33 +276,72 @@ class SPDMatrix:
         return cls(base, factor)
 
 
+def _project_psd_stack(r: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest PSD matrices of the finite symmetric blocks ``r``
+    (m, n, n), each of which has a negative eigenvalue.
+
+    Exactly diagonal blocks are clipped entrywise, which coincides with the
+    spectral projection and keeps them exactly diagonal.  The others are
+    eigendecomposed, their negative eigenvalues clipped to zero and the
+    blocks reassembled, all as one stack; numpy's stacked linalg and matmul
+    make one LAPACK or BLAS call per block, so each block is what a stack of
+    one gives.  Returns a new (m, n, n) array.
+    """
+    n = r.shape[-1]
+    out = np.zeros_like(r)
+    diag = np.arange(n)
+    off = r.copy()
+    off[:, diag, diag] = 0.0
+    diagonal = ~off.any(axis=(1, 2))
+    clip = np.flatnonzero(diagonal)[:, None]
+    out[clip, diag, diag] = np.maximum(r[clip, diag, diag], 0.0)
+    rest = np.flatnonzero(~diagonal)
+    if not len(rest):
+        return out
+    w, u = np.linalg.eigh(r[rest])
+    clipped = (u * np.maximum(w, 0.0)[:, None, :]) @ u.swapaxes(-1, -2)
+    # reassembly is symmetric only to round-off; canonicalize with a loose
+    # gate, the one SymmetricMatrix.from_matrix(clipped, rtol=1e-8) applies
+    finite = np.isfinite(clipped).all(axis=(1, 2))
+    scale = np.maximum(np.abs(clipped).max(axis=(1, 2)), 1.0)
+    with np.errstate(invalid="ignore"):  # inf - inf in a block the gate rejects anyway
+        skew = np.abs(clipped - clipped.swapaxes(-1, -2)).max(axis=(1, 2))
+    bad = np.flatnonzero(~finite | (skew > 1e-8 * scale))
+    if len(bad):
+        if not finite[bad[0]]:
+            raise InvalidModelError("symmetry check failed: non-finite entries")
+        raise InvalidModelError("symmetry violated: A[i, j] != A[j, i] beyond tolerance")
+    sym = _sym_from_lower(clipped)
+    # for large-scale inputs the reassembly round-off alone can push the
+    # smallest eigenvalue below the validation slack; boost the diagonal by an
+    # escalating, representable amount (relative perturbation of order eps)
+    lam = np.linalg.eigvalsh(sym)[:, 0]
+    for i in np.flatnonzero(lam < -1e-12):
+        block, low = sym[i], float(lam[i])
+        attempt = 1
+        while low < -1e-12:
+            boost = -low * attempt**2 + np.spacing(max(float(np.abs(r[rest[i]]).max()), 1.0))
+            block = SymmetricMatrix(block + boost * np.eye(n)).array
+            low = float(np.linalg.eigvalsh(block)[0])
+            attempt += 1
+        sym[i] = block
+    out[rest] = sym
+    return out
+
+
 def project_psd(m: SymmetricMatrix) -> PSDMatrix:
     """Frobenius-nearest positive semidefinite matrix.
 
     Eigendecompose, clip negative eigenvalues to zero, reassemble.  Inputs
     that are already PSD are returned unchanged (bit-exact).  Exactly
     diagonal inputs are clipped entrywise, which coincides with the spectral
-    projection and keeps them exactly diagonal.
+    projection and keeps them exactly diagonal.  The projection itself is
+    :func:`_project_psd_stack` on a stack of one, the core the line search
+    runs on all of a batch's non-PSD blocks at once.
     """
     a = m.array
     if not np.all(np.isfinite(a)):
         raise InvalidModelError("projection failed: non-finite entries")
     if np.linalg.eigvalsh(a)[0] >= 0.0:
         return PSDMatrix(m)
-    if np.array_equal(a, np.diag(a.diagonal())):
-        return PSDMatrix(SymmetricMatrix.diagonal(np.maximum(a.diagonal(), 0.0)))
-    w, u = np.linalg.eigh(a)
-    clipped = (u * np.maximum(w, 0.0)) @ u.T
-    # reassembly is symmetric only to round-off; canonicalize with a loose gate
-    sym = SymmetricMatrix.from_matrix(clipped, rtol=1e-8)
-    # for large-scale inputs the reassembly round-off alone can push the
-    # smallest eigenvalue below the validation slack; boost the diagonal by an
-    # escalating, representable amount (relative perturbation of order eps)
-    lam = float(np.linalg.eigvalsh(sym.array)[0])
-    attempt = 1
-    while lam < -1e-12:
-        boost = -lam * attempt**2 + np.spacing(max(float(np.abs(a).max()), 1.0))
-        sym = SymmetricMatrix(sym.array + boost * np.eye(sym.n))
-        lam = float(np.linalg.eigvalsh(sym.array)[0])
-        attempt += 1
-    return PSDMatrix(sym)
+    return PSDMatrix(SymmetricMatrix(_project_psd_stack(a[None])[0]))

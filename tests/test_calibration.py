@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -442,14 +443,17 @@ class TestCalibrate:
 
     def test_one_euler_sweep_per_batch(self, oscillator, guess_point, monkeypatch):
         # the start point is integrated once (through sensitivity._euler_cost)
-        # and every batch of Armijo candidates in one stacked sweep; the
-        # gradients and y_opt reuse those states
+        # and every evaluator call's candidates in one stacked sweep; the
+        # gradients and y_opt reuse those states.  The first sweep holds all
+        # eight rows of its batch, each later one the first rows up to one
+        # past the row accepted last
         import phsid.calibration as calibration
         import phsid.sensitivity as sensitivity
         grid = p.TimeGrid(1.0, 1000)
         u, y_data = p.generate_reference(oscillator, grid, p.NoiseSpec(seed=30))
         swept = []
         batches = []
+        accepted = []  # (evaluator calls so far, accepted row) per search
         euler_states = calibration._euler_states
         armijo_search = calibration.armijo_search
 
@@ -461,7 +465,9 @@ class TestCalibrate:
             def counted(j, r, w):
                 batches.append(w.copy())
                 return evaluator(j, r, w)
-            return armijo_search(v, g, cost_at_v, counted, cfg)
+            step = armijo_search(v, g, cost_at_v, counted, cfg)
+            accepted.append((len(batches), step.row))
+            return step
 
         monkeypatch.setattr(calibration, "_euler_states", counting_states)
         monkeypatch.setattr(sensitivity, "_euler_states", counting_states)
@@ -470,12 +476,16 @@ class TestCalibrate:
         assert res.iterations == 3
         assert len(swept) == 1 + len(batches)
         np.testing.assert_array_equal(swept[0], guess_point.w_hat)
-        # each sweep integrates exactly the candidates of its batch, and on
-        # this data every step is accepted within its first batch of eight
-        assert len(batches) == 3
-        for w0, batch in zip(swept[1:], batches):
+        widths, width = [], 8
+        for calls, row in accepted:
+            widths += [width] * (calls - len(widths))
+            width = min(8, row + 2)
+        # on this data every step is accepted at row 5, within one call
+        assert accepted == [(1, 5), (2, 5), (3, 5)]
+        assert widths == [8, 7, 7]
+        for w0, batch, width in zip(swept[1:], batches, widths):
             assert batch.shape == (8, 2)
-            np.testing.assert_array_equal(w0, batch)
+            np.testing.assert_array_equal(w0, batch[:width])
         final = res.v_opt.to_system(oscillator.B)
         np.testing.assert_array_equal(res.y_opt.values,
                                       p.output(final, p.simulate_euler(final, u)).values)
@@ -564,6 +574,26 @@ def assert_same_outcome(batched, reference):
         assert np.array_equal(x, y), (x, y)
 
 
+def result_bits(res):
+    """Every field of a CalibrationResult, floats as their bytes."""
+    def bits(value):
+        if isinstance(value, p.ParameterPoint):
+            return tuple(a.tobytes() for a in (value.J.array, value.R.array, value.w_hat))
+        if isinstance(value, p.Signal):
+            return value.grid, value.values.tobytes()
+        if isinstance(value, tuple):
+            return tuple(bits(x) for x in value)
+        if isinstance(value, float):
+            return np.float64(value).tobytes()
+        return value
+    return {f.name: bits(getattr(res, f.name)) for f in fields(p.CalibrationResult)}
+
+
+def assert_same_result(pair):
+    adaptive, reference = map(result_bits, pair)
+    assert adaptive == reference
+
+
 class TestBatchedSearch:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(n=st.integers(1, 6), k=st.integers(1, 3), structure=st.sampled_from(p.STRUCTURES),
@@ -594,6 +624,33 @@ class TestBatchedSearch:
             with mock.patch.object(calibration, "_PASS_BYTES", pass_bytes):
                 batched = outcome(batched_search, *args)
         assert_same_outcome(batched, outcome(sequential_search, *args))
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4), k=st.integers(1, 2), structure=st.sampled_from(p.STRUCTURES),
+           psd_mode=st.sampled_from(p.PSD_MODES), seed=st.integers(0, 2**32 - 1))
+    def test_adaptive_width_equals_one_candidate_per_call(self, n, k, structure, psd_mode,
+                                                          seed):
+        # the evaluator sweeps up to one row past the row accepted last; a
+        # pass bound of 1 B costs one candidate per call, the sequential
+        # reference.  Every field of the result agrees bit for bit
+        rng = philox(seed)
+        truth = random_reduced_system(rng, n, k)
+        u = random_signal(rng, p.TimeGrid(1.0, 200), k)
+        y_data = p.output(truth, p.simulate_euler(truth, u))
+        cfg = p.CalibrationConfig(max_iter=30, structure=structure, psd_mode=psd_mode)
+        assert_same_result(self.both_widths(perturbed(truth, rng, 0.3), u, y_data, truth.B, cfg))
+
+    @pytest.mark.parametrize("structure", p.STRUCTURES)
+    def test_adaptive_width_on_the_oscillator(self, oscillator, guess_point, structure):
+        u, y_data = p.generate_reference(oscillator, p.TimeGrid(1.0, 1000), p.NoiseSpec(seed=7))
+        cfg = p.CalibrationConfig(structure=structure)
+        assert_same_result(self.both_widths(guess_point, u, y_data, oscillator.B, cfg))
+
+    @staticmethod
+    def both_widths(v0, u, y_data, b, cfg):
+        adaptive = p.calibrate(v0, u, y_data, b, cfg)
+        with mock.patch.object(calibration, "_PASS_BYTES", 1):
+            return adaptive, p.calibrate(v0, u, y_data, b, cfg)
 
     @pytest.mark.parametrize("fit, width", [(0, 1), (3, 3), (100, 8)])
     def test_evaluator_sweeps_what_fits_in_the_pass_bound(self, oscillator, guess_point,
@@ -657,7 +714,7 @@ class TestBatchedSearch:
         assert_same_outcome(outcome(batched_search, v, g, cost_at_v, b, u, y_data, cfg),
                             outcome(sequential_search, v, g, cost_at_v, b, u, y_data, cfg))
 
-    def test_overflowing_candidates_on_the_blocked_path(self, oscillator, guess_point):
+    def test_overflowing_candidates_within_one_chunk(self, oscillator, guess_point):
         # K = 1000 steps is one chunk of the doubling scan at n = 2.  A J of
         # 1e200 overflows the powers of its propagator and a rate of 1e5 only
         # its states; both cost +inf, and every other candidate costs what a

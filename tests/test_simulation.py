@@ -211,8 +211,8 @@ class TestAffineScan:
     @given(n=st.integers(1, 8), count=st.integers(0, 4), shared=st.booleans(),
            adjoint=st.booleans(), midpoint=st.booleans(), t_end=st.floats(0.5, 20.0),
            steps=st.integers(1, 2500), seed=st.integers(0, 2**32 - 1))
-    def test_blocked_states_within_replay_tolerance(self, n, count, shared, adjoint, midpoint,
-                                                    t_end, steps, seed):
+    def test_states_within_replay_tolerance(self, n, count, shared, adjoint, midpoint,
+                                            t_end, steps, seed):
         # the doubling scan reorders the per-step loop's sums: on Euler and
         # midpoint propagators of random models, plain or transposed as the
         # adjoint sweeps them, it stays within 1e-12 of each element's largest
