@@ -13,8 +13,9 @@ The loop fits v = (J, R, w0) to reference output data by repeating
        ``_BATCH_WIDTH`` at a time as stacked arrays, the R blocks that are
        not PSD projected in one stacked call per batch, and integrated in
        one stacked Euler sweep per evaluator call.  After the first search
-       a call sweeps only the leading rows up to one past the row accepted
-       last; the rest lead the next call.  The first candidate in order that
+       a search's first call sweeps only the leading rows up to one past the
+       row accepted last; the rest lead the next call, which sweeps a whole
+       batch again.  The first candidate in order that
        passes the test is accepted, exactly as a one-at-a-time search would,
     4. update v <- retract(v - sigma * g),
 
@@ -253,17 +254,17 @@ class _BatchEvaluator:
     """The cost evaluator ``calibrate`` hands to :func:`armijo_search`.
 
     A call integrates the leading candidates of its batch in one Euler sweep
-    and returns their costs, +inf for a candidate that diverged.  Until
-    :meth:`states_of` names an accepted row, a call takes the whole batch;
-    after it, ``row + 2`` candidates, since the next search mostly accepts
-    near the row the last one did.  Either way it takes no more than fit in
-    ``_PASS_BYTES`` of stacked states, and at least one.  The sweep's
-    states are element-major, so each candidate's (K+1, n) states are a
-    contiguous slice of them; its cost is formed from that slice, as
-    :func:`cost` forms it, and equals a one-candidate evaluation bit for
-    bit.  Only the candidates that the scan's mask names finite are costed.
-    The sweep of the last call is kept, so the accepted candidate's states
-    need no second sweep.
+    and returns their costs, +inf for a candidate that diverged.  The first
+    call of a search takes ``row + 2`` candidates once :meth:`states_of`
+    has named an accepted row, since the next search mostly accepts near
+    the row the last one did; every other call takes the whole batch.
+    Either way it takes no more than fit in ``_PASS_BYTES`` of stacked
+    states, and at least one.  The sweep's states are element-major, so
+    each candidate's (K+1, n) states are a contiguous slice of them; its
+    cost is formed from that slice, as :func:`cost` forms it, and equals a
+    one-candidate evaluation bit for bit.  Only the candidates that the
+    scan's mask names finite are costed.  The sweep of the last call is
+    kept, so the accepted candidate's states need no second sweep.
     """
 
     def __init__(self, b: np.ndarray, u: Signal, y_data: Signal):
@@ -275,6 +276,7 @@ class _BatchEvaluator:
     def __call__(self, j_stack, r_stack, w_stack) -> np.ndarray:
         num_nodes, n = self.u_values.shape[0], w_stack.shape[1]
         m = _pass_width(num_nodes, n, min(self._width, w_stack.shape[0]))
+        self._width = _BATCH_WIDTH
         drifts, w0 = j_stack[:m] - r_stack[:m], w_stack[:m]
         states, finite = _euler_states(drifts, self.b, w0, self.u_values, self.h)
         costs = np.full(m, np.inf)
@@ -285,7 +287,8 @@ class _BatchEvaluator:
 
     def states_of(self, row: int) -> np.ndarray:
         """Euler states of the candidate in ``row`` of the last call, the
-        accepted one; later calls sweep up to one row past it."""
+        accepted one; the next search's first call sweeps up to one row
+        past it."""
         self._width = min(_BATCH_WIDTH, row + 2)
         return self._last[row]
 

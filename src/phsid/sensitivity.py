@@ -72,9 +72,8 @@ probe at a time, and evaluates every point's cost through
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -172,12 +171,9 @@ class BasisSet:
     @cached_property
     def _index(self) -> tuple[np.ndarray, ...]:
         """(block, i, j) index arrays of the directions into a (3, n, n) stack
-        of J, R and x blocks, x[i] at (i, i); read-only, as the basis is
-        shared."""
+        of J, R and x blocks, x[i] at (i, i)."""
         rows = [("JRx".index(d.block), d.i, d.j) for d in self.directions]
-        index = np.array(rows, dtype=np.intp).reshape(-1, 3).T.copy()
-        index.flags.writeable = False
-        return tuple(index)
+        return tuple(np.array(rows, dtype=np.intp).reshape(-1, 3).T)
 
 
 @dataclass(frozen=True)
@@ -208,19 +204,12 @@ def tangent_basis(n: int, structure: str = STRUCTURE_FULL) -> BasisSet:
     +1 in the strict lower triangle, pairs in row-major order), then the
     symmetric directions (n unit diagonal matrices followed by the elementary
     off-diagonal pairs, omitted for ``diagonal_R``), then the n coordinate
-    vectors for the initial state.  The basis is immutable, so it is cached
-    per (n, structure) and shared by the calls that ask for it.
+    vectors for the initial state.
     """
     if structure not in STRUCTURES:
         raise ValueError(f"unknown structure {structure!r}, expected one of {STRUCTURES}")
     if n < 1:
         raise DimensionMismatchError("dimension must be >= 1")
-    # the cache keys on the integer: 2.0 is still rejected as range() rejects it
-    return _tangent_basis(operator.index(n), structure)
-
-
-@lru_cache(maxsize=16)
-def _tangent_basis(n: int, structure: str) -> BasisSet:
     strict = [(i, j) for i in range(n) for j in range(i)]
     directions = [Direction("J", i, j) for i, j in strict]
     directions += [Direction("R", i, i) for i in range(n)]

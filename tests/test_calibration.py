@@ -445,8 +445,9 @@ class TestCalibrate:
         # the start point is integrated once (through sensitivity._euler_cost)
         # and every evaluator call's candidates in one stacked sweep; the
         # gradients and y_opt reuse those states.  The first sweep holds all
-        # eight rows of its batch, each later one the first rows up to one
-        # past the row accepted last
+        # eight rows of its batch; the first sweep of each later search the
+        # first rows up to one past the row accepted last, and any further
+        # sweep of that search the whole batch again
         import phsid.calibration as calibration
         import phsid.sensitivity as sensitivity
         grid = p.TimeGrid(1.0, 1000)
@@ -476,10 +477,10 @@ class TestCalibrate:
         assert res.iterations == 3
         assert len(swept) == 1 + len(batches)
         np.testing.assert_array_equal(swept[0], guess_point.w_hat)
-        widths, width = [], 8
+        widths, first = [], 8
         for calls, row in accepted:
-            widths += [width] * (calls - len(widths))
-            width = min(8, row + 2)
+            widths += [first] + [8] * (calls - len(widths) - 1)
+            first = min(8, row + 2)
         # on this data every step is accepted at row 5, within one call
         assert accepted == [(1, 5), (2, 5), (3, 5)]
         assert widths == [8, 7, 7]
@@ -667,6 +668,21 @@ class TestBatchedSearch:
         for i in range(width):
             assert costs[i] == sensitivity._euler_cost(j[i] - r[i], oscillator.B, w[i], u.values,
                                                         y_data.values, grid.h, "single")[1]
+
+    def test_evaluator_narrows_only_the_first_call_after_an_accepted_row(self, oscillator,
+                                                                          guess_point):
+        # after states_of(1) the next call sweeps rows 0-2; a search that
+        # accepts none of them gets a whole batch from its next call
+        u, y_data = p.generate_reference(oscillator, p.TimeGrid(1.0, 100), p.NoiseSpec(seed=31))
+        j = np.stack([guess_point.J.array * (1 + 0.1 * i) for i in range(8)])
+        r = np.stack([guess_point.R.array] * 8)
+        w = np.stack([guess_point.w_hat + 0.1 * i for i in range(8)])
+        evaluator = calibration._BatchEvaluator(oscillator.B, u, y_data)
+        assert len(evaluator(j, r, w)) == 8
+        evaluator.states_of(1)
+        assert [len(evaluator(j, r, w)) for _ in range(3)] == [3, 8, 8]
+        evaluator.states_of(7)
+        assert len(evaluator(j, r, w)) == 8
 
     @settings(derandomize=True)
     @given(num_nodes=st.integers(2, 10**6), n=st.integers(1, 64), count=st.integers(1, 5000))
