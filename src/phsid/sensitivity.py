@@ -40,7 +40,8 @@ the residual r_j = B^T w_j - y_data_j and P = I + h (J-R),
 run through the integrators' affine-recurrence kernel
 ``phsid.systems._affine_scan`` in reverse time, a recursive-doubling scan
 on P^T over chunks of steps (within rounding of the per-step loop, which
-it runs itself only after an overflow), and
+redoes exactly the chunks whose rounds left the finite range from a finite
+start state), and
 
     G = h * sum_{j<K} lambda_{j+1} w_j^T,
 

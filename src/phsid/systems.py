@@ -36,9 +36,10 @@ scan over chunks of steps, at every n and K, run in place on the buffer:
 round d adds to each row the row 2^d steps earlier, propagated by P^(2^d).
 Its states differ from the per-step loop ``P @ w + S @ v_j`` by rounding,
 at most 7.9e-13 of max|w| in the measurements; the per-step loop itself
-runs only where a chunk's states leave the finite range.  The kernel tests
-each chunk for finiteness once and returns which elements stayed finite,
-so :func:`_check_finite` reads the states again only where one did not; it
+redoes exactly the chunks whose rounds left the finite range from a finite
+start state, and nothing past them.  The kernel tests each chunk for
+finiteness once and returns which elements stayed finite, so
+:func:`_check_finite` reads the states again only where one did not; it
 raises DivergenceError at the first non-finite state, for either scheme,
 at the step the per-step loop reaches.
 """
@@ -281,19 +282,24 @@ def _affine_scan(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
     power per element by batched matmul, in the shapes of a single sweep, so
     each element's states equal its own sweep bit for bit.  The states
     differ from the per-step loop by rounding, at most 7.9e-13 of max|x| in
-    the measurements.  Memory beyond ``rows`` on a finite run: a copy of the
-    chunk's forcing and one product buffer, each at most ``_CHUNK_VALUES``
-    values per stack element, and the powers.
+    the measurements.  Memory beyond ``rows``: a copy of the chunk's forcing
+    and one product buffer, each at most ``_CHUNK_VALUES`` values per stack
+    element, and the powers; on overflow, one chunk-sized copy per redone
+    element besides, freed before the next chunk, so the peak does not grow
+    with K.
 
-    Each chunk is tested for finiteness once, after its rounds.  An element
-    whose chunk is not finite gets its forcing back from the copy and
-    :func:`_step_scan`, the per-step loop, rescans it from the chunk's start
-    to the end, so the rescan reaches the same first non-finite step as the
-    per-step loop, and the mask reads the rescanned states.  The remaining
-    rows of the other elements are then copied out and scanned on their own
-    from the next chunk's start, so their chunks and bits do not change.
-    Overflow in the doubling rounds is ignored; overflow in the rescan is
-    left to the caller's error state.
+    Each chunk is tested for finiteness once, after its rounds.  The
+    per-step loop, :func:`_step_scan`, redoes exactly the chunks whose rounds
+    left the finite range and whose start state was finite: it steps a
+    time-major copy of those elements' chunk rows, built from the start
+    state and the forcing copy, and the rows are written back, so a
+    divergence shows at the step the per-step loop reaches and the mask
+    reads the redone states.  A chunk whose start state is already
+    non-finite is left as the rounds left it: P x with a non-finite entry
+    has no finite entry, so its states are non-finite under either loop.
+    Every other chunk keeps the rounds' bits.  Overflow in the doubling
+    rounds is ignored; overflow in the per-step loop is left to the caller's
+    error state.
     """
     x = rows if rows.ndim == 3 else rows[None]  # (count, K+1, n)
     count, steps, n = x.shape[0], x.shape[1] - 1, x.shape[2]
@@ -320,18 +326,17 @@ def _affine_scan(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
             ok = np.isfinite(y).all(axis=(1, 2))
         if ok.all():
             continue
-        dead = np.flatnonzero(~ok)
-        y[dead, 1:] = forcing[dead, :length]
-        sub = x[dead, lo:].swapaxes(0, 1)[..., None].copy()  # time-major
-        _step_scan(p if p.ndim == 2 else p[dead], sub)
-        x[dead, lo + 1:] = sub[1:, :, :, 0].swapaxes(0, 1)
-        finite[dead] = np.isfinite(sub).all(axis=(0, 2, 3))
-        live = np.flatnonzero(ok)
-        if live.size and lo + length < steps:
-            rest = x[live, lo + length:]
-            finite[live] = _affine_scan(p if p.ndim == 2 else p[live], rest)
-            x[live, lo + length + 1:] = rest[:, 1:]
-        break
+        redo = np.flatnonzero(~ok & np.isfinite(y[:, 0]).all(axis=1))
+        if redo.size:
+            sub = np.empty((length + 1, redo.size, n, 1))  # time-major
+            sub[0, :, :, 0] = y[redo, 0]
+            for i, e in enumerate(redo):  # with no fancy-index temporary
+                sub[1:, i, :, 0] = forcing[e, :length]
+            _step_scan(p if p.ndim == 2 else p[redo], sub)
+            y[redo, 1:] = sub[1:, :, :, 0].swapaxes(0, 1)
+            ok[redo] = np.isfinite(sub).all(axis=(0, 2, 3))
+            del sub  # before the next chunk's rounds
+        finite &= ok
     return finite
 
 

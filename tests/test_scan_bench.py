@@ -11,8 +11,10 @@ def test_one_tiny_repeat_times_every_case_on_both_sides():
     src = _ROOT / "src"
     report = scan_bench.compare(src, src, repeats=1, tiny=True)
     assert list(report) == ["simulate euler n=2 K=200", "simulate midpoint n=2 K=200",
-                            "evaluate 8 candidates n=8 K=200", "calibrate wide-n8 model=0", "calibrate wide-n8 model=6",
-                            "calibrate oscillator"]
+                            "simulate euler diverging n=2 K=200",
+                            "evaluate 8 candidates n=8 K=200", "calibrate wide-n8 model=0",
+                            "calibrate wide-n8 model=6", "calibrate oscillator",
+                            "calibrate oscillator sigma_init=1e6"]
     for row in report.values():
         for side in ("base", "change"):
             assert row[side]["median_ms"] > 0

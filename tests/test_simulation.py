@@ -265,7 +265,8 @@ class TestAffineScan:
         # the doubling scan serves every n and K, n > 21 too: on finite runs
         # of K = 1, a few steps and more than one chunk, single sweeps and
         # stacks with a shared P or one per element, the per-step loop never
-        # runs; a run that overflows rescans its chunk with it
+        # runs; a run that overflows redoes its chunk with it, and only that
+        # chunk, however many chunks follow
         rng = philox(n)
         chunk = _CHUNK_VALUES // n
         for steps in (1, 5, chunk + 3):
@@ -279,22 +280,26 @@ class TestAffineScan:
                 assert step_scan.call_count == 0
                 assert np.isfinite(rows).all() and finite.all()
         # 16 I overflows within 256 steps, in the first chunk at n <= 32
-        rows = rng.normal(size=(chunk + 4, n))
-        with mock.patch.object(systems, "_step_scan", wraps=systems._step_scan) as step_scan:
-            with np.errstate(over="ignore", invalid="ignore"):
-                finite = _affine_scan(16.0 * np.eye(n), rows)
-        assert step_scan.call_count == 1
-        assert not np.isfinite(rows[-1]).any() and not finite.any()
+        for steps in (chunk + 3, 3 * chunk):
+            rows = rng.normal(size=(steps + 1, n))
+            with mock.patch.object(systems, "_step_scan",
+                                   wraps=systems._step_scan) as step_scan:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    finite = _affine_scan(16.0 * np.eye(n), rows)
+            assert step_scan.call_count == 1
+            assert len(step_scan.call_args.args[1]) <= chunk + 1
+            assert not np.isfinite(rows[-1]).any() and not finite.any()
 
 
 class TestFiniteMask:
-    @pytest.mark.parametrize("steps", [5, _CHUNK_VALUES // 2 + 3])
+    @pytest.mark.parametrize("steps", [5, _CHUNK_VALUES // 2 + 3, 3 * (_CHUNK_VALUES // 2)])
     @pytest.mark.parametrize("diverging", [(True,), (False, True), (True, False, False, True),
                                            (False, True, True, False)])
     def test_mask_names_the_elements_that_stayed_finite(self, steps, diverging):
         # per-element P: 16 I from 1e305 overflows within five steps, in the
         # first chunk at n = 2; K = _CHUNK_VALUES // 2 + 3 runs the finite
-        # elements on past that chunk
+        # elements on past that chunk, and K = 3 chunks through two more
+        # chunks after the overflow
         n, diverging = 2, np.array(diverging)
         rng = philox(steps + len(diverging))
         props = random_propagators(rng, n, len(diverging), 1.0 / steps, midpoint=False,
@@ -312,12 +317,13 @@ class TestFiniteMask:
             assert _affine_scan(props[i], single).all()
             assert np.array_equal(scanned[i], single)
 
-    @pytest.mark.parametrize("steps", [5, _CHUNK_VALUES // 2 + 3])
+    @pytest.mark.parametrize("steps", [5, _CHUNK_VALUES // 2 + 3, 2 * (_CHUNK_VALUES // 2) + 3])
     def test_mask_follows_the_rescan_not_the_rounds(self, steps):
         # a shared 16 I: the elements from 1e305 overflow, and those that
         # start at zero with zero forcing stay zero, though past 256 steps
-        # the powers overflow and the rounds give them NaN; the rescan
-        # restores their zeros and the mask says so
+        # the powers overflow and the rounds give them NaN; the per-step
+        # loop redoes their chunks, across chunk boundaries too, and
+        # restores their zeros, and the mask says so
         n = 2
         rows = 1e305 * philox(steps).normal(size=(4, steps + 1, n))
         rows[[1, 2]] = 0.0
@@ -394,6 +400,29 @@ class TestScanMemory:
         assert stacked <= sum(scan_peak(props[i], single) for i, single in enumerate(singles))
         for i, single in enumerate(singles):
             assert np.array_equal(rows[i], single)
+
+    @pytest.mark.parametrize("count, diverging", [(0, [0]), (8, [3]), (8, list(range(8)))])
+    def test_an_overflow_holds_no_more_whatever_k(self, count, diverging):
+        # 16 I from 1e305 overflows in the first chunk at n = 2: a single
+        # sweep, and stacks of 8 with one element and with every element
+        # diverging.  The per-step loop redoes that chunk alone, from one
+        # chunk-sized copy per redone element, so the peak at K = 3 chunks
+        # is the peak at one chunk and three steps
+        n, chunk = 2, _CHUNK_VALUES // 2
+        stayed = np.ones(max(count, 1), dtype=bool)
+        stayed[diverging] = False
+        peaks = []
+        for steps in (chunk + 3, 3 * chunk):
+            rng = philox(steps + count)
+            props = random_propagators(rng, n, len(stayed), 1.0 / steps, midpoint=False,
+                                       adjoint=False)
+            props[diverging] = 16.0 * np.eye(n)
+            rows = rng.normal(size=(len(stayed), steps + 1, n))
+            rows[diverging] *= 1e305
+            with np.errstate(over="ignore", invalid="ignore"):
+                peaks.append(scan_peak(props, rows) if count else scan_peak(props[0], rows[0]))
+            assert np.array_equal(np.isfinite(rows).all(axis=(1, 2)), stayed)
+        assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
 
 
 class TestBitExactIntegrators:

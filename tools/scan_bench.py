@@ -13,13 +13,17 @@ with ``perf_counter``.
 
 Cases: ``simulate_euler`` and ``simulate_discrete_gradient`` at
 n in {2, 8, 16, 32} x K in {1e3, 1e4, 1e5} (perfbench's random n, k=2 truth of
-model seed n, h = 1e-3), one call of the Armijo cost evaluator
+model seed n, h = 1e-3); ``simulate_euler`` at K = 1e5 of a lossless n = 2
+model with J = [[0, 1e200], [-1e200, 0]], which overflows at step 2, so the
+call must raise DivergenceError; one call of the Armijo cost evaluator
 ``calibration._BatchEvaluator`` on 8 candidates, spaced evenly from the
 start point to the truth of perfbench's ``wide-n8`` model 0 (n = 8, k = 2,
-K = 1e3), so that the stacked sweep has a case of its own, and
-``calibrate`` on ``wide-n8`` models 0 and 6 and on the oscillator with noise
-seed 7 (K = 1e3).  ``--tiny`` runs the simulations at n = 2, the rest at
-K = 200 and calibrations of 2 iterations, for tests.
+K = 1e3), so that the stacked sweep has a case of its own; ``calibrate`` on
+``wide-n8`` models 0 and 6 and on the oscillator with noise seed 7
+(K = 1e3); and the oscillator with ``sigma_init=1e6`` and 5 iterations
+(noise seed 28, K = 500), whose first candidates overflow.  ``--tiny`` runs
+the simulations at n = 2, the rest at K = 200 and calibrations of 2
+iterations, for tests.
 
 The report, printed or written to FILE as JSON, gives per case and side the
 median and interquartile range of the R timings in ms, the ratio of the
@@ -66,6 +70,20 @@ def cases(tiny: bool):
                                     ("midpoint", phsid.simulate_discrete_gradient)):
                 yield f"simulate {label} n={n} K={steps}", (
                     lambda simulate=simulate, u=u, truth=truth: simulate(truth, u))
+    steps = sizes[1][-1]
+    diverging = phsid.ReducedPHSystem(
+        phsid.SkewSymmetricMatrix.from_matrix([[0.0, 1e200], [-1e200, 0.0]]),
+        phsid.PSDMatrix.zeros(2), np.ones((2, 2)), np.array([1.0, 2.0]))
+    u = phsid.generate_input(grid(steps), 2, phsid.NoiseSpec(seed=2))
+
+    def diverge(u=u):
+        try:
+            phsid.simulate_euler(diverging, u)
+        except phsid.DivergenceError:
+            return
+        raise AssertionError("the diverging model ran to its last step")
+
+    yield f"simulate euler diverging n=2 K={steps}", diverge
     steps = 200 if tiny else 1_000
     truth, start = random_model(0, 8, 2)
     u, y = phsid.generate_reference(truth, grid(steps), phsid.NoiseSpec(seed=0))
@@ -83,6 +101,12 @@ def cases(tiny: bool):
         cfg = phsid.CalibrationConfig(max_iter=2 if tiny else max_iter)
         yield name, (lambda start=start, u=u, y=y, b=truth.B, cfg=cfg:
                      phsid.calibrate(start, u, y, b, cfg))
+    truth = oscillator_truth()
+    u, y = phsid.generate_reference(truth, phsid.TimeGrid(1.0, 200 if tiny else 500),
+                                    phsid.NoiseSpec(seed=28))
+    cfg = phsid.CalibrationConfig(sigma_init=1e6, max_iter=2 if tiny else 5)
+    yield "calibrate oscillator sigma_init=1e6", (
+        lambda u=u, y=y, b=truth.B, cfg=cfg: phsid.calibrate(oscillator_guess(), u, y, b, cfg))
 
 
 def serve(tiny: bool) -> None:
