@@ -172,8 +172,8 @@ def _trial_points(v: ParameterPoint, g: Gradient, sigmas: list[float], psd_mode:
     mirrored by ``phsid.matrices``' mirror, the one ``from_strict_lower`` and
     ``from_lower`` use, so J is exactly skew and R exactly symmetric.  Rows
     whose J or R overflowed are dropped.  With ``psd_mode="project"``, the R
-    blocks that a stacked ``eigvalsh`` finds not PSD are replaced by their
-    projections, all in one call of the stacked projection core.
+    blocks go through one call of the stacked projection core, which leaves
+    the blocks that are already PSD as they are.
     """
     s = np.array(sigmas, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -183,9 +183,7 @@ def _trial_points(v: ParameterPoint, g: Gradient, sigmas: list[float], psd_mode:
     keep = np.isfinite(j).all(axis=(1, 2)) & np.isfinite(r).all(axis=(1, 2))
     s, j, r, w = s[keep], j[keep], r[keep], w[keep]
     if psd_mode == PSD_PROJECT:
-        clip = np.flatnonzero(np.linalg.eigvalsh(r)[:, 0] < 0.0)
-        if len(clip):
-            r[clip] = _project_psd_stack(r[clip])
+        r = _project_psd_stack(r)
     return [s, j, r, w]
 
 

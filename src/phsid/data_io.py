@@ -99,8 +99,9 @@ def standard_normals(seed: int, count: int) -> np.ndarray:
 
 def generate_input(grid: TimeGrid, k: int, spec: NoiseSpec) -> Signal:
     """Noisy constant input, one independent draw per node and port."""
-    if k < 1:
+    if not (_is_integer(k) and k >= 1):
         raise DimensionMismatchError("number of ports k must be >= 1")
+    k = int(k)
     z = standard_normals(spec.seed, grid.num_nodes * k).reshape(grid.num_nodes, k)
     return Signal(grid, spec.mean + spec.std * z)
 

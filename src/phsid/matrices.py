@@ -14,12 +14,17 @@ therefore hold bit-exactly, not merely up to round-off.  IEEE-754 negation
 is exact, so mirroring the lower triangle preserves this under construction.
 :func:`_skew_from_lower` and :func:`_sym_from_lower` are the one definition
 of that mirror, for one matrix or a stack; the constructors and the line
-search's stacked trial points all call them.
+search's stacked trial points all call them.  Both matrix types derive from
+one private base that holds the exact test (the array equals the mirror of
+its own lower triangle) and ``from_matrix``, whose relative tolerance gate,
+:func:`_check_mirror`, also checks the PSD projection's reassembly.
 
 Definiteness is a spectral property and can only be checked numerically:
 positive semidefiniteness is validated with an absolute slack ``PSD_EIG_TOL``
 on the smallest eigenvalue, which absorbs the round-off introduced by
-congruence transforms and projections.
+congruence transforms and projections.  The spectral clip (Higham 1988) is
+one stacked core, :func:`_project_psd_stack`; it alone decides which
+blocks are already PSD and leaves those bit for bit.
 """
 
 from __future__ import annotations
@@ -67,12 +72,14 @@ def _frozen_matrix(a, name) -> np.ndarray:
     return a
 
 
-def _frozen_vector(a, name) -> np.ndarray:
+def _frozen_vector(a, name, length=None) -> np.ndarray:
     a = np.array(a, dtype=float)
     if a.ndim != 1:
         raise DimensionMismatchError(f"{name} must be a vector, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidModelError(f"{name} contains non-finite entries")
+    if length is not None and a.shape[0] != length:
+        raise DimensionMismatchError(f"{name} has length {a.shape[0]}, expected {length}")
     a.flags.writeable = False
     return a
 
@@ -96,23 +103,45 @@ def _is_integer(value) -> bool:
     return _is_real(value) and _is_finite(value) and int(value) == value
 
 
-@dataclass(frozen=True)
-class SkewSymmetricMatrix:
-    """Dense skew-symmetric matrix, exact by construction.
+def _check_mirror(a: np.ndarray, sign: float, rtol: float, what: str) -> None:
+    """Reject ``a``, one square matrix (n, n) or a stack (m, n, n), unless it
+    is finite and every block equals ``sign`` times its transpose to within
+    ``rtol`` times max(1, max|block|); ``what`` names the property in the
+    errors, and the first failing block decides which error is raised."""
+    if a.shape[-1] < 1:
+        raise DimensionMismatchError(f"{what} check failed: matrix must have dimension >= 1")
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
+    with np.errstate(invalid="ignore"):  # inf - inf in a block rejected as non-finite
+        off = np.abs(a - sign * a.swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = np.flatnonzero(~finite | (off > rtol * scale))
+    if len(bad):
+        if not finite.flat[bad[0]]:
+            raise InvalidModelError(f"{what} check failed: non-finite entries")
+        minus = "-" if sign < 0 else ""
+        raise InvalidModelError(f"{what} violated: A[i, j] != {minus}A[j, i] beyond tolerance")
 
-    Use :meth:`from_strict_lower` (free parameters) or :meth:`from_matrix`
-    (validated and canonicalized dense input).  The stored array is
-    read-only.
+
+@dataclass(frozen=True)
+class _MirroredMatrix:
+    """Dense matrix that equals the mirror of its own lower triangle.
+
+    A subclass names its ``_sign`` (-1 skew, +1 symmetric), its ``_mirror``
+    of the lower triangle, its free-parameter builder ``_build`` and, for
+    the errors, its ``_name`` and the property ``_what`` it keeps.  The
+    stored array is read-only.  For a finite array, A == sign * A^T entry
+    by entry is the same test as A == mirror(A), with a zero skew diagonal
+    implied (a == -a only for a = 0), and is the cheaper one.
     """
 
     array: np.ndarray
 
     def __post_init__(self):
-        a = _frozen_matrix(self.array, "skew-symmetric matrix")
+        a = _frozen_matrix(self.array, self._name)
         object.__setattr__(self, "array", a)
-        if not np.array_equal(a.T, -a) or not np.all(a.diagonal() == 0.0):
+        if not (a == self._sign * a.T).all():
             raise InvalidModelError(
-                "skew-symmetry violated: build through from_strict_lower/from_matrix"
+                f"{self._what} violated: build through {self._build}/from_matrix"
             )
 
     @property
@@ -120,52 +149,41 @@ class SkewSymmetricMatrix:
         return self.array.shape[0]
 
     @classmethod
-    def zeros(cls, n: int) -> "SkewSymmetricMatrix":
+    def zeros(cls, n: int):
         return cls(np.zeros((n, n)))
+
+    @classmethod
+    def from_matrix(cls, a, rtol: float = SYMMETRY_RTOL):
+        """Validate the mirror identity of ``a`` to relative tolerance
+        ``rtol``, then canonicalize through the lower triangle."""
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise DimensionMismatchError(f"expected square matrix, got shape {a.shape}")
+        _check_mirror(a, cls._sign, rtol, cls._what)
+        return cls(cls._mirror(a))
+
+
+class SkewSymmetricMatrix(_MirroredMatrix):
+    """Dense skew-symmetric matrix, exact by construction.
+
+    Use :meth:`from_strict_lower` (free parameters) or :meth:`from_matrix`
+    (validated and canonicalized dense input).
+    """
+
+    _sign, _mirror, _build = -1.0, staticmethod(_skew_from_lower), "from_strict_lower"
+    _name, _what = "skew-symmetric matrix", "skew-symmetry"
 
     @classmethod
     def from_strict_lower(cls, lower) -> "SkewSymmetricMatrix":
         """Build from free parameters; entries on and above the diagonal are ignored."""
         return cls(_skew_from_lower(np.asarray(lower, dtype=float)))
 
-    @classmethod
-    def from_matrix(cls, a, rtol: float = SYMMETRY_RTOL) -> "SkewSymmetricMatrix":
-        """Validate that ``a`` is skew-symmetric to relative tolerance ``rtol``,
-        then canonicalize through the strict lower triangle."""
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatchError(f"expected square matrix, got shape {a.shape}")
-        scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
-        if not np.all(np.isfinite(a)):
-            raise InvalidModelError("skew-symmetry check failed: non-finite entries")
-        if np.abs(a + a.T).max() > rtol * scale:
-            raise InvalidModelError(
-                "skew-symmetry violated: A[i, j] != -A[j, i] beyond tolerance"
-            )
-        return cls.from_strict_lower(a)
 
-
-@dataclass(frozen=True)
-class SymmetricMatrix:
+class SymmetricMatrix(_MirroredMatrix):
     """Dense symmetric matrix, exact by construction (mirrored lower triangle)."""
 
-    array: np.ndarray
-
-    def __post_init__(self):
-        a = _frozen_matrix(self.array, "symmetric matrix")
-        object.__setattr__(self, "array", a)
-        if not np.array_equal(a.T, a):
-            raise InvalidModelError(
-                "symmetry violated: build through from_lower/from_matrix"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.array.shape[0]
-
-    @classmethod
-    def zeros(cls, n: int) -> "SymmetricMatrix":
-        return cls(np.zeros((n, n)))
+    _sign, _mirror, _build = 1.0, staticmethod(_sym_from_lower), "from_lower"
+    _name, _what = "symmetric matrix", "symmetry"
 
     @classmethod
     def diagonal(cls, d) -> "SymmetricMatrix":
@@ -175,19 +193,6 @@ class SymmetricMatrix:
     def from_lower(cls, lower) -> "SymmetricMatrix":
         """Build from free parameters: the lower triangle including the diagonal."""
         return cls(_sym_from_lower(np.asarray(lower, dtype=float)))
-
-    @classmethod
-    def from_matrix(cls, a, rtol: float = SYMMETRY_RTOL) -> "SymmetricMatrix":
-        """Validate symmetry to relative tolerance ``rtol``, canonicalize via lower triangle."""
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatchError(f"expected square matrix, got shape {a.shape}")
-        scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
-        if not np.all(np.isfinite(a)):
-            raise InvalidModelError("symmetry check failed: non-finite entries")
-        if np.abs(a - a.T).max() > rtol * scale:
-            raise InvalidModelError("symmetry violated: A[i, j] != A[j, i] beyond tolerance")
-        return cls.from_lower(a)
 
 
 @dataclass(frozen=True)
@@ -278,39 +283,37 @@ class SPDMatrix:
 
 def _project_psd_stack(r: np.ndarray) -> np.ndarray:
     """Frobenius-nearest PSD matrices of the finite symmetric blocks ``r``
-    (m, n, n), each of which has a negative eigenvalue.
+    (m, n, n), as a new (m, n, n) array.
 
-    Exactly diagonal blocks are clipped entrywise, which coincides with the
-    spectral projection and keeps them exactly diagonal.  The others are
-    eigendecomposed, their negative eigenvalues clipped to zero and the
-    blocks reassembled, all as one stack; numpy's stacked linalg and matmul
-    make one LAPACK or BLAS call per block, so each block is what a stack of
-    one gives.  Returns a new (m, n, n) array.
+    The one PSD test before projection is here: a block whose smallest
+    eigenvalue by a stacked ``eigvalsh`` is >= 0 is returned bit for bit.
+    Of the others, exactly diagonal blocks are clipped entrywise, which
+    coincides with the spectral projection and keeps them exactly diagonal.
+    The rest are eigendecomposed, their negative eigenvalues clipped to zero
+    and the blocks reassembled, all as one stack; numpy's stacked linalg and
+    matmul make one LAPACK or BLAS call per block, so each block is what a
+    stack of one gives.
     """
+    out = r.copy()
+    neg = np.flatnonzero(np.linalg.eigvalsh(r)[:, 0] < 0.0)
+    if not len(neg):
+        return out
     n = r.shape[-1]
-    out = np.zeros_like(r)
     diag = np.arange(n)
-    off = r.copy()
+    off = r[neg]
     off[:, diag, diag] = 0.0
     diagonal = ~off.any(axis=(1, 2))
-    clip = np.flatnonzero(diagonal)[:, None]
-    out[clip, diag, diag] = np.maximum(r[clip, diag, diag], 0.0)
-    rest = np.flatnonzero(~diagonal)
+    clip = neg[diagonal]
+    out[clip] = 0.0
+    out[clip[:, None], diag, diag] = np.maximum(r[clip[:, None], diag, diag], 0.0)
+    rest = neg[~diagonal]
     if not len(rest):
         return out
     w, u = np.linalg.eigh(r[rest])
     clipped = (u * np.maximum(w, 0.0)[:, None, :]) @ u.swapaxes(-1, -2)
     # reassembly is symmetric only to round-off; canonicalize with a loose
     # gate, the one SymmetricMatrix.from_matrix(clipped, rtol=1e-8) applies
-    finite = np.isfinite(clipped).all(axis=(1, 2))
-    scale = np.maximum(np.abs(clipped).max(axis=(1, 2)), 1.0)
-    with np.errstate(invalid="ignore"):  # inf - inf in a block the gate rejects anyway
-        skew = np.abs(clipped - clipped.swapaxes(-1, -2)).max(axis=(1, 2))
-    bad = np.flatnonzero(~finite | (skew > 1e-8 * scale))
-    if len(bad):
-        if not finite[bad[0]]:
-            raise InvalidModelError("symmetry check failed: non-finite entries")
-        raise InvalidModelError("symmetry violated: A[i, j] != A[j, i] beyond tolerance")
+    _check_mirror(clipped, 1.0, 1e-8, "symmetry")
     sym = _sym_from_lower(clipped)
     # for large-scale inputs the reassembly round-off alone can push the
     # smallest eigenvalue below the validation slack; boost the diagonal by an
@@ -335,13 +338,11 @@ def project_psd(m: SymmetricMatrix) -> PSDMatrix:
     Eigendecompose, clip negative eigenvalues to zero, reassemble.  Inputs
     that are already PSD are returned unchanged (bit-exact).  Exactly
     diagonal inputs are clipped entrywise, which coincides with the spectral
-    projection and keeps them exactly diagonal.  The projection itself is
+    projection and keeps them exactly diagonal.  All of it is
     :func:`_project_psd_stack` on a stack of one, the core the line search
-    runs on all of a batch's non-PSD blocks at once.
+    runs on all of a batch's R blocks at once.
     """
     a = m.array
     if not np.all(np.isfinite(a)):
         raise InvalidModelError("projection failed: non-finite entries")
-    if np.linalg.eigvalsh(a)[0] >= 0.0:
-        return PSDMatrix(m)
     return PSDMatrix(SymmetricMatrix(_project_psd_stack(a[None])[0]))

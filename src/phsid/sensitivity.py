@@ -78,14 +78,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DivergenceError
-from .matrices import PSDMatrix, SkewSymmetricMatrix, SymmetricMatrix, _frozen_vector
+from .errors import DimensionMismatchError
+from .matrices import PSDMatrix, SkewSymmetricMatrix, SymmetricMatrix, _frozen_vector, _is_integer
 from .systems import (
     ReducedPHSystem,
     Signal,
     TimeGrid,
     Trajectory,
     _affine_scan,
+    _check_finite,
     _euler_states,
     _step_scan,
 )
@@ -105,12 +106,7 @@ class ParameterPoint:
     def __post_init__(self):
         if self.R.n != self.J.n:
             raise DimensionMismatchError("J and R must share the same dimension")
-        w0 = _frozen_vector(self.w_hat, "w_hat")
-        if w0.shape[0] != self.J.n:
-            raise DimensionMismatchError(
-                f"w_hat has length {w0.shape[0]}, expected {self.J.n}"
-            )
-        object.__setattr__(self, "w_hat", w0)
+        object.__setattr__(self, "w_hat", _frozen_vector(self.w_hat, "w_hat", self.J.n))
 
     @property
     def n(self) -> int:
@@ -209,8 +205,9 @@ def tangent_basis(n: int, structure: str = STRUCTURE_FULL) -> BasisSet:
     """
     if structure not in STRUCTURES:
         raise ValueError(f"unknown structure {structure!r}, expected one of {STRUCTURES}")
-    if n < 1:
+    if not (_is_integer(n) and n >= 1):
         raise DimensionMismatchError("dimension must be >= 1")
+    n = int(n)
     strict = [(i, j) for i in range(n) for j in range(i)]
     directions = [Direction("J", i, j) for i, j in strict]
     directions += [Direction("R", i, i) for i in range(n)]
@@ -225,6 +222,16 @@ def _check_trajectory(sys: ReducedPHSystem, traj: Trajectory, grid: TimeGrid) ->
         raise DimensionMismatchError("trajectory grid does not match the requested grid")
     if traj.n != sys.n:
         raise DimensionMismatchError("system and trajectory dimensions differ")
+
+
+def _check_y_data(sys: ReducedPHSystem, y_data: Signal, *grids: TimeGrid) -> None:
+    """Reject data off any of ``grids`` or with other than the system's ports."""
+    if any(grid != y_data.grid for grid in grids):
+        raise DimensionMismatchError("trajectory, sensitivity and data grids differ")
+    if y_data.k != sys.k:
+        raise DimensionMismatchError(
+            f"data has {y_data.k} ports but the system expects {sys.k}"
+        )
 
 
 def solve_sensitivity(sys: ReducedPHSystem, traj: Trajectory,
@@ -259,12 +266,7 @@ def solve_sensitivity(sys: ReducedPHSystem, traj: Trajectory,
 def directional_derivative(sys: ReducedPHSystem, traj: Trajectory,
                            sens: Trajectory, y_data: Signal) -> float:
     """Left-endpoint quadrature of <B^T w - y_data, B^T s> over the grid."""
-    if not (traj.grid == sens.grid == y_data.grid):
-        raise DimensionMismatchError("trajectory, sensitivity and data grids differ")
-    if y_data.k != sys.k:
-        raise DimensionMismatchError(
-            f"data has {y_data.k} ports but the system expects {sys.k}"
-        )
+    _check_y_data(sys, y_data, traj.grid, sens.grid)
     h = traj.grid.h
     residual = traj.states[:-1] @ sys.B - y_data.values[:-1]
     tangent_output = sens.states[:-1] @ sys.B
@@ -305,12 +307,7 @@ def sensitivity_coefficients(sys: ReducedPHSystem, traj: Trajectory,
     _check_trajectory(sys, traj, grid)
     if basis.n != sys.n:
         raise DimensionMismatchError("system and basis dimensions differ")
-    if grid != y_data.grid:
-        raise DimensionMismatchError("trajectory, sensitivity and data grids differ")
-    if y_data.k != sys.k:
-        raise DimensionMismatchError(
-            f"data has {y_data.k} ports but the system expects {sys.k}"
-        )
+    _check_y_data(sys, y_data, grid)
     h = grid.h
     w = traj.states
     propagator = np.eye(sys.n) + h * sys.drift()
@@ -336,10 +333,8 @@ def _euler_cost(drift: np.ndarray, b: np.ndarray, w0: np.ndarray, u_values: np.n
     defined on all of matrix space, which keeps central differences
     two-sided even at the boundary of the PSD cone.
     """
-    try:
-        states = _euler_states(drift, b, w0, u_values, h)
-    except DivergenceError as exc:
-        raise DivergenceError(exc.step, label) from None
+    states, finite = _euler_states(drift, b, w0, u_values, h)
+    _check_finite(states, finite, label)
     return states, _output_cost(states, b, y_values, h)
 
 

@@ -174,10 +174,7 @@ class PHSystem:
         if self.R.n != n or self.Q.n != n:
             raise DimensionMismatchError("J, R, Q must share the same dimension")
         object.__setattr__(self, "B", _check_ports(self.B, n))
-        x0 = _frozen_vector(self.x_hat, "x_hat")
-        if x0.shape[0] != n:
-            raise DimensionMismatchError(f"x_hat has length {x0.shape[0]}, expected {n}")
-        object.__setattr__(self, "x_hat", x0)
+        object.__setattr__(self, "x_hat", _frozen_vector(self.x_hat, "x_hat", n))
 
     @property
     def n(self) -> int:
@@ -202,10 +199,7 @@ class ReducedPHSystem:
         if self.R.n != n:
             raise DimensionMismatchError("J and R must share the same dimension")
         object.__setattr__(self, "B", _check_ports(self.B, n))
-        w0 = _frozen_vector(self.w_hat, "w_hat")
-        if w0.shape[0] != n:
-            raise DimensionMismatchError(f"w_hat has length {w0.shape[0]}, expected {n}")
-        object.__setattr__(self, "w_hat", w0)
+        object.__setattr__(self, "w_hat", _frozen_vector(self.w_hat, "w_hat", n))
 
     @property
     def n(self) -> int:
@@ -374,22 +368,32 @@ def _check_finite(states: np.ndarray, finite: np.ndarray, scheme: str) -> None:
 
 
 def _euler_states(a: np.ndarray, b: np.ndarray, w0: np.ndarray,
-                  u_values: np.ndarray, h: float) -> np.ndarray:
+                  u_values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Explicit Euler recursion w_{j+1} = w_j + h*(a w_j + b u_j), for one drift or a stack.
 
     :func:`_integrate` with P = I + h a and S = h b on u_0 .. u_{K-1}, for one
-    drift ``a`` (n, n) or a stack of m drifts (m, n, n).  A single drift
-    gives its states (K+1, n) and raises DivergenceError through
-    :func:`_check_finite` at the first non-finite step.  A stack gives its
-    element-major states (m, K+1, n) as they are, the elements that diverged
-    holding non-finite states, and the mask (m,) of the elements that stayed
-    finite.
+    drift ``a`` (n, n) or a stack of m drifts (m, n, n).  Returns the states,
+    (K+1, n) or element-major (m, K+1, n), as they are, an element that
+    diverged holding non-finite states, and the scan's mask, (1,) or (m,),
+    of the elements that stayed finite.  Raising is the caller's: a caller
+    that needs finite states passes both to :func:`_check_finite` with its
+    own label.
     """
-    states, finite = _integrate(np.eye(a.shape[-1]) + h * a, h * b, w0, u_values[:-1])
-    if a.ndim == 3:
-        return states, finite
-    _check_finite(states, finite, "explicit Euler")
-    return states
+    return _integrate(np.eye(a.shape[-1]) + h * a, h * b, w0, u_values[:-1])
+
+
+def _check_input(sys: ReducedPHSystem, u: Signal) -> None:
+    if u.k != sys.k:
+        raise DimensionMismatchError(
+            f"input has {u.k} ports but the system expects {sys.k}"
+        )
+
+
+def _check_states(sys: ReducedPHSystem, traj: Trajectory) -> None:
+    if traj.n != sys.n:
+        raise DimensionMismatchError(
+            f"trajectory dimension {traj.n} does not match system dimension {sys.n}"
+        )
 
 
 def simulate_euler(sys: ReducedPHSystem, u: Signal) -> Trajectory:
@@ -398,20 +402,15 @@ def simulate_euler(sys: ReducedPHSystem, u: Signal) -> Trajectory:
     The input is sampled at the left endpoint of each step, matching the
     evaluation point of the scheme.
     """
-    if u.k != sys.k:
-        raise DimensionMismatchError(
-            f"input has {u.k} ports but the system expects {sys.k}"
-        )
-    states = _euler_states(sys.drift(), sys.B, sys.w_hat, u.values, u.grid.h)
+    _check_input(sys, u)
+    states, finite = _euler_states(sys.drift(), sys.B, sys.w_hat, u.values, u.grid.h)
+    _check_finite(states, finite, "explicit Euler")
     return Trajectory(u.grid, states)
 
 
 def output(sys: ReducedPHSystem, traj: Trajectory) -> Signal:
     """Node-wise output y_j = B^T w_j."""
-    if traj.n != sys.n:
-        raise DimensionMismatchError(
-            f"trajectory dimension {traj.n} does not match system dimension {sys.n}"
-        )
+    _check_states(sys, traj)
     return Signal(traj.grid, traj.states @ sys.B)
 
 
@@ -427,10 +426,7 @@ def simulate_discrete_gradient(sys: ReducedPHSystem, u: Signal) -> Trajectory:
     I + h/2 R, hence is always invertible.  The input is sampled at the right
     endpoint, as the discrete-gradient form of the dynamics prescribes.
     """
-    if u.k != sys.k:
-        raise DimensionMismatchError(
-            f"input has {u.k} ports but the system expects {sys.k}"
-        )
+    _check_input(sys, u)
     h = u.grid.h
     a = sys.drift()
     m_minus = np.eye(sys.n) - 0.5 * h * a
@@ -452,10 +448,7 @@ def midpoint_output(sys: ReducedPHSystem, traj: Trajectory) -> Signal:
     The node-0 value is the instantaneous output B^T w_0 (the degenerate-step
     limit of the discrete gradient).
     """
-    if traj.n != sys.n:
-        raise DimensionMismatchError(
-            f"trajectory dimension {traj.n} does not match system dimension {sys.n}"
-        )
+    _check_states(sys, traj)
     w = traj.states
     values = np.empty((w.shape[0], sys.k))
     values[0] = w[0] @ sys.B
@@ -473,10 +466,7 @@ def energy_balance_residual(sys: ReducedPHSystem, traj: Trajectory, u: Signal) -
     round-off; for explicit Euler it measures the O(h^2) per-step energy
     defect.
     """
-    if traj.n != sys.n:
-        raise DimensionMismatchError(
-            f"trajectory dimension {traj.n} does not match system dimension {sys.n}"
-        )
+    _check_states(sys, traj)
     if u.k != sys.k or u.grid != traj.grid:
         raise DimensionMismatchError("input signal does not match the trajectory grid/ports")
     h = traj.grid.h

@@ -553,8 +553,9 @@ def batched_search(v, g, cost_at_v, b, u, y_data, cfg):
     evaluator = calibration._BatchEvaluator(b, u, y_data)
     step = p.armijo_search(v, g, cost_at_v, evaluator, cfg)
     j, r, w0 = step.point.J.array, step.point.R.array, step.point.w_hat
-    np.testing.assert_array_equal(evaluator.states_of(step.row),
-                                  calibration._euler_states(j - r, b, w0, u.values, u.grid.h))
+    states, finite = calibration._euler_states(j - r, b, w0, u.values, u.grid.h)
+    assert finite[0]
+    np.testing.assert_array_equal(evaluator.states_of(step.row), states)
     return step.sigma, j, r, w0, step.cost
 
 
@@ -723,8 +724,11 @@ class TestBatchedSearch:
         # sigma = 2048 leaves the finite range in the Euler states, sigma = 1024
         # only in their squares; both cost +inf and the search goes on.  The
         # batch's last candidate, after the accepted one, is costed as well.
-        with pytest.raises(p.DivergenceError):
-            calibration._euler_states(j[0] - r[0], b, w[0], u.values, grid.h)
+        states, finite = calibration._euler_states(j[0] - r[0], b, w[0], u.values, grid.h)
+        assert not finite[0] and not np.isfinite(states).all()
+        with pytest.raises(p.DivergenceError, match=r"\(single\)"):
+            sensitivity._euler_cost(j[0] - r[0], b, w[0], u.values, y_data.values, grid.h,
+                                    "single")
         assert np.isinf(costs[:2]).all()
         assert np.isfinite(costs[2:]).all()
         assert_same_outcome(outcome(batched_search, v, g, cost_at_v, b, u, y_data, cfg),

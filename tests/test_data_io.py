@@ -69,6 +69,16 @@ class TestGenerateInput:
         assert abs(u.values.mean() - 1.0) < 0.002
         assert abs(u.values.std(ddof=1) - 0.1) < 0.002
 
+    @pytest.mark.parametrize("k", [0, True, 1.5, np.nan, "1"])
+    def test_port_count_must_be_an_integer_of_at_least_one(self, k):
+        with pytest.raises(p.DimensionMismatchError, match="number of ports k must be >= 1"):
+            p.generate_input(p.TimeGrid(1.0, 10), k, p.NoiseSpec())
+
+    def test_integral_port_count_becomes_int(self):
+        grid, spec = p.TimeGrid(1.0, 10), p.NoiseSpec(seed=5)
+        u = p.generate_input(grid, 2.0, spec)
+        assert u.values.tobytes() == p.generate_input(grid, 2, spec).values.tobytes()
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             p.NoiseSpec(std=-0.1)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phsid import (
+    DimensionMismatchError,
     InvalidModelError,
     PSDMatrix,
     SPDMatrix,
@@ -44,6 +45,12 @@ class TestSkewSymmetric:
         m = SkewSymmetricMatrix.zeros(3)
         with pytest.raises(ValueError):
             m.array[0, 1] = 1.0
+
+
+@pytest.mark.parametrize("cls", [SkewSymmetricMatrix, SymmetricMatrix, PSDMatrix, SPDMatrix])
+def test_from_matrix_rejects_an_empty_matrix(cls):
+    with pytest.raises(DimensionMismatchError, match="must have dimension >= 1"):
+        cls.from_matrix(np.zeros((0, 0)))
 
 
 class TestSymmetric:
@@ -142,11 +149,22 @@ class TestProjectPSD:
             SymmetricMatrix.diagonal([1.0, np.nan])
 
 
-BLOCK_KINDS = ("general", "diagonal", "diagonal_negative_zero", "boundary", "large")
+BLOCK_KINDS = ("general", "diagonal", "diagonal_negative_zero", "boundary", "large",
+               "psd", "psd_diagonal")
 
 
-def non_psd_block(rng, n, kind):
-    """A symmetric (n, n) block with a negative eigenvalue, of the given kind."""
+def symmetric_block(rng, n, kind):
+    """A symmetric (n, n) block of the given kind: with no negative
+    eigenvalue for the "psd" kinds, with one for the others."""
+    if kind == "psd":
+        g = rng.normal(size=(n, n))
+        return _sym_from_lower(g @ g.T / n + 0.1 * np.eye(n))
+    if kind == "psd_diagonal":
+        # -0.0 off the diagonal and at [0, 0]: bits an entrywise clip would not keep
+        a = np.full((n, n), -0.0)
+        a[np.diag_indices(n)] = np.abs(rng.normal(size=n))
+        a[0, 0] = -0.0
+        return a
     if kind.startswith("diagonal"):
         d = rng.normal(size=n)
         d[rng.integers(n)] = -abs(d[0]) - 0.1
@@ -165,9 +183,10 @@ def non_psd_block(rng, n, kind):
 
 
 def one_matrix_projection(a):
-    """The spectral clip of one symmetric matrix ``a`` with a negative
-    eigenvalue, step by step through the public types: the reference the
-    stacked core is held to."""
+    """The spectral clip of one symmetric matrix ``a``, step by step through
+    the public types: the reference the stacked core is held to."""
+    if np.linalg.eigvalsh(a)[0] >= 0.0:
+        return a
     if np.array_equal(a, np.diag(a.diagonal())):
         return np.diag(np.maximum(a.diagonal(), 0.0))
     w, u = np.linalg.eigh(a)
@@ -199,18 +218,21 @@ class TestProjectPSDStack:
            seed=st.integers(0, 2**32 - 1))
     def test_each_block_is_project_psd_bit_for_bit(self, n, kinds, seed):
         # exactly diagonal blocks (also with -0.0 off the diagonal), blocks
-        # just outside the cone and large-scale blocks, stacked in any order:
-        # each block of the stack equals the one-matrix projection's bits
+        # just outside the cone, large-scale blocks and blocks already in the
+        # cone, stacked in any order: the PSD blocks come back bit for bit,
+        # and each block equals the one-matrix projection's bits
         rng = philox(seed)
-        r = np.stack([non_psd_block(rng, n, kind) for kind in kinds])
-        assert (np.linalg.eigvalsh(r)[:, 0] < 0.0).all()
+        r = np.stack([symmetric_block(rng, n, kind) for kind in kinds])
+        psd = np.array([kind.startswith("psd") for kind in kinds])
+        assert ((np.linalg.eigvalsh(r)[:, 0] >= 0.0) == psd).all()
         out = _project_psd_stack(r.copy())
         assert out.shape == r.shape
+        assert out[psd].tobytes() == r[psd].tobytes()
         assert_projections_match(r, out)
 
     def test_large_scale_blocks_reach_the_diagonal_boost(self):
         rng = philox(9)
-        r = np.stack([non_psd_block(rng, 6, "large") for _ in range(4)])
+        r = np.stack([symmetric_block(rng, 6, "large") for _ in range(4)])
         assert all(reassembled_min_eigenvalue(a) < -1e-12 for a in r)
         out = _project_psd_stack(r)
         assert (np.linalg.eigvalsh(out)[:, 0] >= -1e-12).all()

@@ -89,6 +89,16 @@ class TestTangentBasis:
         with pytest.raises(ValueError):
             p.Direction(*triple)
 
+    @pytest.mark.parametrize("n", [0, -1, True, 1.5, np.nan, "2"])
+    def test_dimension_must_be_an_integer_of_at_least_one(self, n):
+        with pytest.raises(p.DimensionMismatchError, match="dimension must be >= 1"):
+            p.tangent_basis(n)
+
+    def test_integral_dimension_becomes_int(self):
+        basis = p.tangent_basis(2.0)
+        assert basis.n == 2 and type(basis.n) is int
+        assert basis.directions == p.tangent_basis(np.int64(2)).directions
+
     def test_basis_direction_outside_dimension_rejected(self):
         with pytest.raises(p.DimensionMismatchError):
             p.BasisSet((p.Direction("x", 2, 2),), "full", 2)

@@ -18,6 +18,7 @@ from conftest import (
     random_skew,
 )
 from phsid import systems
+from phsid.sensitivity import _euler_cost
 from phsid.systems import _CHUNK_VALUES, _affine_scan, _euler_states
 
 
@@ -156,7 +157,9 @@ class TestStackedEuler:
         assert states.shape == (m, steps + 1, n)
         assert finite.all()
         for i in range(m):
-            assert np.array_equal(states[i], _euler_states(drifts[i], b, w0[i], u_values, h))
+            single, single_finite = _euler_states(drifts[i], b, w0[i], u_values, h)
+            assert single_finite.tolist() == [True]
+            assert np.array_equal(states[i], single)
 
     def test_diverged_element_is_returned_not_raised(self):
         assert_diverged_element_is_returned(steps=100)
@@ -174,12 +177,20 @@ def assert_diverged_element_is_returned(steps):
     u_values = np.ones((grid.num_nodes, 1))
     drifts = np.stack([np.diag([-0.5, -0.3]), np.diag([1e6, 1e6]), np.diag([-0.1, -0.2])])
     w0 = np.array([[1.0, 2.0], [1.0, 1.0], [0.5, 0.5]])
-    states, _ = _euler_states(drifts, b, w0, u_values, grid.h)
+    states, finite = _euler_states(drifts, b, w0, u_values, grid.h)
+    assert finite.tolist() == [True, False, True]
     assert not np.isfinite(states[1]).all()
-    with pytest.raises(p.DivergenceError):
-        _euler_states(drifts[1], b, w0[1], u_values, grid.h)
+    single, single_finite = _euler_states(drifts[1], b, w0[1], u_values, grid.h)
+    assert single_finite.tolist() == [False]
+    assert np.array_equal(states[1], single, equal_nan=True)
+    # the callers that need finite states raise, each with its own label
+    with pytest.raises(p.DivergenceError, match=r"\(explicit Euler\)"):
+        p.simulate_euler(diverging_system(), p.Signal(grid, u_values))
+    with pytest.raises(p.DivergenceError, match=r"\(probe\)"):
+        _euler_cost(drifts[1], b, w0[1], u_values, u_values, grid.h, "probe")
     for i in (0, 2):
-        single = _euler_states(drifts[i], b, w0[i], u_values, grid.h)
+        single, single_finite = _euler_states(drifts[i], b, w0[i], u_values, grid.h)
+        assert single_finite.tolist() == [True]
         assert np.array_equal(states[i], single)
 
 
