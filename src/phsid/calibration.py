@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidModelError, LineSearchError
-from .matrices import PSDMatrix, SkewSymmetricMatrix, SymmetricMatrix
+from .matrices import PSDMatrix, SkewSymmetricMatrix
 from .matrices import project_psd  # noqa: F401 -- perfbench/tracing.py wraps it at this name
 from .matrices import _is_finite, _is_integer, _is_real
 from .matrices import _project_psd_stack, _skew_from_lower, _sym_from_lower
@@ -236,8 +236,7 @@ def armijo_search(v: ParameterPoint, g: Gradient, cost_at_v: float,
             if (np.isfinite(cand_cost) and cand_cost - cost_at_v <= -cfg.gamma * s[i] * g_sq
                     and (cand_cost < cost_at_v or g_sq == 0.0)):
                 # PSDMatrix rejects an R that psd_mode="none" left outside the cone
-                point = ParameterPoint(SkewSymmetricMatrix(j[i]),
-                                       PSDMatrix(SymmetricMatrix(r[i])), w[i])
+                point = ParameterPoint(SkewSymmetricMatrix(j[i]), PSDMatrix(r[i]), w[i])
                 return ArmijoStep(float(s[i]), point, float(cand_cost), i)
         pending = [a[len(costs):] for a in pending]
 
@@ -296,18 +295,14 @@ def calibrate(v0: ParameterPoint, u: Signal, y_data: Signal, b,
     """Run the descent loop from ``v0`` with fixed, known port matrix ``b``."""
     if cfg is None:
         cfg = CalibrationConfig()
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape[0] != v0.n:
-        raise DimensionMismatchError(
-            f"port matrix must be {v0.n} x k, got shape {b.shape}"
-        )
-    _check_data(u, y_data, b.shape[1], "B")
+    start = v0.to_system(b)  # validates b against v0
+    b = start.B
+    _check_data(u, y_data, start.k, "B")
 
     basis = tangent_basis(v0.n, cfg.structure)
     evaluate = _BatchEvaluator(b, u, y_data)
 
     v = v0
-    start = v.to_system(b)  # validates b against v
     states, current = _euler_cost(start.drift(), start.B, start.w_hat, u.values,
                                   y_data.values, u.grid.h, "cost evaluation")
     history = [current]

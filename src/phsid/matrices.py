@@ -19,12 +19,17 @@ one private base that holds the exact test (the array equals the mirror of
 its own lower triangle) and ``from_matrix``, whose relative tolerance gate,
 :func:`_check_mirror`, also checks the PSD projection's reassembly.
 
-Definiteness is a spectral property and can only be checked numerically:
-positive semidefiniteness is validated with an absolute slack ``PSD_EIG_TOL``
-on the smallest eigenvalue, which absorbs the round-off introduced by
-congruence transforms and projections.  The spectral clip (Higham 1988) is
-one stacked core, :func:`_project_psd_stack`; it alone decides which
-blocks are already PSD and leaves those bit for bit.
+:class:`PSDMatrix` and :class:`SPDMatrix` are symmetric matrices: each is a
+:class:`SymmetricMatrix` subclass that adds one spectral test to its
+constructor, so they take a raw array and inherit ``from_matrix``,
+``from_lower``, ``zeros`` and every structural error.  Definiteness can
+only be checked numerically.  Positive semidefiniteness is validated with
+an absolute slack ``PSD_EIG_TOL`` on the smallest eigenvalue, which absorbs
+the round-off introduced by congruence transforms and projections.
+Positive definiteness is whatever LAPACK's Cholesky factorization accepts;
+its factor is kept.  The spectral clip (Higham 1988) is one stacked core,
+:func:`_project_psd_stack`; it alone decides which blocks are already PSD
+and leaves those bit for bit.
 """
 
 from __future__ import annotations
@@ -43,9 +48,6 @@ PSD_EIG_TOL = 1e-10
 #: Relative tolerance when validating (skew-)symmetry of externally
 #: supplied dense arrays before they are canonicalized.
 SYMMETRY_RTOL = 1e-12
-
-#: Relative Frobenius tolerance for the Cholesky reconstruction V @ V.T.
-SPD_RECONSTRUCTION_RTOL = 1e-12
 
 
 def _skew_from_lower(lower: np.ndarray) -> np.ndarray:
@@ -195,90 +197,45 @@ class SymmetricMatrix(_MirroredMatrix):
         return cls(_sym_from_lower(np.asarray(lower, dtype=float)))
 
 
-@dataclass(frozen=True)
-class PSDMatrix:
+class PSDMatrix(SymmetricMatrix):
     """Symmetric positive semidefinite matrix (dissipation block).
 
-    Semidefiniteness is validated on construction: the smallest eigenvalue
-    must be >= -PSD_EIG_TOL.
+    A :class:`SymmetricMatrix` whose smallest eigenvalue is checked on
+    construction to be >= -PSD_EIG_TOL.
     """
 
-    base: SymmetricMatrix
-
     def __post_init__(self):
-        lam_min = float(np.linalg.eigvalsh(self.base.array)[0])
+        super().__post_init__()
+        lam_min = float(np.linalg.eigvalsh(self.array)[0])
         if lam_min < -PSD_EIG_TOL:
             raise InvalidModelError(
                 f"positive semidefiniteness violated: smallest eigenvalue "
                 f"{lam_min:.3e} < -{PSD_EIG_TOL:.0e}"
             )
 
-    @property
-    def array(self) -> np.ndarray:
-        return self.base.array
 
-    @property
-    def n(self) -> int:
-        return self.base.n
+class SPDMatrix(SymmetricMatrix):
+    """Symmetric positive definite matrix (energy block).
 
-    @classmethod
-    def zeros(cls, n: int) -> "PSDMatrix":
-        return cls(SymmetricMatrix.zeros(n))
-
-    @classmethod
-    def from_matrix(cls, a, rtol: float = SYMMETRY_RTOL) -> "PSDMatrix":
-        return cls(SymmetricMatrix.from_matrix(a, rtol=rtol))
-
-
-@dataclass(frozen=True)
-class SPDMatrix:
-    """Symmetric positive definite matrix together with its lower Cholesky factor.
-
-    ``base == cholesky_factor @ cholesky_factor.T`` up to a relative
-    Frobenius error of ``SPD_RECONSTRUCTION_RTOL``; the factor has a strictly
-    positive diagonal (Cholesky succeeds iff the matrix is positive definite).
+    A :class:`SymmetricMatrix` that LAPACK's Cholesky factorization accepts;
+    the read-only lower factor V, with ``array == V @ V.T`` up to round-off,
+    is kept as ``cholesky_factor``.
     """
 
-    base: SymmetricMatrix
-    cholesky_factor: np.ndarray
-
     def __post_init__(self):
-        v = _frozen_matrix(self.cholesky_factor, "Cholesky factor")
-        object.__setattr__(self, "cholesky_factor", v)
-        if v.shape != self.base.array.shape:
-            raise DimensionMismatchError("Cholesky factor shape does not match base")
-        if not np.all(v.diagonal() > 0.0):
-            raise InvalidModelError(
-                "positive definiteness violated: Cholesky diagonal not strictly positive"
-            )
-        err = np.linalg.norm(v @ v.T - self.base.array)
-        if err > SPD_RECONSTRUCTION_RTOL * max(np.linalg.norm(self.base.array), 1e-300):
-            raise InvalidModelError(
-                "Cholesky factor does not reconstruct the matrix to tolerance"
-            )
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.base.array
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @classmethod
-    def identity(cls, n: int) -> "SPDMatrix":
-        return cls(SymmetricMatrix(np.eye(n)), np.eye(n))
-
-    @classmethod
-    def from_matrix(cls, a, rtol: float = SYMMETRY_RTOL) -> "SPDMatrix":
-        base = SymmetricMatrix.from_matrix(a, rtol=rtol)
+        super().__post_init__()
         try:
-            factor = np.linalg.cholesky(base.array)
+            factor = np.linalg.cholesky(self.array)
         except np.linalg.LinAlgError:
             raise InvalidModelError(
                 "positive definiteness violated: Cholesky factorization failed"
             ) from None
-        return cls(base, factor)
+        factor.flags.writeable = False
+        object.__setattr__(self, "cholesky_factor", factor)
+
+    @classmethod
+    def identity(cls, n: int) -> "SPDMatrix":
+        return cls(np.eye(n))
 
 
 def _project_psd_stack(r: np.ndarray) -> np.ndarray:
@@ -342,7 +299,4 @@ def project_psd(m: SymmetricMatrix) -> PSDMatrix:
     :func:`_project_psd_stack` on a stack of one, the core the line search
     runs on all of a batch's R blocks at once.
     """
-    a = m.array
-    if not np.all(np.isfinite(a)):
-        raise InvalidModelError("projection failed: non-finite entries")
-    return PSDMatrix(SymmetricMatrix(_project_psd_stack(a[None])[0]))
+    return PSDMatrix(_project_psd_stack(m.array[None])[0])

@@ -86,7 +86,9 @@ from .systems import (
     TimeGrid,
     Trajectory,
     _affine_scan,
+    _check_blocks,
     _check_finite,
+    _check_states,
     _euler_states,
     _step_scan,
 )
@@ -104,8 +106,7 @@ class ParameterPoint:
     w_hat: np.ndarray
 
     def __post_init__(self):
-        if self.R.n != self.J.n:
-            raise DimensionMismatchError("J and R must share the same dimension")
+        _check_blocks(J=self.J, R=self.R)
         object.__setattr__(self, "w_hat", _frozen_vector(self.w_hat, "w_hat", self.J.n))
 
     @property
@@ -220,8 +221,7 @@ def tangent_basis(n: int, structure: str = STRUCTURE_FULL) -> BasisSet:
 def _check_trajectory(sys: ReducedPHSystem, traj: Trajectory, grid: TimeGrid) -> None:
     if traj.grid != grid:
         raise DimensionMismatchError("trajectory grid does not match the requested grid")
-    if traj.n != sys.n:
-        raise DimensionMismatchError("system and trajectory dimensions differ")
+    _check_states(sys, traj)
 
 
 def _check_y_data(sys: ReducedPHSystem, y_data: Signal, *grids: TimeGrid) -> None:

@@ -159,6 +159,23 @@ def _check_ports(b, n_expected, name="B") -> np.ndarray:
     return b
 
 
+_BLOCK_TYPES = {"J": SkewSymmetricMatrix, "R": PSDMatrix, "Q": SPDMatrix}
+
+
+def _check_blocks(**blocks) -> None:
+    """Reject a J, R or Q block that is not a SkewSymmetricMatrix, a
+    PSDMatrix or an SPDMatrix, and blocks of different dimensions."""
+    for name, block in blocks.items():
+        kind = _BLOCK_TYPES[name]
+        if not isinstance(block, kind):
+            raise InvalidModelError(f"{name} must be of type {kind.__name__}, "
+                                    f"got {type(block).__name__}")
+    if len({block.n for block in blocks.values()}) > 1:
+        *names, last = blocks
+        raise DimensionMismatchError(
+            f"{', '.join(names)} and {last} must share the same dimension")
+
+
 @dataclass(frozen=True)
 class PHSystem:
     """Full port-Hamiltonian model (J, R, Q, B, x_hat)."""
@@ -170,9 +187,8 @@ class PHSystem:
     x_hat: np.ndarray
 
     def __post_init__(self):
+        _check_blocks(J=self.J, R=self.R, Q=self.Q)
         n = self.J.n
-        if self.R.n != n or self.Q.n != n:
-            raise DimensionMismatchError("J, R, Q must share the same dimension")
         object.__setattr__(self, "B", _check_ports(self.B, n))
         object.__setattr__(self, "x_hat", _frozen_vector(self.x_hat, "x_hat", n))
 
@@ -195,9 +211,8 @@ class ReducedPHSystem:
     w_hat: np.ndarray
 
     def __post_init__(self):
+        _check_blocks(J=self.J, R=self.R)
         n = self.J.n
-        if self.R.n != n:
-            raise DimensionMismatchError("J and R must share the same dimension")
         object.__setattr__(self, "B", _check_ports(self.B, n))
         object.__setattr__(self, "w_hat", _frozen_vector(self.w_hat, "w_hat", n))
 

@@ -309,8 +309,8 @@ class TestArmijo:
 class TestCalibrate:
     @pytest.mark.parametrize("b, u_ports, y_ports, y_steps, match", [
         (np.ones((2, 1)), 1, 1, 500, "grids differ"),
-        (np.ones((3, 1)), 1, 1, 1000, r"must be 2 x k, got shape \(3, 1\)"),
-        (np.ones(2), 1, 1, 1000, r"must be 2 x k, got shape \(2,\)"),
+        (np.ones((3, 1)), 1, 1, 1000, "B has 3 rows, expected state dimension 2"),
+        (np.ones(2), 1, 1, 1000, r"B must be 2-D \(n x k\), got shape \(2,\)"),
         (np.ones((2, 2)), 2, 1, 1000, "port counts"),
     ], ids=["grids", "B-rows", "B-vector", "data-ports"])
     def test_mismatched_problem_rejected(self, guess_point, b, u_ports, y_ports, y_steps,
@@ -540,7 +540,7 @@ def sequential_search(v, g, cost_at_v, b, u, y_data, cfg):
             if (np.isfinite(c) and c - cost_at_v <= -cfg.gamma * sigma * g.norm_sq
                     and (c < cost_at_v or g.norm_sq == 0.0)):
                 if cfg.psd_mode == "none":
-                    p.PSDMatrix(r_sym)  # the accepted iterate must be admissible
+                    p.PSDMatrix(r_sym.array)  # the accepted iterate must be admissible
                 return sigma, j, r, w0, c
         if halvings == cfg.max_halvings:
             raise p.LineSearchError(sigma, halvings)

@@ -70,6 +70,23 @@ class TestSymmetric:
             SymmetricMatrix.from_matrix([[1.0, 2.0], [2.1, 1.0]])
 
 
+@pytest.mark.parametrize("cls", [PSDMatrix, SPDMatrix])
+class TestDefiniteMatrices:
+    def test_takes_a_raw_array(self, cls):
+        m = cls(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert isinstance(m, SymmetricMatrix)
+        assert m.array.tolist() == [[2.0, 1.0], [1.0, 2.0]]
+
+    def test_inherited_builders_return_the_subclass(self, cls):
+        assert type(cls.from_lower([[2.0, 99.0], [1.0, 2.0]])) is cls
+        assert type(cls.from_matrix([[2.0, 1.0], [1.0, 2.0]])) is cls
+        assert type(cls.diagonal([1.0, 2.0])) is cls
+
+    def test_rejects_asymmetric_array(self, cls):
+        with pytest.raises(InvalidModelError, match="symmetry"):
+            cls(np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]]))
+
+
 class TestPSD:
     def test_accepts_psd(self):
         PSDMatrix.from_matrix([[2.0, 1.0], [1.0, 2.0]])
@@ -92,8 +109,14 @@ class TestSPD:
         np.testing.assert_allclose(q.cholesky_factor, expected, rtol=0, atol=1e-15)
 
     def test_identity(self):
-        q = SPDMatrix.identity(3)
-        assert np.array_equal(q.cholesky_factor, np.eye(3))
+        for n in range(1, 9):
+            q = SPDMatrix.identity(n)
+            assert q.cholesky_factor.tobytes() == np.eye(n).tobytes()
+
+    def test_cholesky_factor_is_read_only(self):
+        q = SPDMatrix.from_matrix([[4.0, 2.0], [2.0, 3.0]])
+        with pytest.raises(ValueError):
+            q.cholesky_factor[0, 0] = 1.0
 
     def test_reconstruction_invariant(self):
         rng = philox(3)
@@ -123,6 +146,7 @@ class TestProjectPSD:
 
     def test_diagonal_clipping(self):
         out = project_psd(SymmetricMatrix.diagonal([1.0, -0.5]))
+        assert type(out) is PSDMatrix
         assert out.array.tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
     def test_offdiagonal_pair(self):

@@ -202,7 +202,7 @@ class TestSolveSensitivity:
 
     @pytest.mark.parametrize("steps, n, match", [
         (20, 2, "trajectory grid does not match"),
-        (10, 3, "system and trajectory dimensions differ"),
+        (10, 3, "does not match system dimension"),
     ], ids=["grid", "dimension"])
     def test_mismatched_trajectory_rejected(self, oscillator, steps, n, match):
         traj = p.Trajectory(p.TimeGrid(1.0, steps), np.zeros((steps + 1, n)))

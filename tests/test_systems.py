@@ -57,6 +57,22 @@ class TestSystemTypes:
         with pytest.raises(p.DimensionMismatchError):
             p.ReducedPHSystem(j, p.PSDMatrix.zeros(2), np.ones((2, 1)), np.zeros(3))
 
+    def test_block_types_checked(self):
+        # an indefinite symmetric R would otherwise be taken as a dissipation block
+        j, r, q = p.SkewSymmetricMatrix.zeros(2), p.PSDMatrix.zeros(2), p.SPDMatrix.identity(2)
+        sym = p.SymmetricMatrix.from_matrix([[0.5, 0.0], [0.0, -0.3]])
+        b, w = np.ones((2, 1)), np.zeros(2)
+        with pytest.raises(p.InvalidModelError, match="R must be of type PSDMatrix"):
+            p.ParameterPoint(j, sym, w)
+        with pytest.raises(p.InvalidModelError, match="R must be of type PSDMatrix"):
+            p.ReducedPHSystem(j, sym, b, w)
+        with pytest.raises(p.InvalidModelError, match="J must be of type SkewSymmetricMatrix"):
+            p.ReducedPHSystem(r, r, b, w)
+        with pytest.raises(p.InvalidModelError, match="R must be of type PSDMatrix"):
+            p.PHSystem(j, sym, q, b, w)
+        with pytest.raises(p.InvalidModelError, match="Q must be of type SPDMatrix"):
+            p.PHSystem(j, r, p.SymmetricMatrix.zeros(2), b, w)
+
     def test_full_system_consistency(self):
         with pytest.raises(p.DimensionMismatchError):
             p.PHSystem(

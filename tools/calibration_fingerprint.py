@@ -24,6 +24,12 @@ Simulation cases: explicit Euler and the discrete-gradient scheme over
 K=1e4 steps on the random n=8, k=2 truths of model seeds 0 and 6.  With
 k >= 2 each step's forcing is a sum of products, so its rounding depends on
 how the matrix-vector product is evaluated.
+
+Reduction cases: ``cholesky_reduce`` of full models with a non-identity Q,
+the random n=3 and n=8, k=2 truths of model seeds 3 and 8 with
+Q = G G^T / n + 0.5 I (G standard normal, Philox keyed with 100 + n); the
+reduced J, R, B and w_hat are digested, so a moved bit of the Cholesky
+factor shows.
 """
 
 import hashlib
@@ -73,6 +79,15 @@ def simulations():
             yield f"wide-n8 model={model} {scheme} K={LONG_STEPS}", simulate(truth, u)
 
 
+def reductions():
+    for n in (3, 8):
+        truth, _ = random_model(n, n, 2)
+        g = np.random.Generator(np.random.Philox(key=100 + n)).normal(size=(n, n))
+        q = p.SPDMatrix.from_matrix(g @ g.T / n + 0.5 * np.eye(n))
+        full = p.PHSystem(truth.J, truth.R, q, truth.B, truth.w_hat)
+        yield f"cholesky_reduce n={n}", p.cholesky_reduce(full)
+
+
 def digest(array_dir: Path | None, case: str, key: str, *arrays) -> str:
     """SHA-256 of the concatenated bytes of ``arrays``, which are also saved
     as one flat ``.npy`` array under ``array_dir`` when it is given."""
@@ -114,6 +129,10 @@ def main(argv: list[str]):
     for label, traj in simulations():
         print(json.dumps({"case": label, "states": digest(array_dir, label, "states",
                                                            traj.states)}))
+    for label, red in reductions():
+        blocks = {"J": red.J.array, "R": red.R.array, "B": red.B, "w_hat": red.w_hat}
+        print(json.dumps({"case": label, **{key: digest(array_dir, label, key, block)
+                                            for key, block in blocks.items()}}))
 
 
 if __name__ == "__main__":
