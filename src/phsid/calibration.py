@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidModelError, LineSearchError
+from .errors import InvalidModelError, LineSearchError
 from .matrices import PSDMatrix, SkewSymmetricMatrix
 from .matrices import project_psd  # noqa: F401 -- perfbench/tracing.py wraps it at this name
 from .matrices import _is_finite, _is_integer, _is_real
@@ -56,7 +56,7 @@ from .sensitivity import (
     sensitivity_coefficients,
     tangent_basis,
 )
-from .systems import ReducedPHSystem, Signal, Trajectory, _euler_states, output
+from .systems import ReducedPHSystem, Signal, Trajectory, _check_parts, _euler_states, output
 from .systems import simulate_euler  # noqa: F401 -- perfbench/tracing.py wraps it at this name
 
 PSD_PROJECT = "project"
@@ -146,21 +146,9 @@ class ArmijoStep(NamedTuple):
     row: int
 
 
-def _check_data(u: Signal, y_data: Signal, k: int, owner: str) -> None:
-    """Reject input and data off one grid, with other than ``k`` ports or
-    with a non-finite sample."""
-    if u.grid != y_data.grid:
-        raise DimensionMismatchError("input and data grids differ")
-    if u.k != k or y_data.k != k:
-        raise DimensionMismatchError(f"port counts of {owner}, input and data differ")
-    for name, signal in (("u", u), ("y_data", y_data)):
-        if not np.isfinite(signal.values).all():
-            raise InvalidModelError(f"{name} contains non-finite values")
-
-
 def cost(sys: ReducedPHSystem, u: Signal, y_data: Signal) -> float:
     """Output mismatch 1/2 * sum_{j<K} h * |B^T w_j - y_data_j|^2 under explicit Euler."""
-    _check_data(u, y_data, sys.k, "system")
+    _check_parts(sys, u=u, y_data=y_data)
     return _euler_cost(sys.drift(), sys.B, sys.w_hat, u.values, y_data.values, u.grid.h,
                        "cost evaluation")[1]
 
@@ -256,12 +244,11 @@ class _BatchEvaluator:
     has named an accepted row, since the next search mostly accepts near
     the row the last one did; every other call takes the whole batch.
     Either way it takes no more than fit in ``_PASS_BYTES`` of stacked
-    states, and at least one.  The sweep's states are element-major, so
-    each candidate's (K+1, n) states are a contiguous slice of them; its
-    cost is formed from that slice, as :func:`cost` forms it, and equals a
-    one-candidate evaluation bit for bit.  Only the candidates that the
-    scan's mask names finite are costed.  The sweep of the last call is
-    kept, so the accepted candidate's states need no second sweep.
+    states, and at least one.  The sweep's states are element-major, and
+    one stacked reduction costs them all, each candidate's cost equal to a
+    one-candidate evaluation bit for bit; the candidates that the scan's
+    mask names non-finite get +inf.  The sweep of the last call is kept, so
+    the accepted candidate's states need no second sweep.
     """
 
     def __init__(self, b: np.ndarray, u: Signal, y_data: Signal):
@@ -276,9 +263,8 @@ class _BatchEvaluator:
         self._width = _BATCH_WIDTH
         drifts, w0 = j_stack[:m] - r_stack[:m], w_stack[:m]
         states, finite = _euler_states(drifts, self.b, w0, self.u_values, self.h)
-        costs = np.full(m, np.inf)
-        for i in np.flatnonzero(finite):
-            costs[i] = _output_cost(states[i], self.b, self.y_values, self.h)
+        costs = _output_cost(states, self.b, self.y_values, self.h)
+        costs[~finite] = np.inf
         self._last = states
         return costs
 
@@ -297,7 +283,7 @@ def calibrate(v0: ParameterPoint, u: Signal, y_data: Signal, b,
         cfg = CalibrationConfig()
     start = v0.to_system(b)  # validates b against v0
     b = start.B
-    _check_data(u, y_data, start.k, "B")
+    _check_parts(start, u=u, y_data=y_data)
 
     basis = tangent_basis(v0.n, cfg.structure)
     evaluate = _BatchEvaluator(b, u, y_data)

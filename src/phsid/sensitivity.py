@@ -88,7 +88,7 @@ from .systems import (
     _affine_scan,
     _check_blocks,
     _check_finite,
-    _check_states,
+    _check_parts,
     _euler_states,
     _step_scan,
 )
@@ -218,20 +218,9 @@ def tangent_basis(n: int, structure: str = STRUCTURE_FULL) -> BasisSet:
     return BasisSet(tuple(directions), structure, n)
 
 
-def _check_trajectory(sys: ReducedPHSystem, traj: Trajectory, grid: TimeGrid) -> None:
-    if traj.grid != grid:
-        raise DimensionMismatchError("trajectory grid does not match the requested grid")
-    _check_states(sys, traj)
-
-
-def _check_y_data(sys: ReducedPHSystem, y_data: Signal, *grids: TimeGrid) -> None:
-    """Reject data off any of ``grids`` or with other than the system's ports."""
-    if any(grid != y_data.grid for grid in grids):
-        raise DimensionMismatchError("trajectory, sensitivity and data grids differ")
-    if y_data.k != sys.k:
-        raise DimensionMismatchError(
-            f"data has {y_data.k} ports but the system expects {sys.k}"
-        )
+def _check_basis(basis: BasisSet, n: int) -> None:
+    if basis.n != n:
+        raise DimensionMismatchError("system and basis dimensions differ")
 
 
 def solve_sensitivity(sys: ReducedPHSystem, traj: Trajectory,
@@ -246,7 +235,9 @@ def solve_sensitivity(sys: ReducedPHSystem, traj: Trajectory,
     h * w[:, j] in column i and h * -w[:, i] in column j (J), and the R
     source is its negation, whose zero columns are -0.0.
     """
-    _check_trajectory(sys, traj, grid)
+    if traj.grid != grid:
+        raise DimensionMismatchError("trajectory grid does not match the requested grid")
+    _check_parts(sys, traj=traj)
     n, d, w, h = sys.n, direction, traj.states, grid.h
     if d.i >= n:
         raise DimensionMismatchError(f"direction {d.label} outside dimension {n}")
@@ -266,7 +257,7 @@ def solve_sensitivity(sys: ReducedPHSystem, traj: Trajectory,
 def directional_derivative(sys: ReducedPHSystem, traj: Trajectory,
                            sens: Trajectory, y_data: Signal) -> float:
     """Left-endpoint quadrature of <B^T w - y_data, B^T s> over the grid."""
-    _check_y_data(sys, y_data, traj.grid, sens.grid)
+    _check_parts(sys, traj=traj, sens=sens, y_data=y_data)
     h = traj.grid.h
     residual = traj.states[:-1] @ sys.B - y_data.values[:-1]
     tangent_output = sens.states[:-1] @ sys.B
@@ -303,11 +294,9 @@ def sensitivity_coefficients(sys: ReducedPHSystem, traj: Trajectory,
     :func:`solve_sensitivity` route up to rounding: the sums run in another
     order.
     """
+    _check_parts(sys, traj=traj, y_data=y_data)
+    _check_basis(basis, sys.n)
     grid = traj.grid
-    _check_trajectory(sys, traj, grid)
-    if basis.n != sys.n:
-        raise DimensionMismatchError("system and basis dimensions differ")
-    _check_y_data(sys, y_data, grid)
     h = grid.h
     w = traj.states
     propagator = np.eye(sys.n) + h * sys.drift()
@@ -335,18 +324,21 @@ def _euler_cost(drift: np.ndarray, b: np.ndarray, w0: np.ndarray, u_values: np.n
     """
     states, finite = _euler_states(drift, b, w0, u_values, h)
     _check_finite(states, finite, label)
-    return states, _output_cost(states, b, y_values, h)
+    return states, float(_output_cost(states, b, y_values, h))
 
 
-def _output_cost(states: np.ndarray, b: np.ndarray, y_values: np.ndarray, h: float) -> float:
+def _output_cost(states: np.ndarray, b: np.ndarray, y_values: np.ndarray, h: float):
     """1/2 * sum_{j<K} h * |B^T w_j - y_data_j|^2 for given Euler states.
 
-    Evaluated under the Euler loop's error state: finite states too large
-    to square give +inf, not a warning.
+    ``states`` is one sweep (K+1, n), giving one cost, or an element-major
+    stack (m, K+1, n), giving m costs in one stacked reduction; each equals
+    the cost of its element's own sweep bit for bit.  Evaluated under the
+    Euler loop's error state: finite states too large to square give +inf,
+    not a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = states[:-1] @ b - y_values[:-1]
-        return float(0.5 * h * np.sum(residual * residual))
+        residual = states[..., :-1, :] @ b - y_values[:-1]
+        return 0.5 * h * np.sum(residual * residual, axis=(-2, -1))
 
 
 def finite_difference_gradient(v: ParameterPoint, b: np.ndarray, u: Signal,
@@ -357,12 +349,15 @@ def finite_difference_gradient(v: ParameterPoint, b: np.ndarray, u: Signal,
     Evaluates [cost(v + eps*h) - cost(v - eps*h)] / (2 eps) per basis
     direction with the same simulator and quadrature as the sensitivity
     route, but no sensitivity machinery.  Perturbed points need not stay in
-    the PSD cone.
+    the PSD cone.  The problem is validated as ``phsid.calibration.calibrate``
+    validates it: ``b`` against ``v``, then ``u`` and ``y_data`` against the
+    model (one grid, its port count), then the basis dimension.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
-    if u.grid != y_data.grid:
-        raise DimensionMismatchError("input and data grids differ")
+    sys = v.to_system(b)
+    _check_parts(sys, u=u, y_data=y_data)
+    _check_basis(basis, sys.n)
     j0, r0, w0 = v.J.array, v.R.array, v.w_hat
     unit = np.zeros(len(basis))
     out = np.empty(len(basis))
@@ -371,7 +366,7 @@ def finite_difference_gradient(v: ParameterPoint, b: np.ndarray, u: Signal,
         pattern = assemble_gradient(unit, basis)  # the direction's dense ±1 blocks
         unit[idx] = 0.0
         plus, minus = (
-            _euler_cost((j0 + e * pattern.h_J.array) - (r0 + e * pattern.h_R.array), b,
+            _euler_cost((j0 + e * pattern.h_J.array) - (r0 + e * pattern.h_R.array), sys.B,
                         w0 + e * pattern.h_x, u.values, y_data.values, u.grid.h,
                         f"finite-difference probe along {d.label}")[1]
             for e in (eps, -eps))

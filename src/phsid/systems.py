@@ -16,6 +16,11 @@ w = V^T x, giving the reduced model
 where J' = V^T J V stays skew and R' = V^T R V stays PSD (congruence).  The
 reduced Hamiltonian is H(w) = |w|^2 / 2.
 
+A :class:`Signal` holds finite samples by type.  One check,
+:func:`_check_parts`, ties the signals and trajectories every entry point
+takes to its model: one grid, k ports per signal, n states per trajectory,
+each error naming the argument.
+
 Two integrators on a uniform grid are provided:
 
 * explicit Euler, which is what the identification machinery differentiates,
@@ -91,7 +96,7 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Signal:
-    """Sampled multi-port signal: one row of ``values`` per grid node."""
+    """Sampled multi-port signal: one row of finite ``values`` per grid node."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -104,6 +109,8 @@ class Signal:
             raise DimensionMismatchError(
                 f"signal has {v.shape[0]} rows but the grid has {self.grid.num_nodes} nodes"
             )
+        if not np.isfinite(v).all():
+            raise InvalidModelError("signal contains non-finite values")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -174,6 +181,26 @@ def _check_blocks(**blocks) -> None:
         *names, last = blocks
         raise DimensionMismatchError(
             f"{', '.join(names)} and {last} must share the same dimension")
+
+
+def _check_parts(sys: ReducedPHSystem, **parts) -> None:
+    """Reject signals and trajectories that do not belong to ``sys``.
+
+    Every part must lie on the first part's grid, a :class:`Signal` must
+    have ``sys.k`` ports and a :class:`Trajectory` ``sys.n`` states; each
+    error names the part's keyword.
+    """
+    first, lead = next(iter(parts.items()))
+    for name, part in parts.items():
+        if part.grid != lead.grid:
+            raise DimensionMismatchError(f"{first} and {name} grids differ")
+        if isinstance(part, Signal):
+            if part.k != sys.k:
+                raise DimensionMismatchError(
+                    f"{name} has {part.k} ports but the system expects {sys.k}")
+        elif part.n != sys.n:
+            raise DimensionMismatchError(
+                f"{name} dimension {part.n} does not match system dimension {sys.n}")
 
 
 @dataclass(frozen=True)
@@ -397,27 +424,13 @@ def _euler_states(a: np.ndarray, b: np.ndarray, w0: np.ndarray,
     return _integrate(np.eye(a.shape[-1]) + h * a, h * b, w0, u_values[:-1])
 
 
-def _check_input(sys: ReducedPHSystem, u: Signal) -> None:
-    if u.k != sys.k:
-        raise DimensionMismatchError(
-            f"input has {u.k} ports but the system expects {sys.k}"
-        )
-
-
-def _check_states(sys: ReducedPHSystem, traj: Trajectory) -> None:
-    if traj.n != sys.n:
-        raise DimensionMismatchError(
-            f"trajectory dimension {traj.n} does not match system dimension {sys.n}"
-        )
-
-
 def simulate_euler(sys: ReducedPHSystem, u: Signal) -> Trajectory:
     """Integrate the reduced dynamics with explicit Euler on the grid of ``u``.
 
     The input is sampled at the left endpoint of each step, matching the
     evaluation point of the scheme.
     """
-    _check_input(sys, u)
+    _check_parts(sys, u=u)
     states, finite = _euler_states(sys.drift(), sys.B, sys.w_hat, u.values, u.grid.h)
     _check_finite(states, finite, "explicit Euler")
     return Trajectory(u.grid, states)
@@ -425,7 +438,7 @@ def simulate_euler(sys: ReducedPHSystem, u: Signal) -> Trajectory:
 
 def output(sys: ReducedPHSystem, traj: Trajectory) -> Signal:
     """Node-wise output y_j = B^T w_j."""
-    _check_states(sys, traj)
+    _check_parts(sys, traj=traj)
     return Signal(traj.grid, traj.states @ sys.B)
 
 
@@ -441,7 +454,7 @@ def simulate_discrete_gradient(sys: ReducedPHSystem, u: Signal) -> Trajectory:
     I + h/2 R, hence is always invertible.  The input is sampled at the right
     endpoint, as the discrete-gradient form of the dynamics prescribes.
     """
-    _check_input(sys, u)
+    _check_parts(sys, u=u)
     h = u.grid.h
     a = sys.drift()
     m_minus = np.eye(sys.n) - 0.5 * h * a
@@ -463,7 +476,7 @@ def midpoint_output(sys: ReducedPHSystem, traj: Trajectory) -> Signal:
     The node-0 value is the instantaneous output B^T w_0 (the degenerate-step
     limit of the discrete gradient).
     """
-    _check_states(sys, traj)
+    _check_parts(sys, traj=traj)
     w = traj.states
     values = np.empty((w.shape[0], sys.k))
     values[0] = w[0] @ sys.B
@@ -481,9 +494,7 @@ def energy_balance_residual(sys: ReducedPHSystem, traj: Trajectory, u: Signal) -
     round-off; for explicit Euler it measures the O(h^2) per-step energy
     defect.
     """
-    _check_states(sys, traj)
-    if u.k != sys.k or u.grid != traj.grid:
-        raise DimensionMismatchError("input signal does not match the trajectory grid/ports")
+    _check_parts(sys, traj=traj, u=u)
     h = traj.grid.h
     w = traj.states
     g = 0.5 * (w[:-1] + w[1:])

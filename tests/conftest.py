@@ -1,3 +1,4 @@
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,21 @@ def random_reduced_system(rng, n, k) -> p.ReducedPHSystem:
 
 def random_signal(rng, grid, k) -> p.Signal:
     return p.Signal(grid, rng.normal(size=(grid.num_nodes, k)))
+
+
+def result_bits(res):
+    """Every field of a CalibrationResult, floats as their bytes."""
+    def bits(value):
+        if isinstance(value, p.ParameterPoint):
+            return tuple(a.tobytes() for a in (value.J.array, value.R.array, value.w_hat))
+        if isinstance(value, p.Signal):
+            return value.grid, value.values.tobytes()
+        if isinstance(value, tuple):
+            return tuple(bits(x) for x in value)
+        if isinstance(value, float):
+            return np.float64(value).tobytes()
+        return value
+    return {f.name: bits(getattr(res, f.name)) for f in fields(p.CalibrationResult)}
 
 
 @pytest.fixture

@@ -406,10 +406,19 @@ class TestFiniteDifferenceGradient:
 
     def test_grid_mismatch_rejected(self, oscillator):
         v = p.ParameterPoint(oscillator.J, oscillator.R, oscillator.w_hat)
-        with pytest.raises(p.DimensionMismatchError, match="input and data grids differ"):
+        with pytest.raises(p.DimensionMismatchError, match="^u and y_data grids differ$"):
             p.finite_difference_gradient(v, oscillator.B, p.Signal.zeros(p.TimeGrid(1.0, 10), 1),
                                          p.Signal.zeros(p.TimeGrid(1.0, 20), 1),
                                          p.tangent_basis(2, "full"))
+
+    def test_basis_dimension_rejected(self, oscillator):
+        # unchecked, the 1 x 1 pattern of tangent_basis(1) spreads over all
+        # of J and R at this n = 2 point and two coefficients come back
+        v = p.ParameterPoint(oscillator.J, oscillator.R, oscillator.w_hat)
+        zeros = p.Signal.zeros(p.TimeGrid(1.0, 10), 1)
+        with pytest.raises(p.DimensionMismatchError,
+                           match="^system and basis dimensions differ$"):
+            p.finite_difference_gradient(v, oscillator.B, zeros, zeros, p.tangent_basis(1))
 
     def test_divergence_names_the_probe(self):
         sys = diverging_system()

@@ -39,6 +39,13 @@ class TestSignalTrajectory:
         with pytest.raises(p.DimensionMismatchError):
             p.Trajectory(grid, np.zeros((12, 2)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_signal_rejects_non_finite_samples(self, value):
+        values = np.ones((11, 2))
+        values[4, 1] = value
+        with pytest.raises(p.InvalidModelError, match="^signal contains non-finite values$"):
+            p.Signal(p.TimeGrid(1.0, 10), values)
+
     def test_initial_state_recorded(self):
         sys = oscillator_system()
         grid = p.TimeGrid(1.0, 20)
@@ -178,3 +185,71 @@ class TestOutput:
         traj = p.Trajectory(grid, np.zeros((6, 3)))
         with pytest.raises(p.DimensionMismatchError):
             p.output(oscillator, traj)
+
+
+# Every public entry point that takes signals or trajectories: the keywords of
+# its parts, in the order it checks them, and a call on the oscillator (n = 2,
+# k = 1) with the parts in ``a``.
+GRID = p.TimeGrid(1.0, 10)
+ENTRY_POINTS = {
+    "simulate_euler": (("u",), lambda sys, a: p.simulate_euler(sys, a["u"])),
+    "simulate_discrete_gradient": (
+        ("u",), lambda sys, a: p.simulate_discrete_gradient(sys, a["u"])),
+    "output": (("traj",), lambda sys, a: p.output(sys, a["traj"])),
+    "midpoint_output": (("traj",), lambda sys, a: p.midpoint_output(sys, a["traj"])),
+    "energy_balance_residual": (
+        ("traj", "u"), lambda sys, a: p.energy_balance_residual(sys, a["traj"], a["u"])),
+    "solve_sensitivity": (
+        ("traj",), lambda sys, a: p.solve_sensitivity(sys, a["traj"], p.Direction("x", 0, 0),
+                                                      GRID)),
+    "directional_derivative": (
+        ("traj", "sens", "y_data"),
+        lambda sys, a: p.directional_derivative(sys, a["traj"], a["sens"], a["y_data"])),
+    "sensitivity_coefficients": (
+        ("traj", "y_data"),
+        lambda sys, a: p.sensitivity_coefficients(sys, a["traj"], a["y_data"],
+                                                  p.tangent_basis(2))),
+    "cost": (("u", "y_data"), lambda sys, a: p.cost(sys, a["u"], a["y_data"])),
+    "calibrate": (
+        ("u", "y_data"),
+        lambda sys, a: p.calibrate(p.ParameterPoint(sys.J, sys.R, sys.w_hat), a["u"],
+                                   a["y_data"], sys.B)),
+    "finite_difference_gradient": (
+        ("u", "y_data"),
+        lambda sys, a: p.finite_difference_gradient(p.ParameterPoint(sys.J, sys.R, sys.w_hat),
+                                                    sys.B, a["u"], a["y_data"],
+                                                    p.tangent_basis(2))),
+}
+WRONG = {
+    "grid": {"signal": p.Signal.zeros(p.TimeGrid(1.0, 20), 1),
+             "trajectory": p.Trajectory(p.TimeGrid(1.0, 20), np.zeros((21, 2)))},
+    "ports": {"signal": p.Signal.zeros(GRID, 2)},
+    "dimension": {"trajectory": p.Trajectory(GRID, np.zeros((11, 3)))},
+}
+
+
+def _mismatches():
+    """(entry point, part keyword, defect, expected message) for every
+    defect each part of each entry point can have."""
+    for entry, (names, _) in ENTRY_POINTS.items():
+        for i, name in enumerate(names):
+            cases = [("grid", f"{names[0]} and {name} grids differ")] if i else []
+            if name in ("u", "y_data"):
+                cases.append(("ports", f"{name} has 2 ports but the system expects 1"))
+            else:
+                cases.append(("dimension",
+                              f"{name} dimension 3 does not match system dimension 2"))
+            for defect, message in cases:
+                yield pytest.param(entry, name, defect, f"^{message}$",
+                                   id=f"{entry}-{name}-{defect}")
+
+
+@pytest.mark.parametrize("entry, name, defect, match", list(_mismatches()))
+def test_entry_points_reject_parts_that_do_not_fit_the_model(oscillator, entry, name,
+                                                             defect, match):
+    u = p.Signal.zeros(GRID, 1)
+    parts = {"u": u, "y_data": p.Signal.zeros(GRID, 1),
+             "traj": p.simulate_euler(oscillator, u), "sens": p.Trajectory(GRID, np.zeros((11, 2)))}
+    parts[name] = WRONG[defect]["signal" if name in ("u", "y_data") else "trajectory"]
+    with pytest.raises(p.DimensionMismatchError, match=match):
+        ENTRY_POINTS[entry][1](oscillator, parts)

@@ -2,7 +2,8 @@
 
 ``perfbench/tracing.py`` replaces phsid functions at the names their callers
 resolve.  Renaming or removing one of them breaks a traced benchmark run
-(``perfbench/run.py --trace 1``), so the sites are checked here.
+(``perfbench/run.py --trace 1``), so the sites are checked here, and so is
+that a traced ``calibrate`` returns the untraced result bit for bit.
 """
 
 import importlib
@@ -13,6 +14,7 @@ import pytest
 
 import phsid as p
 import phsid.calibration
+from conftest import result_bits
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,9 +36,12 @@ def test_a_traced_calibrate_records_the_search_and_restores_the_originals(tracin
     sites.append((phsid.calibration, "armijo_search"))
     originals = [getattr(module, attr) for module, attr in sites]
     u, y_data = p.generate_reference(oscillator, p.TimeGrid(1.0, 100), p.NoiseSpec(seed=3))
+    cfg = p.CalibrationConfig(max_iter=2)
     with tracing.installed(tracing.Tracer()) as tracer:
-        res = p.calibrate(guess_point, u, y_data, oscillator.B, p.CalibrationConfig(max_iter=2))
+        res = p.calibrate(guess_point, u, y_data, oscillator.B, cfg)
     assert res.iterations == 2
+    # the traced benchmark measures the same program: the untraced run's bits
+    assert result_bits(res) == result_bits(p.calibrate(guess_point, u, y_data, oscillator.B, cfg))
     assert len(tracer.named("calibration.calibrate")) == 1
     assert len(tracer.named("calibration.armijo_search")) == 2
     assert len(tracer.named("calibration.cost_eval")) >= 2
