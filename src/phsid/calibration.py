@@ -199,8 +199,7 @@ def armijo_search(v: ParameterPoint, g: Gradient, cost_at_v: float,
     :class:`LineSearchError` once ``max_halvings`` halvings are exhausted.
     """
     g_sq = g.norm_sq
-    n = v.n
-    pending = [np.empty(0), np.empty((0, n, n)), np.empty((0, n, n)), np.empty((0, n))]
+    pending = [np.empty(0)] * 4  # replaced, not extended, by the first batch
     sigma, untried = cfg.sigma_init, cfg.max_halvings + 1
     while True:
         while len(pending[0]) < _BATCH_WIDTH and untried:
@@ -210,7 +209,8 @@ def armijo_search(v: ParameterPoint, g: Gradient, cost_at_v: float,
                 sigma *= 0.5
             untried -= len(sigmas)
             batch = _trial_points(v, g, sigmas, cfg.psd_mode)
-            pending = [np.concatenate(pair) for pair in zip(pending, batch)]
+            pending = ([np.concatenate(pair) for pair in zip(pending, batch)]
+                       if len(pending[0]) else batch)
         if not len(pending[0]):
             raise LineSearchError(sigmas[-1], cfg.max_halvings)
         s, j, r, w = pending

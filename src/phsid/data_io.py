@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -254,14 +255,15 @@ def _read_grid_table(path) -> tuple[TimeGrid, np.ndarray]:
         block = lines[start:start + _CHUNK_ROWS]
         try:
             # per line, not per chunk: a short row and a long row would cancel
-            if any(line.count(",") != width - 1 for line in block):
+            if set(map(str.count, block, repeat(","))) != {width - 1}:
                 raise ValueError
-            values = list(map(float, ",".join(block).split(",")))
+            values = np.fromiter(map(float, ",".join(block).split(",")), float,
+                                 len(block) * width)
         except ValueError:
             numbers = _nonblank_line_numbers(physical)[start:start + len(block)]
             _raise_row_error(path, block, numbers, width)
             raise
-        data[start - 1:start - 1 + len(block)] = np.reshape(values, (len(block), width))
+        data[start - 1:start - 1 + len(block)] = values.reshape(len(block), width)
     if not np.all(np.isfinite(data)):
         raise MalformedFileError(f"{path}: non-finite values")
     times = data[:, 0]

@@ -34,6 +34,7 @@ and leaves those bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -50,16 +51,24 @@ PSD_EIG_TOL = 1e-10
 SYMMETRY_RTOL = 1e-12
 
 
+@functools.lru_cache(maxsize=None)
+def _tril_mask(shape: tuple[int, ...], k: int) -> np.ndarray:
+    """``np.tril``'s mask, built once per shape: np.where(mask, a, 0.0) is np.tril(a, k)."""
+    mask = np.tri(*shape, k=k, dtype=bool)
+    mask.flags.writeable = False  # shared by every caller of that shape
+    return mask
+
+
 def _skew_from_lower(lower: np.ndarray) -> np.ndarray:
     """The strict lower triangle of ``lower`` (n, n) or (m, n, n), mirrored skew."""
-    strict = np.tril(lower, -1)
+    strict = np.where(_tril_mask(lower.shape[-2:], -1), lower, 0.0)
     return strict - strict.swapaxes(-1, -2)
 
 
 def _sym_from_lower(lower: np.ndarray) -> np.ndarray:
     """The lower triangle of ``lower`` (n, n) or (m, n, n), mirrored symmetric."""
-    tri = np.tril(lower)
-    return tri + np.tril(tri, -1).swapaxes(-1, -2)
+    tri = np.where(_tril_mask(lower.shape[-2:], 0), lower, 0.0)
+    return tri + np.where(_tril_mask(tri.shape[-2:], -1), tri, 0.0).swapaxes(-1, -2)
 
 
 def _frozen_matrix(a, name) -> np.ndarray:

@@ -155,6 +155,8 @@ class BasisSet:
     def __post_init__(self):
         if any(d.i >= self.n for d in self.directions):
             raise DimensionMismatchError(f"basis direction outside dimension {self.n}")
+        if len(set(self.directions)) < len(self.directions):
+            raise ValueError("basis directions must be distinct")
 
     def __len__(self) -> int:
         return len(self.directions)
@@ -267,8 +269,8 @@ def directional_derivative(sys: ReducedPHSystem, traj: Trajectory,
 def assemble_gradient(coefficients, basis: BasisSet) -> Gradient:
     """Blockwise linear combination of the basis elements.
 
-    The coefficients are added onto their directions' entries of zero lower
-    triangles (and of a zero vector for x) in one scatter, so the skew and
+    The coefficients are written into their directions' entries of zero lower
+    triangles (and of a zero vector for x) in one assignment, so the skew and
     symmetric blocks of the result keep their invariants bit-exactly.
     """
     coefficients = np.asarray(coefficients, dtype=float)
@@ -278,7 +280,8 @@ def assemble_gradient(coefficients, basis: BasisSet) -> Gradient:
             f"coefficients for {len(basis)} basis directions"
         )
     blocks = np.zeros((3, basis.n, basis.n))
-    np.add.at(blocks, basis._index, coefficients)
+    # BasisSet holds each direction once; + 0.0 turns -0.0 into 0.0, as adding onto zero does
+    blocks[basis._index] = coefficients + 0.0
     return Gradient(SkewSymmetricMatrix.from_strict_lower(blocks[0]),
                     SymmetricMatrix.from_lower(blocks[1]), blocks[2].diagonal(), coefficients)
 

@@ -754,6 +754,78 @@ class TestBatchedSearch:
                                                         y_data.values, grid.h, "single")[1]
 
 
+def replay_calibrate(v0, u, y_data, b, cfg):
+    """``calibrate`` rebuilt from public functions only: per iteration the
+    Euler states of the current point, its sensitivity coefficients, the
+    assembled gradient and the one-at-a-time ``sequential_search``."""
+    basis = p.tangent_basis(v0.n, cfg.structure)
+    v, sys = v0, v0.to_system(b)
+    traj, current = p.simulate_euler(sys, u), p.cost(sys, u, y_data)
+    history, sigmas, grad_sq, iterates, message = [current], [], [], [v], ""
+    while current > cfg.eps_stop and len(sigmas) < cfg.max_iter:
+        g = p.assemble_gradient(p.sensitivity_coefficients(sys, traj, y_data, basis), basis)
+        if g.norm_sq == 0.0:
+            message = "stationary point: gradient is exactly zero above the stopping threshold"
+            break
+        try:
+            sigma, j, r, w0, current = sequential_search(v, g, current, b, u, y_data, cfg)
+        except p.LineSearchError as exc:
+            message = str(exc)
+            break
+        except p.InvalidModelError as exc:
+            message = f"iterate left the admissible set (psd_mode='{cfg.psd_mode}'): {exc}"
+            break
+        v = p.ParameterPoint(p.SkewSymmetricMatrix(j), p.PSDMatrix(r), w0)
+        sys = v.to_system(b)
+        traj = p.simulate_euler(sys, u)
+        history.append(current)
+        sigmas.append(sigma)
+        grad_sq.append(g.norm_sq)
+        iterates.append(v)
+    converged = current <= cfg.eps_stop
+    if not converged and not message:
+        message = f"iteration limit reached ({cfg.max_iter})"
+    return p.CalibrationResult(v_opt=v, cost_history=tuple(history), iterations=len(sigmas),
+                               converged=converged, y_opt=p.output(sys, traj),
+                               step_sizes=tuple(sigmas), gradient_sq_norms=tuple(grad_sq),
+                               iterates=tuple(iterates), message=message)
+
+
+class TestReplay:
+    # calibrate equals its replay from public functions in every field, bit
+    # for bit, so a moved bit in the loop shows here
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4), k=st.integers(1, 2), structure=st.sampled_from(p.STRUCTURES),
+           psd_mode=st.sampled_from(p.PSD_MODES), steps=st.integers(5, 200),
+           max_iter=st.integers(1, 5), r_scale=st.sampled_from([1.0, 1e-3]),
+           max_halvings=st.sampled_from([2, 60]), seed=st.integers(0, 2**32 - 1))
+    def test_calibrate_equals_its_public_replay(self, n, k, structure, psd_mode, steps,
+                                                max_iter, r_scale, max_halvings, seed):
+        # an R near the cone's boundary lets psd_mode="none" leave it, and
+        # two halvings let the search fail
+        rng = philox(seed)
+        truth = random_reduced_system(rng, n, k)
+        u = random_signal(rng, p.TimeGrid(1.0, steps), k)
+        y_data = p.output(truth, p.simulate_euler(truth, u))
+        v0 = p.ParameterPoint(random_skew(rng, n), random_psd(rng, n, r_scale),
+                              rng.normal(size=n))
+        cfg = p.CalibrationConfig(max_iter=max_iter, max_halvings=max_halvings,
+                                  structure=structure, psd_mode=psd_mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = p.calibrate(v0, u, y_data, truth.B, cfg)
+        assert result_bits(res) == result_bits(replay_calibrate(v0, u, y_data, truth.B, cfg))
+
+    @pytest.mark.parametrize("structure", p.STRUCTURES)
+    def test_oscillator_equals_its_public_replay(self, oscillator, guess_point, structure):
+        u, y_data = p.generate_reference(oscillator, p.TimeGrid(1.0, 1000), p.NoiseSpec(seed=7))
+        cfg = p.CalibrationConfig(structure=structure)
+        res = p.calibrate(guess_point, u, y_data, oscillator.B, cfg)
+        assert res.converged
+        replay = replay_calibrate(guess_point, u, y_data, oscillator.B, cfg)
+        assert result_bits(res) == result_bits(replay)
+
+
 def perturbed(truth, rng, rel=0.1):
     """``truth`` with J, R and w0 scaled entrywise by 1 + rel * N(0, 1), R
     projected back onto the PSD cone."""

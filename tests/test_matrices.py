@@ -12,7 +12,7 @@ from phsid import (
     SymmetricMatrix,
     project_psd,
 )
-from phsid.matrices import _project_psd_stack, _sym_from_lower
+from phsid.matrices import _project_psd_stack, _skew_from_lower, _sym_from_lower, _tril_mask
 from conftest import philox, random_psd
 
 
@@ -68,6 +68,22 @@ class TestSymmetric:
     def test_from_matrix_rejects_asymmetry(self):
         with pytest.raises(InvalidModelError, match="symmetry"):
             SymmetricMatrix.from_matrix([[1.0, 2.0], [2.1, 1.0]])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 4, 4)])
+def test_mirrors_equal_their_tril_formulas_bit_for_bit(shape):
+    # the cached masks select what np.tril keeps, signed zeros and NaNs included
+    a = philox(3).normal(size=shape)
+    a.flat[::3] = -0.0
+    a.flat[1::5] = np.nan
+    strict = np.tril(a, -1)
+    tri = np.tril(a)
+    for got, want in ((_skew_from_lower(a), strict - strict.swapaxes(-1, -2)),
+                      (_sym_from_lower(a), tri + np.tril(tri, -1).swapaxes(-1, -2))):
+        assert got.tobytes() == want.tobytes()
+    # every caller of a shape shares its mask, so none may write into it
+    with pytest.raises(ValueError, match="read-only"):
+        _tril_mask(shape[-2:], 0)[0, 0] = False
 
 
 @pytest.mark.parametrize("cls", [PSDMatrix, SPDMatrix])

@@ -14,7 +14,8 @@ def test_one_tiny_repeat_times_every_case_on_both_sides():
                             "simulate euler diverging n=2 K=200",
                             "evaluate 8 candidates n=8 K=200", "calibrate wide-n8 model=0",
                             "calibrate wide-n8 model=6", "calibrate oscillator",
-                            "calibrate oscillator sigma_init=1e6"]
+                            "calibrate oscillator diagonal_R",
+                            "calibrate oscillator sigma_init=1e6", "cli calibrate oscillator"]
     for row in report.values():
         for side in ("base", "change"):
             assert row[side]["median_ms"] > 0

@@ -103,6 +103,13 @@ class TestTangentBasis:
         with pytest.raises(p.DimensionMismatchError):
             p.BasisSet((p.Direction("x", 2, 2),), "full", 2)
 
+    def test_repeated_basis_direction_rejected(self):
+        # assemble_gradient writes each coefficient into its direction's entry,
+        # so a repeated direction would keep only its last coefficient
+        with pytest.raises(ValueError, match="^basis directions must be distinct$"):
+            p.BasisSet((p.Direction("R", 0, 0), p.Direction("J", 1, 0),
+                        p.Direction("R", 0, 0)), "full", 2)
+
     def test_basis_memory_is_linear_in_its_length(self):
         # the dense basis peaked at 9.2 MB here: 1056 pairs of 32 x 32 matrices
         tracemalloc.start()

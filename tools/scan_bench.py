@@ -20,10 +20,15 @@ call must raise DivergenceError; one call of the Armijo cost evaluator
 start point to the truth of perfbench's ``wide-n8`` model 0 (n = 8, k = 2,
 K = 1e3), so that the stacked sweep has a case of its own; ``calibrate`` on
 ``wide-n8`` models 0 and 6 and on the oscillator with noise seed 7
-(K = 1e3); and the oscillator with ``sigma_init=1e6`` and 5 iterations
-(noise seed 28, K = 500), whose first candidates overflow.  ``--tiny`` runs
-the simulations at n = 2, the rest at K = 200 and calibrations of 2
-iterations, for tests.
+(K = 1e3), the last also with ``structure="diagonal_R"``; the oscillator
+with ``sigma_init=1e6`` and 5 iterations (noise seed 28, K = 500), whose
+first candidates overflow; and one ``phsid calibrate`` of the oscillator
+through ``phsid.cli.main`` on CSV and JSON files the worker writes once
+into a temporary directory (noise seed 7, K = 1e3), its printed lines
+discarded; it repeats ``main`` in the worker's process, so it leaves out
+the interpreter's start-up and imports that a ``phsid`` command pays.
+``--tiny`` runs the simulations at n = 2, the rest at K = 200
+and calibrations of 2 iterations, for tests.
 
 The report, printed or written to FILE as JSON, gives per case and side the
 median and interquartile range of the R timings in ms, the ratio of the
@@ -34,6 +39,8 @@ with.  No bytecode is written and the temporary directory is removed.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -53,11 +60,12 @@ from fingerprint_diff import extract_src  # noqa: E402
 CALLS = 5
 
 
-def cases(tiny: bool):
+def cases(tiny: bool, workdir: Path):
     """(name, call) for every timed operation, built from the ``phsid`` on
-    the path."""
+    the path; the CLI case's files go into ``workdir``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import phsid
+    import phsid.cli
     from phsid import calibration
     from workloads import grid, oscillator_guess, oscillator_truth, random_model
 
@@ -93,12 +101,14 @@ def cases(tiny: bool):
     w = start.w_hat + t * (truth.w_hat - start.w_hat)
     evaluate = calibration._BatchEvaluator(truth.B, u, y)
     yield f"evaluate 8 candidates n=8 K={steps}", lambda: evaluate(j, r, w)
-    problems = [(f"calibrate wide-n8 model={m}", *random_model(m, 8, 2), m, 400)
+    problems = [(f"calibrate wide-n8 model={m}", *random_model(m, 8, 2), m, 400, "full")
                 for m in (0, 6)]
-    problems.append(("calibrate oscillator", oscillator_truth(), oscillator_guess(), 7, 500))
-    for name, truth, start, seed, max_iter in problems:
+    oscillator = (oscillator_truth(), oscillator_guess(), 7, 500)
+    problems += [("calibrate oscillator", *oscillator, "full"),
+                 ("calibrate oscillator diagonal_R", *oscillator, "diagonal_R")]
+    for name, truth, start, seed, max_iter, structure in problems:
         u, y = phsid.generate_reference(truth, grid(steps), phsid.NoiseSpec(seed=seed))
-        cfg = phsid.CalibrationConfig(max_iter=2 if tiny else max_iter)
+        cfg = phsid.CalibrationConfig(max_iter=2 if tiny else max_iter, structure=structure)
         yield name, (lambda start=start, u=u, y=y, b=truth.B, cfg=cfg:
                      phsid.calibrate(start, u, y, b, cfg))
     truth = oscillator_truth()
@@ -107,23 +117,44 @@ def cases(tiny: bool):
     cfg = phsid.CalibrationConfig(sigma_init=1e6, max_iter=2 if tiny else 5)
     yield "calibrate oscillator sigma_init=1e6", (
         lambda u=u, y=y, b=truth.B, cfg=cfg: phsid.calibrate(oscillator_guess(), u, y, b, cfg))
+    u, y = phsid.generate_reference(truth, grid(steps), phsid.NoiseSpec(seed=7))
+    start = oscillator_guess()
+    files = {name: str(workdir / name) for name in ("u.csv", "y.csv", "guess.json")}
+    phsid.save_signal_csv(u, files["u.csv"], name="u")
+    phsid.save_signal_csv(y, files["y.csv"], name="y")
+    phsid.save_model(phsid.PHSystem(start.J, start.R, phsid.SPDMatrix.identity(2), truth.B,
+                                    start.w_hat), files["guess.json"])
+    argv = ["calibrate", "--data", files["y.csv"], "--input", files["u.csv"],
+            "--guess", files["guess.json"], "--out", str(workdir / "result.json"),
+            "--history", str(workdir / "history.csv"), "--diff", str(workdir / "diff.csv")]
+    argv += ["--max-iter", "2"] * tiny
+    expected = 2 if tiny else 0  # not converged in 2 iterations, else converged
+
+    def cli_calibrate():
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = phsid.cli.main(argv)
+        if code != expected:
+            raise AssertionError(f"phsid calibrate exited {code}, expected {expected}")
+
+    yield "cli calibrate oscillator", cli_calibrate
 
 
 def serve(tiny: bool) -> None:
     """The worker: print the case names, then answer each case name read
     from stdin with the median seconds of ``CALLS`` calls of it."""
-    built = dict(cases(tiny))
-    for call in built.values():
-        call()
-    print(json.dumps(list(built)), flush=True)
-    for line in sys.stdin:
-        call = built[line.strip()]
-        seconds = []
-        for _ in range(CALLS):
-            start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as workdir:
+        built = dict(cases(tiny, Path(workdir)))
+        for call in built.values():
             call()
-            seconds.append(time.perf_counter() - start)
-        print(json.dumps(float(np.median(seconds))), flush=True)
+        print(json.dumps(list(built)), flush=True)
+        for line in sys.stdin:
+            call = built[line.strip()]
+            seconds = []
+            for _ in range(CALLS):
+                start = time.perf_counter()
+                call()
+                seconds.append(time.perf_counter() - start)
+            print(json.dumps(float(np.median(seconds))), flush=True)
 
 
 class Worker:
