@@ -12,10 +12,11 @@ The loop fits v = (J, R, w0) to reference output data by repeating
        sigma_init, sigma_init/2, ... are built a batch of up to
        ``_BATCH_WIDTH`` at a time as stacked arrays, the R blocks that are
        not PSD projected in one stacked call per batch, and integrated in
-       one stacked Euler sweep per evaluator call.  After the first search
-       a search's first call sweeps only the leading rows up to one past the
-       row accepted last; the rest lead the next call, which sweeps a whole
-       batch again.  The first candidate in order that
+       one stacked Euler sweep per evaluator call.  A search sweeps first
+       the rows up to the one the search before accepted (the first search,
+       up to the first sigma below 4 (1 - gamma) cost / |g|^2: were the cost
+       along the line quadratic and nonnegative, no larger step could pass),
+       then 2, 4, 8 rows per call.  The first candidate in order that
        passes the test is accepted, exactly as a one-at-a-time search would,
     4. update v <- retract(v - sigma * g),
 
@@ -40,6 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .errors import InvalidModelError, LineSearchError
 from .matrices import PSDMatrix, SkewSymmetricMatrix
 from .matrices import project_psd  # noqa: F401 -- perfbench/tracing.py wraps it at this name
@@ -191,7 +193,7 @@ def armijo_search(v: ParameterPoint, g: Gradient, cost_at_v: float,
     batches of up to ``_BATCH_WIDTH``: stacked J (m, n, n), R (m, n, n) and
     w0 (m, n) blocks as raw arrays.  The evaluator returns the costs of the
     first m' of them, 1 <= m' <= m (all m unless it bounds its memory or
-    follows the last accepted row), and may return +inf to signal an
+    stops at the row it expects accepted), and may return +inf to signal an
     unusable candidate; the candidates it left out lead the next batch.
     The first candidate in order that passes the test is accepted, so the
     result is that of trying one sigma at a time.  The returned step names
@@ -239,28 +241,40 @@ class _BatchEvaluator:
     """The cost evaluator ``calibrate`` hands to :func:`armijo_search`.
 
     A call integrates the leading candidates of its batch in one Euler sweep
-    and returns their costs, +inf for a candidate that diverged.  The first
-    call of a search takes ``row + 2`` candidates once :meth:`states_of`
-    has named an accepted row, since the next search mostly accepts near
-    the row the last one did; every other call takes the whole batch.
-    Either way it takes no more than fit in ``_PASS_BYTES`` of stacked
-    states, and at least one.  The sweep's states are element-major, and
-    one stacked reduction costs them all, each candidate's cost equal to a
-    one-candidate evaluation bit for bit; the candidates that the scan's
-    mask names non-finite get +inf.  The sweep of the last call is kept, so
-    the accepted candidate's states need no second sweep.
+    and returns their costs, +inf for a candidate that diverged.  A search
+    sweeps its rows 0..r first, r the row :meth:`expect` expects it to
+    accept, in calls of up to ``_BATCH_WIDTH``; each further call sweeps 2
+    rows, then twice as many, up to ``_BATCH_WIDTH``.  A call takes no more
+    than fit in ``_PASS_BYTES`` of stacked states, and at least one.  The
+    sweep's states are element-major, and one stacked reduction costs them
+    all, each candidate's cost equal to a one-candidate evaluation bit for
+    bit; the candidates that the scan's mask names non-finite get +inf.  The
+    sweep of the last call is kept, so the accepted candidate's states need
+    no second sweep.
     """
 
     def __init__(self, b: np.ndarray, u: Signal, y_data: Signal):
         self.b, self.u_values, self.y_values = b, u.values, y_data.values
         self.h = u.grid.h
-        self._last = None
-        self._width = _BATCH_WIDTH
+        self._last, self._row, self._ahead = None, _BATCH_WIDTH - 1, _BATCH_WIDTH
+
+    def expect(self, cost_at_v: float, g_sq: float, cfg: CalibrationConfig) -> None:
+        """Start a search, expected to accept the row the search before it
+        accepted, the first search the first row below step 3's bound."""
+        if self._last is None:
+            # Python floats: a bound past the float range is inf, not a warning
+            bound = 4 * (1 - float(cfg.gamma)) * float(cost_at_v) / float(g_sq)
+            sigma, self._row = cfg.sigma_init, 0
+            while sigma >= bound and self._row < cfg.max_halvings:
+                sigma, self._row = 0.5 * sigma, self._row + 1
+        self._ahead = self._row + 1
 
     def __call__(self, j_stack, r_stack, w_stack) -> np.ndarray:
         num_nodes, n = self.u_values.shape[0], w_stack.shape[1]
-        m = _pass_width(num_nodes, n, min(self._width, w_stack.shape[0]))
-        self._width = _BATCH_WIDTH
+        # past the expected row, 2 - _ahead is 2 plus the rows swept since
+        want = min(self._ahead if self._ahead > 0 else 2 - self._ahead, _BATCH_WIDTH)
+        m = _pass_width(num_nodes, n, min(want, w_stack.shape[0]))
+        self._offset, self._ahead = self._row + 1 - self._ahead, self._ahead - m
         drifts, w0 = j_stack[:m] - r_stack[:m], w_stack[:m]
         states, finite = _euler_states(drifts, self.b, w0, self.u_values, self.h)
         costs = _output_cost(states, self.b, self.y_values, self.h)
@@ -270,12 +284,12 @@ class _BatchEvaluator:
 
     def states_of(self, row: int) -> np.ndarray:
         """Euler states of the candidate in ``row`` of the last call, the
-        accepted one; the next search's first call sweeps up to one row
-        past it."""
-        self._width = min(_BATCH_WIDTH, row + 2)
+        accepted one, whose row within its search the next search expects."""
+        self._row = self._offset + row
         return self._last[row]
 
 
+@single_blas_thread()
 def calibrate(v0: ParameterPoint, u: Signal, y_data: Signal, b,
               cfg: CalibrationConfig | None = None) -> CalibrationResult:
     """Run the descent loop from ``v0`` with fixed, known port matrix ``b``."""
@@ -306,6 +320,7 @@ def calibrate(v0: ParameterPoint, u: Signal, y_data: Signal, b,
         if g.norm_sq == 0.0:
             message = "stationary point: gradient is exactly zero above the stopping threshold"
             break
+        evaluate.expect(current, g.norm_sq, cfg)
         try:
             step = armijo_search(v, g, current, evaluate, cfg)
         except LineSearchError as exc:

@@ -23,6 +23,7 @@ import sys
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .calibration import CalibrationConfig, calibrate
 from .data_io import (
     NoiseSpec,
@@ -104,6 +105,7 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+@single_blas_thread()
 def _cmd_simulate(args) -> int:
     reduced = cholesky_reduce(load_model(args.model))
     u = load_signal_csv(args.input)
@@ -151,6 +153,7 @@ def _cmd_calibrate(args) -> int:
     return EXIT_NOT_CONVERGED
 
 
+@single_blas_thread()
 def _cmd_check_gradient(args) -> int:
     y_data = load_signal_csv(args.data)
     u = load_signal_csv(args.input)

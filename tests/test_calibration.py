@@ -442,10 +442,9 @@ class TestCalibrate:
     def test_one_euler_sweep_per_batch(self, oscillator, guess_point, monkeypatch):
         # the start point is integrated once (through sensitivity._euler_cost)
         # and every evaluator call's candidates in one stacked sweep; the
-        # gradients and y_opt reuse those states.  The first sweep holds all
-        # eight rows of its batch; the first sweep of each later search the
-        # first rows up to one past the row accepted last, and any further
-        # sweep of that search the whole batch again
+        # gradients and y_opt reuse those states.  Each sweep holds the
+        # leading rows of its batch, up to the row its search is expected to
+        # accept
         import phsid.calibration as calibration
         import phsid.sensitivity as sensitivity
         grid = p.TimeGrid(1.0, 1000)
@@ -475,16 +474,14 @@ class TestCalibrate:
         assert res.iterations == 3
         assert len(swept) == 1 + len(batches)
         np.testing.assert_array_equal(swept[0], guess_point.w_hat)
-        widths, first = [], 8
-        for calls, row in accepted:
-            widths += [first] + [8] * (calls - len(widths) - 1)
-            first = min(8, row + 2)
-        # on this data every step is accepted at row 5, within one call
+        # sigma_init / 2^5 = 0.3125 is the first step below the first search's
+        # bound 4 (1 - gamma) C / |g|^2 = 0.468, so its call sweeps rows 0-5;
+        # every step is accepted at row 5, within one call, so each later
+        # search sweeps rows 0-5 as well
         assert accepted == [(1, 5), (2, 5), (3, 5)]
-        assert widths == [8, 7, 7]
-        for w0, batch, width in zip(swept[1:], batches, widths):
+        for w0, batch in zip(swept[1:], batches, strict=True):
             assert batch.shape == (8, 2)
-            np.testing.assert_array_equal(w0, batch[:width])
+            np.testing.assert_array_equal(w0, batch[:6])
         final = res.v_opt.to_system(oscillator.B)
         np.testing.assert_array_equal(res.y_opt.values,
                                       p.output(final, p.simulate_euler(final, u)).values)
@@ -612,17 +609,20 @@ class TestBatchedSearch:
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(n=st.integers(1, 4), k=st.integers(1, 2), structure=st.sampled_from(p.STRUCTURES),
-           psd_mode=st.sampled_from(p.PSD_MODES), seed=st.integers(0, 2**32 - 1))
+           psd_mode=st.sampled_from(p.PSD_MODES), gamma=st.sampled_from([1e-4, 0.1, 0.5, 0.9]),
+           log_sigma=st.floats(-2.0, 4.0), seed=st.integers(0, 2**32 - 1))
     def test_adaptive_width_equals_one_candidate_per_call(self, n, k, structure, psd_mode,
-                                                          seed):
-        # the evaluator sweeps up to one row past the row accepted last; a
-        # pass bound of 1 B costs one candidate per call, the sequential
-        # reference.  Every field of the result agrees bit for bit
+                                                          gamma, log_sigma, seed):
+        # the evaluator sweeps up to the row it expects a search to accept,
+        # the first search's from gamma and sigma_init; a pass bound of 1 B
+        # costs one candidate per call, the sequential reference.  Every
+        # field of the result agrees bit for bit
         rng = philox(seed)
         truth = random_reduced_system(rng, n, k)
         u = random_signal(rng, p.TimeGrid(1.0, 200), k)
         y_data = p.output(truth, p.simulate_euler(truth, u))
-        cfg = p.CalibrationConfig(max_iter=30, structure=structure, psd_mode=psd_mode)
+        cfg = p.CalibrationConfig(sigma_init=10.0**log_sigma, gamma=gamma, max_iter=30,
+                                  structure=structure, psd_mode=psd_mode)
         assert_same_result(self.both_widths(perturbed(truth, rng, 0.3), u, y_data, truth.B, cfg))
 
     @pytest.mark.parametrize("structure", p.STRUCTURES)
@@ -669,20 +669,82 @@ class TestBatchedSearch:
             single = sensitivity._output_cost(states[i], b, y_values, 1.0 / steps)
             assert costs[i].tobytes() == single.tobytes()
 
-    def test_evaluator_narrows_only_the_first_call_after_an_accepted_row(self, oscillator,
-                                                                          guess_point):
-        # after states_of(1) the next call sweeps rows 0-2; a search that
-        # accepts none of them gets a whole batch from its next call
+    def test_evaluator_sweeps_to_the_expected_row_then_doubles(self, oscillator, guess_point):
+        # a search's calls sweep its rows up to the row the search before it
+        # accepted, counted across that search's calls, then 2, 4 and 8 rows
         u, y_data = p.generate_reference(oscillator, p.TimeGrid(1.0, 100), p.NoiseSpec(seed=31))
         j = np.stack([guess_point.J.array * (1 + 0.1 * i) for i in range(8)])
         r = np.stack([guess_point.R.array] * 8)
         w = np.stack([guess_point.w_hat + 0.1 * i for i in range(8)])
         evaluator = calibration._BatchEvaluator(oscillator.B, u, y_data)
+        cfg = p.CalibrationConfig()
         assert len(evaluator(j, r, w)) == 8
         evaluator.states_of(1)
-        assert [len(evaluator(j, r, w)) for _ in range(3)] == [3, 8, 8]
-        evaluator.states_of(7)
-        assert len(evaluator(j, r, w)) == 8
+        evaluator.expect(1.0, 1.0, cfg)
+        assert [len(evaluator(j, r, w)) for _ in range(5)] == [2, 2, 4, 8, 8]
+        evaluator.states_of(3)  # row 3 of the fifth call, row 19 of its search
+        evaluator.expect(1.0, 1.0, cfg)
+        assert [len(evaluator(j, r, w)) for _ in range(5)] == [8, 8, 4, 2, 4]
+        assert len(evaluator(j[:3], r[:3], w[:3])) == 3  # no more than the batch holds
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4), k=st.integers(1, 2), gamma=st.sampled_from([1e-4, 0.1, 0.5, 0.9]),
+           log_sigma=st.floats(-2.0, 6.0), seed=st.integers(0, 2**32 - 1))
+    def test_no_step_at_or_above_the_quadratic_bound_passes(self, n, k, gamma, log_sigma, seed):
+        # with only w0 coefficients the cost along v - sigma g is exactly
+        # quadratic in sigma, never negative and falls at rate |g|^2 at 0, so
+        # sigma (1 - gamma) |g|^2 >= sigma^2 a >= sigma^2 |g|^4 / (4 C) for a
+        # step that passes: none at or above 4 (1 - gamma) C / |g|^2 does.
+        # The first search is expected to accept the first row below it
+        rng = philox(seed)
+        truth = random_reduced_system(rng, n, k)
+        u = random_signal(rng, p.TimeGrid(1.0, 200), k)
+        y_data = p.output(truth, p.simulate_euler(truth, u))
+        v = p.ParameterPoint(random_skew(rng, n), random_psd(rng, n), rng.normal(size=n))
+        sys_v = v.to_system(truth.B)
+        basis = p.tangent_basis(n)
+        coeffs = p.sensitivity_coefficients(sys_v, p.simulate_euler(sys_v, u), y_data, basis)
+        coeffs[:-n] = 0.0
+        g = p.assemble_gradient(coeffs, basis)
+        current = p.cost(sys_v, u, y_data)
+        cfg = p.CalibrationConfig(sigma_init=10.0**log_sigma, gamma=gamma)
+        bound = 4 * (1 - gamma) * current / g.norm_sq
+        sigmas = cfg.sigma_init * 0.5 ** np.arange(cfg.max_halvings + 1)
+        for sigma in sigmas[sigmas >= bound]:
+            trial = p.ParameterPoint(v.J, v.R, v.w_hat - sigma * g.h_x)
+            assert p.cost(trial.to_system(truth.B), u, y_data) - current > -gamma * sigma * g.norm_sq
+        evaluator = calibration._BatchEvaluator(truth.B, u, y_data)
+        evaluator.expect(current, g.norm_sq, cfg)
+        assert evaluator._row == int(np.argmax(sigmas < bound))
+        step = p.armijo_search(v, g, current, evaluator, cfg)
+        assert step.sigma < bound
+
+    def test_a_two_call_search_sets_the_next_first_call(self, oscillator, guess_point,
+                                                       monkeypatch):
+        # on this data the 16th search is expected at row 4, the row the 15th
+        # accepted, finds no pass in rows 0-4 and accepts row 0 of its second
+        # call, row 5 of the search; the next search sweeps rows 0-5
+        u, y_data = p.generate_reference(oscillator, p.TimeGrid(1.0, 1000), p.NoiseSpec(seed=0))
+        searches = []  # (rows per evaluator call, accepted row of the last call)
+        armijo_search = calibration.armijo_search
+
+        def recording_search(v, g, cost_at_v, evaluator, cfg):
+            widths = []
+
+            def counted(j, r, w):
+                costs = evaluator(j, r, w)
+                widths.append(len(costs))
+                return costs
+
+            step = armijo_search(v, g, cost_at_v, counted, cfg)
+            searches.append((widths, step.row))
+            return step
+
+        monkeypatch.setattr(calibration, "armijo_search", recording_search)
+        assert p.calibrate(guess_point, u, y_data, oscillator.B).converged
+        assert searches[13:17] == [([6], 5), ([6], 4), ([5, 2], 0), ([6], 5)]
+        for (widths, row), (next_widths, _) in zip(searches, searches[1:]):
+            assert next_widths[0] == min(8, sum(widths[:-1]) + row + 1)
 
     @settings(derandomize=True)
     @given(num_nodes=st.integers(2, 10**6), n=st.integers(1, 64), count=st.integers(1, 5000))

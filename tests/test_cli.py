@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import phsid as p
+import phsid._blas as blas
 import phsid.cli as cli
 import phsid.data_io as data_io
 from conftest import diverging_system, oscillator_guess, oscillator_system
@@ -492,3 +493,27 @@ class TestDeterminism:
             assert rc == 0
             blobs.append((u.read_bytes(), y.read_bytes()))
         assert blobs[0] == blobs[1]
+
+
+@pytest.mark.skipif(blas._get is None, reason="numpy's BLAS is not its bundled OpenBLAS")
+def test_simulate_and_check_gradient_run_on_one_blas_thread(tmp_path, model_file, guess_file,
+                                                              data_files, monkeypatch):
+    u_path, y_path = data_files
+    threads = []
+
+    def recording(function):
+        def wrapped(*args):
+            threads.append(blas._get())
+            return function(*args)
+        return wrapped
+
+    monkeypatch.setattr(cli, "simulate_euler", recording(p.simulate_euler))
+    monkeypatch.setattr(cli, "simulate_discrete_gradient",
+                        recording(p.simulate_discrete_gradient))
+    monkeypatch.setattr(cli, "sensitivity_coefficients", recording(p.sensitivity_coefficients))
+    for scheme in ("euler", "midpoint"):
+        assert cli.main(["simulate", "--model", str(model_file), "--input", str(u_path),
+                         "--scheme", scheme, "--out", str(tmp_path / f"w_{scheme}.csv")]) == 0
+    assert cli.main(["check-gradient", "--data", str(y_path), "--input", str(u_path),
+                     "--guess", str(guess_file)]) == 0
+    assert threads == [1] * 4

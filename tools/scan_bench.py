@@ -1,15 +1,17 @@
 """Time the scan-bound operations of a git revision and of the working tree.
 
-    python3 tools/scan_bench.py [--base REV] [--repeats R] [--tiny] [--out FILE]
+    python3 tools/scan_bench.py [--base REV] [--repeats R] [--aa] [--tiny] [--out FILE]
 
 Extracts ``src/`` of BASE (default ``HEAD``) with ``git archive`` into a
 temporary directory, as ``fingerprint_diff.py`` does, and starts one worker
 process per side, with BASE's ``src`` or the working tree's as PYTHONPATH.
 A worker builds every case and runs each once as a warm-up.  Then, R times
 (default 7) for every case, the two workers time it back to back, the side
-that goes first alternating, so that a slow phase of the host hits both
-sides of a pair.  A worker times a case as the median of ``CALLS`` calls
-with ``perf_counter``.
+that goes first alternating (rotating, with ``--aa``), so that a slow phase
+of the host hits both sides of a pair.  A worker times a case as the median
+of ``CALLS`` calls with ``perf_counter``.  ``--aa`` adds a third worker with
+BASE's ``src`` (side ``aa``), timed in the same rounds, so that each case's
+base/change ratio can be read against the base/base ratio of the same host.
 
 Cases: ``simulate_euler`` and ``simulate_discrete_gradient`` at
 n in {2, 8, 16, 32} x K in {1e3, 1e4, 1e5} (perfbench's random n, k=2 truth of
@@ -30,12 +32,20 @@ the interpreter's start-up and imports that a ``phsid`` command pays.
 ``--tiny`` runs the simulations at n = 2, the rest at K = 200
 and calibrations of 2 iterations, for tests.
 
+Before timing, each worker runs every case once more with the cost
+evaluator that ``calibrate`` hands to ``armijo_search`` wrapped, and counts
+its calls and the rows (costed candidates) they return; those counts are
+not timed.
+
 The report, printed or written to FILE as JSON, gives per case and side the
 median and interquartile range of the R timings in ms, the ratio of the
 medians (``speedup``, base over change), the median and interquartile range
-of the R per-pair ratios (``paired_speedup``), and the machine: CPU, CPU
-count, numpy version and the OPENBLAS_NUM_THREADS setting the workers ran
-with.  No bytecode is written and the temporary directory is removed.
+of the R per-pair ratios (``paired_speedup``; with ``--aa`` also
+``aa_paired_speedup``, base over the second base), for the cases that run a
+line search each side's ``evaluator_calls`` and ``swept_rows``, and the
+machine: CPU, CPU count, numpy version and the OPENBLAS_NUM_THREADS setting
+the workers ran with.  No bytecode is written and the temporary directory
+is removed.
 """
 
 import argparse
@@ -139,14 +149,41 @@ def cases(tiny: bool, workdir: Path):
     yield "cli calibrate oscillator", cli_calibrate
 
 
+def searches(call) -> dict:
+    """Evaluator calls and swept rows of one untimed run of ``call``."""
+    from phsid import calibration
+
+    counts = {"evaluator_calls": 0, "swept_rows": 0}
+    armijo_search = calibration.armijo_search
+
+    def counting_search(v, g, cost_at_v, evaluator, cfg):
+        def counted(j, r, w):
+            costs = evaluator(j, r, w)
+            counts["evaluator_calls"] += 1
+            counts["swept_rows"] += len(costs)
+            return costs
+        return armijo_search(v, g, cost_at_v, counted, cfg)
+
+    calibration.armijo_search = counting_search
+    try:
+        call()
+    finally:
+        calibration.armijo_search = armijo_search
+    return counts
+
+
 def serve(tiny: bool) -> None:
-    """The worker: print the case names, then answer each case name read
-    from stdin with the median seconds of ``CALLS`` calls of it."""
+    """The worker: print the case names and each line-search case's counts,
+    then answer each case name read from stdin with the median seconds of
+    ``CALLS`` calls of it."""
     with tempfile.TemporaryDirectory() as workdir:
         built = dict(cases(tiny, Path(workdir)))
         for call in built.values():
             call()
-        print(json.dumps(list(built)), flush=True)
+        counts = {name: searches(call) for name, call in built.items()}
+        print(json.dumps({"names": list(built),
+                          "counts": {name: c for name, c in counts.items()
+                                     if c["evaluator_calls"]}}), flush=True)
         for line in sys.stdin:
             call = built[line.strip()]
             seconds = []
@@ -165,7 +202,8 @@ class Worker:
         argv = [sys.executable, str(Path(__file__).resolve()), "--worker"] + ["--tiny"] * tiny
         self.proc = subprocess.Popen(argv, env=env, stdin=subprocess.PIPE,
                                      stdout=subprocess.PIPE, text=True)
-        self.names = json.loads(self._answer())
+        header = json.loads(self._answer())
+        self.names, self.counts = header["names"], header["counts"]
 
     def _answer(self) -> str:
         line = self.proc.stdout.readline()
@@ -183,17 +221,24 @@ class Worker:
         self.proc.wait()
 
 
-def compare(base_src: Path, tree_src: Path, repeats: int, tiny: bool) -> dict:
+def _spread(values) -> tuple[float, float]:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return float(median), float(q3 - q1)
+
+
+def compare(base_src: Path, tree_src: Path, repeats: int, tiny: bool, aa: bool = False) -> dict:
     """Per case, the median and IQR (ms) of each side's timings, the ratio
-    base / change of the medians and the median and IQR of the per-pair
-    ratios."""
+    base / change of the medians, the median and IQR of the per-pair ratios
+    (and of the base / aa ratios with ``aa``) and each side's line-search
+    counts."""
+    sides = [("base", base_src), ("change", tree_src)] + [("aa", base_src)] * aa
     workers = {}
     try:
-        for side, src in (("base", base_src), ("change", tree_src)):
+        for side, src in sides:
             workers[side] = Worker(src, tiny)
-        ms = {name: {"base": [], "change": []} for name in workers["base"].names}
+        ms = {name: {side: [] for side in workers} for name in workers["base"].names}
         for r in range(repeats):
-            order = ("base", "change") if r % 2 == 0 else ("change", "base")
+            order = list(workers)[r % len(workers):] + list(workers)[:r % len(workers)]
             for name, times in ms.items():
                 for side in order:
                     times[side].append(1e3 * workers[side].time(name))
@@ -204,12 +249,14 @@ def compare(base_src: Path, tree_src: Path, repeats: int, tiny: bool) -> dict:
     for name, times in ms.items():
         row = {}
         for side, values in times.items():
-            q1, median, q3 = np.percentile(values, [25, 50, 75])
-            row[side] = {"median_ms": round(float(median), 4), "iqr_ms": round(float(q3 - q1), 4)}
+            median, iqr = _spread(values)
+            row[side] = {"median_ms": round(median, 4), "iqr_ms": round(iqr, 4)}
+            row[side].update(workers[side].counts.get(name, {}))
         row["speedup"] = round(row["base"]["median_ms"] / row["change"]["median_ms"], 3)
-        ratios = np.array(times["base"]) / np.array(times["change"])
-        q1, median, q3 = np.percentile(ratios, [25, 50, 75])
-        row["paired_speedup"] = {"median": round(float(median), 3), "iqr": round(float(q3 - q1), 3)}
+        for key, other in (("paired_speedup", "change"), ("aa_paired_speedup", "aa")):
+            if other in times:
+                median, iqr = _spread(np.array(times["base"]) / np.array(times[other]))
+                row[key] = {"median": round(median, 3), "iqr": round(iqr, 3)}
         report[name] = row
     return report
 
@@ -231,6 +278,8 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD")
     parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--aa", action="store_true",
+                        help="also time BASE against itself in a third worker")
     parser.add_argument("--tiny", action="store_true")
     parser.add_argument("--out", default=None)
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
@@ -241,10 +290,11 @@ def main(argv: list[str]) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
-        cases_report = compare(extract_src(args.base, tmp), ROOT / "src", args.repeats, args.tiny)
+        cases_report = compare(extract_src(args.base, tmp), ROOT / "src", args.repeats,
+                               args.tiny, args.aa)
     base = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.base],
                           check=True, capture_output=True, text=True).stdout.strip()
-    report = {"base": base, "change": "working tree", "repeats": args.repeats,
+    report = {"base": base, "change": "working tree", "aa": args.aa, "repeats": args.repeats,
               "calls_per_timing": CALLS, "machine": machine(), "cases": cases_report}
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
