@@ -242,39 +242,43 @@ class _BatchEvaluator:
 
     A call integrates the leading candidates of its batch in one Euler sweep
     and returns their costs, +inf for a candidate that diverged.  A search
-    sweeps its rows 0..r first, r the row :meth:`expect` expects it to
-    accept, in calls of up to ``_BATCH_WIDTH``; each further call sweeps 2
-    rows, then twice as many, up to ``_BATCH_WIDTH``.  A call takes no more
-    than fit in ``_PASS_BYTES`` of stacked states, and at least one.  The
-    sweep's states are element-major, and one stacked reduction costs them
-    all, each candidate's cost equal to a one-candidate evaluation bit for
-    bit; the candidates that the scan's mask names non-finite get +inf.  The
-    sweep of the last call is kept, so the accepted candidate's states need
-    no second sweep.
+    mostly accepts the row the search before it did, so its calls sweep the
+    rows up to that one first, in calls of up to ``_BATCH_WIDTH``, and then
+    2, 4, 8 rows per call.  The row counts across all of a search's calls;
+    for the first search it is the one :meth:`first_search` takes from step
+    3's bound.  A call takes no more than fit in ``_PASS_BYTES`` of stacked
+    states, and at least one.  The sweep's states are element-major, and
+    one stacked reduction costs them all, each candidate's cost equal to a
+    one-candidate evaluation bit for bit; the candidates that the scan's
+    mask names non-finite get +inf.  The sweep of the last call is kept, so
+    the accepted candidate's states need no second sweep.
     """
 
     def __init__(self, b: np.ndarray, u: Signal, y_data: Signal):
         self.b, self.u_values, self.y_values = b, u.values, y_data.values
         self.h = u.grid.h
-        self._last, self._row, self._ahead = None, _BATCH_WIDTH - 1, _BATCH_WIDTH
+        self._last = None
+        # the row the search is expected to accept, the rows it has swept
+        # and those it had swept before the last call
+        self._row, self._swept, self._before = _BATCH_WIDTH - 1, 0, 0
 
-    def expect(self, cost_at_v: float, g_sq: float, cfg: CalibrationConfig) -> None:
-        """Start a search, expected to accept the row the search before it
-        accepted, the first search the first row below step 3's bound."""
-        if self._last is None:
-            # Python floats: a bound past the float range is inf, not a warning
-            bound = 4 * (1 - float(cfg.gamma)) * float(cost_at_v) / float(g_sq)
-            sigma, self._row = cfg.sigma_init, 0
-            while sigma >= bound and self._row < cfg.max_halvings:
-                sigma, self._row = 0.5 * sigma, self._row + 1
-        self._ahead = self._row + 1
+    def first_search(self, cost_at_v: float, g_sq: float, cfg: CalibrationConfig) -> None:
+        """Expect the first search to accept the first row below step 3's
+        bound."""
+        # Python floats: a bound past the float range is inf, not a warning
+        bound = 4 * (1 - float(cfg.gamma)) * float(cost_at_v) / float(g_sq)
+        sigma, row = cfg.sigma_init, 0
+        while sigma >= bound and row < cfg.max_halvings:
+            sigma, row = 0.5 * sigma, row + 1
+        self._row = row
 
     def __call__(self, j_stack, r_stack, w_stack) -> np.ndarray:
         num_nodes, n = self.u_values.shape[0], w_stack.shape[1]
-        # past the expected row, 2 - _ahead is 2 plus the rows swept since
-        want = min(self._ahead if self._ahead > 0 else 2 - self._ahead, _BATCH_WIDTH)
+        # past the expected row, 2 more rows than swept past it so far
+        left = self._row + 1 - self._swept
+        want = min(left if left > 0 else 2 - left, _BATCH_WIDTH)
         m = _pass_width(num_nodes, n, min(want, w_stack.shape[0]))
-        self._offset, self._ahead = self._row + 1 - self._ahead, self._ahead - m
+        self._before, self._swept = self._swept, self._swept + m
         drifts, w0 = j_stack[:m] - r_stack[:m], w_stack[:m]
         states, finite = _euler_states(drifts, self.b, w0, self.u_values, self.h)
         costs = _output_cost(states, self.b, self.y_values, self.h)
@@ -285,7 +289,7 @@ class _BatchEvaluator:
     def states_of(self, row: int) -> np.ndarray:
         """Euler states of the candidate in ``row`` of the last call, the
         accepted one, whose row within its search the next search expects."""
-        self._row = self._offset + row
+        self._row, self._swept = self._before + row, 0
         return self._last[row]
 
 
@@ -320,7 +324,8 @@ def calibrate(v0: ParameterPoint, u: Signal, y_data: Signal, b,
         if g.norm_sq == 0.0:
             message = "stationary point: gradient is exactly zero above the stopping threshold"
             break
-        evaluate.expect(current, g.norm_sq, cfg)
+        if not iterations:
+            evaluate.first_search(current, g.norm_sq, cfg)
         try:
             step = armijo_search(v, g, current, evaluate, cfg)
         except LineSearchError as exc:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,11 @@ def gradient_run(threads):
                           capture_output=True, text=True).stdout
 
 
+bundled_openblas = pytest.mark.skipif(blas._get is None,
+                                      reason="numpy's BLAS is not its bundled OpenBLAS")
+
+
+@bundled_openblas
 def test_n32_gradient_bits_do_not_depend_on_the_blas_thread_count():
     # OpenBLAS splits the gradient's K-long gemm sum between its threads; at
     # n = 32 the default thread count gives other bits than one thread
@@ -45,7 +51,7 @@ def test_n32_gradient_bits_do_not_depend_on_the_blas_thread_count():
     assert gradient_run(None) == gradient_run("1")
 
 
-@pytest.mark.skipif(blas._get is None, reason="numpy's BLAS is not its bundled OpenBLAS")
+@bundled_openblas
 def test_guard_restores_the_thread_count():
     before = blas._get()
     with pytest.raises(ZeroDivisionError):
@@ -56,6 +62,67 @@ def test_guard_restores_the_thread_count():
             assert blas._get() == 1
             1 / 0
     assert blas._get() == before
+
+
+@bundled_openblas
+def test_guard_holds_one_thread_until_the_last_of_two_threads_leaves():
+    # thread a enters, b enters, a leaves while b still runs, then b leaves
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = []
+
+    def a():
+        with blas.single_blas_thread():
+            a_in.set()
+            b_in.wait(10)
+        a_out.set()
+
+    def b():
+        a_in.wait(10)
+        with blas.single_blas_thread():
+            b_in.set()
+            a_out.wait(10)
+            seen.append(blas._get())
+
+    before = blas._get()
+    blas._set(2)
+    try:
+        threads = [threading.Thread(target=f) for f in (a, b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert seen == [1]
+        assert blas._get() == 2
+    finally:
+        blas._set(before)
+
+
+@bundled_openblas
+def test_guard_keeps_its_count_under_many_threads():
+    # more threads than cores enter and leave the guard with a short switch
+    # interval; a lost update to the depth would leave the count at 1 or
+    # restore it while a block still runs
+    inside = []
+
+    def enter_and_leave():
+        for _ in range(2000):
+            with blas.single_blas_thread():
+                inside.append(blas._get())
+
+    before, interval = blas._get(), sys.getswitchinterval()
+    blas._set(2)
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=enter_and_leave) for _ in range(2 * os.cpu_count() + 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert set(inside) == {1} and len(inside) == 2000 * len(threads)
+        assert blas._depth == 0 and blas._get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        blas._set(before)
 
 
 def test_guard_without_the_thread_calls_does_nothing(monkeypatch):

@@ -677,15 +677,16 @@ class TestBatchedSearch:
         r = np.stack([guess_point.R.array] * 8)
         w = np.stack([guess_point.w_hat + 0.1 * i for i in range(8)])
         evaluator = calibration._BatchEvaluator(oscillator.B, u, y_data)
-        cfg = p.CalibrationConfig()
         assert len(evaluator(j, r, w)) == 8
         evaluator.states_of(1)
-        evaluator.expect(1.0, 1.0, cfg)
         assert [len(evaluator(j, r, w)) for _ in range(5)] == [2, 2, 4, 8, 8]
         evaluator.states_of(3)  # row 3 of the fifth call, row 19 of its search
-        evaluator.expect(1.0, 1.0, cfg)
         assert [len(evaluator(j, r, w)) for _ in range(5)] == [8, 8, 4, 2, 4]
         assert len(evaluator(j[:3], r[:3], w[:3])) == 3  # no more than the batch holds
+        # sigma_init / 4 = 2.5 is the first step below 4 (1 - gamma) 1 / 1
+        evaluator = calibration._BatchEvaluator(oscillator.B, u, y_data)
+        evaluator.first_search(1.0, 1.0, p.CalibrationConfig())
+        assert [len(evaluator(j, r, w)) for _ in range(2)] == [3, 2]
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(n=st.integers(1, 4), k=st.integers(1, 2), gamma=st.sampled_from([1e-4, 0.1, 0.5, 0.9]),
@@ -712,9 +713,10 @@ class TestBatchedSearch:
         sigmas = cfg.sigma_init * 0.5 ** np.arange(cfg.max_halvings + 1)
         for sigma in sigmas[sigmas >= bound]:
             trial = p.ParameterPoint(v.J, v.R, v.w_hat - sigma * g.h_x)
-            assert p.cost(trial.to_system(truth.B), u, y_data) - current > -gamma * sigma * g.norm_sq
+            change = p.cost(trial.to_system(truth.B), u, y_data) - current
+            assert change > -gamma * sigma * g.norm_sq
         evaluator = calibration._BatchEvaluator(truth.B, u, y_data)
-        evaluator.expect(current, g.norm_sq, cfg)
+        evaluator.first_search(current, g.norm_sq, cfg)
         assert evaluator._row == int(np.argmax(sigmas < bound))
         step = p.armijo_search(v, g, current, evaluator, cfg)
         assert step.sigma < bound

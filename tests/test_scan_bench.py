@@ -13,7 +13,7 @@ _SPEC.loader.exec_module(scan_bench)
 
 def test_one_tiny_repeat_times_every_case_on_every_side():
     src = _ROOT / "src"
-    report = scan_bench.compare(src, src, repeats=1, tiny=True, aa=True)
+    report = scan_bench.compare(src, src, repeats=1, tiny=True)
     assert list(report) == ["simulate euler n=2 K=200", "simulate midpoint n=2 K=200",
                             "simulate euler diverging n=2 K=200",
                             "evaluate 8 candidates n=8 K=200", "calibrate wide-n8 model=0",

@@ -1,17 +1,17 @@
 """Time the scan-bound operations of a git revision and of the working tree.
 
-    python3 tools/scan_bench.py [--base REV] [--repeats R] [--aa] [--tiny] [--out FILE]
+    python3 tools/scan_bench.py [--base REV] [--repeats R] [--tiny] [--out FILE]
 
 Extracts ``src/`` of BASE (default ``HEAD``) with ``git archive`` into a
 temporary directory, as ``fingerprint_diff.py`` does, and starts one worker
-process per side, with BASE's ``src`` or the working tree's as PYTHONPATH.
-A worker builds every case and runs each once as a warm-up.  Then, R times
-(default 7) for every case, the two workers time it back to back, the side
-that goes first alternating (rotating, with ``--aa``), so that a slow phase
-of the host hits both sides of a pair.  A worker times a case as the median
-of ``CALLS`` calls with ``perf_counter``.  ``--aa`` adds a third worker with
-BASE's ``src`` (side ``aa``), timed in the same rounds, so that each case's
-base/change ratio can be read against the base/base ratio of the same host.
+process per side: ``base`` and ``aa`` with BASE's ``src`` as PYTHONPATH,
+``change`` with the working tree's.  A worker builds every case and runs
+each once as a warm-up.  Then, R times (default 7) for every case, the
+three workers time it back to back, the side that goes first rotating, so
+that a slow phase of the host hits every side of a round.  A worker times a
+case as the median of ``CALLS`` calls with ``perf_counter``.  The ``aa``
+side, BASE timed against itself, shows how far the host alone moves a
+case's base/change ratio.
 
 Cases: ``simulate_euler`` and ``simulate_discrete_gradient`` at
 n in {2, 8, 16, 32} x K in {1e3, 1e4, 1e5} (perfbench's random n, k=2 truth of
@@ -40,12 +40,11 @@ not timed.
 The report, printed or written to FILE as JSON, gives per case and side the
 median and interquartile range of the R timings in ms, the ratio of the
 medians (``speedup``, base over change), the median and interquartile range
-of the R per-pair ratios (``paired_speedup``; with ``--aa`` also
-``aa_paired_speedup``, base over the second base), for the cases that run a
-line search each side's ``evaluator_calls`` and ``swept_rows``, and the
-machine: CPU, CPU count, numpy version and the OPENBLAS_NUM_THREADS setting
-the workers ran with.  No bytecode is written and the temporary directory
-is removed.
+of the R per-pair ratios (``paired_speedup``) and of the R base/aa ratios
+(``aa_paired_speedup``), for the cases that run a line search each side's
+``evaluator_calls`` and ``swept_rows``, and the machine: CPU, CPU count,
+numpy version and the OPENBLAS_NUM_THREADS setting the workers ran with.
+No bytecode is written and the temporary directory is removed.
 """
 
 import argparse
@@ -226,15 +225,13 @@ def _spread(values) -> tuple[float, float]:
     return float(median), float(q3 - q1)
 
 
-def compare(base_src: Path, tree_src: Path, repeats: int, tiny: bool, aa: bool = False) -> dict:
+def compare(base_src: Path, tree_src: Path, repeats: int, tiny: bool) -> dict:
     """Per case, the median and IQR (ms) of each side's timings, the ratio
     base / change of the medians, the median and IQR of the per-pair ratios
-    (and of the base / aa ratios with ``aa``) and each side's line-search
-    counts."""
-    sides = [("base", base_src), ("change", tree_src)] + [("aa", base_src)] * aa
+    base / change and base / aa, and each side's line-search counts."""
     workers = {}
     try:
-        for side, src in sides:
+        for side, src in (("base", base_src), ("change", tree_src), ("aa", base_src)):
             workers[side] = Worker(src, tiny)
         ms = {name: {side: [] for side in workers} for name in workers["base"].names}
         for r in range(repeats):
@@ -254,9 +251,8 @@ def compare(base_src: Path, tree_src: Path, repeats: int, tiny: bool, aa: bool =
             row[side].update(workers[side].counts.get(name, {}))
         row["speedup"] = round(row["base"]["median_ms"] / row["change"]["median_ms"], 3)
         for key, other in (("paired_speedup", "change"), ("aa_paired_speedup", "aa")):
-            if other in times:
-                median, iqr = _spread(np.array(times["base"]) / np.array(times[other]))
-                row[key] = {"median": round(median, 3), "iqr": round(iqr, 3)}
+            median, iqr = _spread(np.array(times["base"]) / np.array(times[other]))
+            row[key] = {"median": round(median, 3), "iqr": round(iqr, 3)}
         report[name] = row
     return report
 
@@ -278,8 +274,6 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD")
     parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--aa", action="store_true",
-                        help="also time BASE against itself in a third worker")
     parser.add_argument("--tiny", action="store_true")
     parser.add_argument("--out", default=None)
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
@@ -290,11 +284,10 @@ def main(argv: list[str]) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
-        cases_report = compare(extract_src(args.base, tmp), ROOT / "src", args.repeats,
-                               args.tiny, args.aa)
+        cases_report = compare(extract_src(args.base, tmp), ROOT / "src", args.repeats, args.tiny)
     base = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.base],
                           check=True, capture_output=True, text=True).stdout.strip()
-    report = {"base": base, "change": "working tree", "aa": args.aa, "repeats": args.repeats,
+    report = {"base": base, "change": "working tree", "repeats": args.repeats,
               "calls_per_timing": CALLS, "machine": machine(), "cases": cases_report}
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
