@@ -37,11 +37,11 @@ the residual r_j = B^T w_j - y_data_j and P = I + h (J-R),
 
     lambda_K = 0,   lambda_j = P^T lambda_{j+1} + h B r_j   (j = K-1, ..., 0),
 
-run through the integrators' affine-recurrence kernel
-``phsid.systems._affine_scan`` in reverse time, a recursive-doubling scan
-on P^T over chunks of steps (within rounding of the per-step loop, which
-redoes exactly the chunks whose rounds left the finite range from a finite
-start state), and
+is the integrators' recurrence run backwards: ``phsid.systems._affine_scan``
+with P^T, S = B, the initial state 0 and the inputs h r_j from j = K-1 down,
+a recursive-doubling scan over chunks of steps (within rounding of the
+per-step loop, which redoes exactly the chunks whose rounds left the finite
+range from a finite start state), and
 
     G = h * sum_{j<K} lambda_{j+1} w_j^T,
 
@@ -299,16 +299,11 @@ def sensitivity_coefficients(sys: ReducedPHSystem, traj: Trajectory,
     """
     _check_parts(sys, traj=traj, y_data=y_data)
     _check_basis(basis, sys.n)
-    grid = traj.grid
-    h = grid.h
-    w = traj.states
+    h, w = traj.grid.h, traj.states
     propagator = np.eye(sys.n) + h * sys.drift()
     residual = w[:-1] @ sys.B - y_data.values[:-1]
-    # row t holds lambda_{K-t}: zero, then the forcing h B r_j backwards in time
-    adjoint = np.empty((grid.num_nodes, sys.n))
-    adjoint[0] = 0.0
-    adjoint[1:] = (h * residual[::-1]) @ sys.B.T
-    _affine_scan(propagator.T, adjoint)
+    # row t holds lambda_{K-t}: from zero, forced by h B r_j backwards in time
+    adjoint, _ = _affine_scan(propagator.T, sys.B, 0.0, h * residual[::-1])
     # pairs lambda_{j+1} = adjoint[K-1-j] with w_j
     g = h * (adjoint[:-1].T @ w[-2::-1])
     entries = np.stack([g - g.T, -(g + g.T), np.diag(adjoint[-1])])

@@ -32,13 +32,13 @@ Two integrators on a uniform grid are provided:
 Both are the affine recurrence w_{j+1} = P w_j + S v_j: P = I + h(J-R),
 S = h B and v_j = u_j for Euler, P = M^{-1} N, S = M^{-1} h B and
 v_j = u_{j+1} for the midpoint rule (M = I - h/2 (J-R), N = I + h/2 (J-R)).
-Both run through one shell, :func:`_integrate`: it allocates the state
-buffer, element-major (m, K+1, n) for a stack of m models, writes the
-forcing S v_j of every step into it with one gemm, ``inputs @ S^T``, and
-hands it to :func:`_affine_scan`, the one step kernel, which the backward
-sweep of the adjoint gradient shares.  The kernel is a recursive-doubling
-scan over chunks of steps, at every n and K, run in place on the buffer:
-round d adds to each row the row 2^d steps earlier, propagated by P^(2^d).
+Both run through one kernel, :func:`_affine_scan`, which the backward
+sweep of the adjoint gradient shares: it allocates the states,
+element-major (m, K+1, n) for a stack of m models, and runs the recurrence
+over them chunk by chunk, each chunk's forcing S v_j written into its rows
+by one gemm, ``inputs[chunk] @ S^T``.  The kernel is a recursive-doubling
+scan, at every n and K: round d adds to each row of a chunk the row 2^d
+steps earlier, propagated by P^(2^d).
 Its states differ from the per-step loop ``P @ w + S @ v_j`` by rounding,
 at most 7.9e-13 of max|w| in the measurements; the per-step loop itself
 redoes exactly the chunks whose rounds left the finite range from a finite
@@ -270,9 +270,8 @@ def cholesky_reduce(sys: PHSystem) -> ReducedPHSystem:
     return ReducedPHSystem(j_red, r_red, v.T @ sys.B, v.T @ sys.x_hat)
 
 
-# The scan runs the rounds of a chunk of _CHUNK_VALUES values of each stack
-# element, _CHUNK_VALUES // n steps, at a time, and holds that chunk's forcing
-# and one round's products beside the rows.
+# The scan runs the rounds of _CHUNK_VALUES // n steps of every stack element
+# at a time, and holds one round's products of them beside the states.
 _CHUNK_VALUES = 1 << 14
 
 
@@ -280,12 +279,12 @@ def _step_scan(p: np.ndarray, rows: np.ndarray) -> None:
     """The per-step loop x_{j+1} = P x_j + f_j, in place over time-major ``rows``.
 
     ``rows`` (K+1, n) with P (n, n), or (K+1, c, n, 1) stacks of columns
-    with one shared P (n, n) or one per element (c, n, n); on entry
-    ``rows[0]`` holds x_0 and ``rows[j+1]`` the forcing f_j.  Each step is
-    two C calls, ``matmul(P, x_j)`` into a scratch row and its addition onto
-    f_j, so every element's states equal the plain ``P @ x_j + f_j`` loop
-    bit for bit.  A stack of one steps as a plain vector: the same gemv,
-    with less per-call overhead than a stack of one column.
+    with one P per element (c, n, n); on entry ``rows[0]`` holds x_0 and
+    ``rows[j+1]`` the forcing f_j.  Each step is two C calls,
+    ``matmul(P, x_j)`` into a scratch row and its addition onto f_j, so
+    every element's states equal the plain ``P @ x_j + f_j`` loop bit for
+    bit.  A stack of one steps as a plain vector: the same gemv, with less
+    per-call overhead than a stack of one column.
     """
     if rows.ndim == 4 and rows.shape[1] == 1:
         rows, p = rows[:, 0, :, 0], p.reshape(p.shape[-2:])
@@ -296,19 +295,34 @@ def _step_scan(p: np.ndarray, rows: np.ndarray) -> None:
         add(nxt, step, out=nxt)
 
 
-def _affine_scan(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Run the affine recurrence x_{j+1} = P x_j + f_j in place over ``rows``.
+def _forcing(inputs: np.ndarray, s: np.ndarray, lo: int, out: np.ndarray) -> None:
+    """Write ``inputs[lo:lo+len(out)] @ S^T`` into ``out`` with the bits of one
+    gemm over all of ``inputs``: numpy runs a one-row product as a gemv or a
+    dot, whose sums round differently, so a lone row is read off a gemm of two."""
+    if len(out) > 1 or len(inputs) == 1:
+        np.matmul(inputs[lo:lo + len(out)], s.T, out=out)
+    else:
+        first = lo - (lo > 0)
+        out[0] = (inputs[first:first + 2] @ s.T)[lo - first]
 
-    On entry ``rows[..., 0, :]`` holds x_0 and ``rows[..., j+1, :]`` the
-    forcing f_j; on return ``rows[..., j, :]`` holds x_j.  ``rows`` is one
-    sweep (K+1, n) with P (n, n), or an element-major stack (c, K+1, n) with
-    one shared P (n, n) or one per element (c, n, n).  Returns the mask
-    (c,), (1,) for one sweep, of the elements whose states are all finite.
+
+def _affine_scan(p: np.ndarray, s: np.ndarray, x0: np.ndarray,
+                 inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """States of the recurrence x_{j+1} = P x_j + S v_j, v_j = ``inputs[j]``,
+    and the mask of the elements whose states are all finite.
+
+    One propagator ``p`` (n, n) with ``x0`` (n,) gives states (K+1, n) and a
+    mask (1,); a stack (m, n, n) with initial states (m, n), or any that
+    broadcast, gives element-major states (m, K+1, n) and a mask (m,).  One
+    input drives every element.  Overflow is ignored throughout, and
+    non-finite states are returned as they are.
 
     The scan is a recursive-doubling prefix scan (Kogge & Stone 1973,
     Hillis & Steele 1986) over chunks of L = ``_CHUNK_VALUES // n`` steps.
-    On the chunk's own rows y, a view that starts at the chunk's start
-    state, the rounds s = 1, 2, 4, ... while s <= L of
+    One gemm, ``inputs[chunk] @ S^T``, writes a chunk's forcing into the
+    first element's rows, and the other elements copy them.  On the chunk's
+    own rows y, a view that starts at the chunk's start state, the rounds
+    s = 1, 2, 4, ... while s <= L of
 
         y[s:] += y[:-s] @ (P^T)^s
 
@@ -318,88 +332,60 @@ def _affine_scan(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
     power per element by batched matmul, in the shapes of a single sweep, so
     each element's states equal its own sweep bit for bit.  The states
     differ from the per-step loop by rounding, at most 7.9e-13 of max|x| in
-    the measurements.  Memory beyond ``rows``: a copy of the chunk's forcing
-    and one product buffer, each at most ``_CHUNK_VALUES`` values per stack
-    element, and the powers; on overflow, one chunk-sized copy per redone
-    element besides, freed before the next chunk, so the peak does not grow
-    with K.
+    the measurements.  Memory beyond the states: one product buffer of a
+    chunk per element, and the powers.
 
     Each chunk is tested for finiteness once, after its rounds.  The
     per-step loop, :func:`_step_scan`, redoes exactly the chunks whose rounds
-    left the finite range and whose start state was finite: it steps a
-    time-major copy of those elements' chunk rows, built from the start
-    state and the forcing copy, and the rows are written back, so a
-    divergence shows at the step the per-step loop reaches and the mask
+    left the finite range and whose start state was finite, on a time-major
+    copy of those elements' rows built from the start state and the chunk's
+    forcing, formed again by the same gemm.  The copy, freed before the
+    next chunk, is all an overflow adds to the memory, whatever K.  So a
+    divergence shows at the step the per-step loop reaches, and the mask
     reads the redone states.  A chunk whose start state is already
     non-finite is left as the rounds left it: P x with a non-finite entry
     has no finite entry, so its states are non-finite under either loop.
-    Every other chunk keeps the rounds' bits.  Overflow in the doubling
-    rounds is ignored; overflow in the per-step loop is left to the caller's
-    error state.
+    Every other chunk keeps the rounds' bits.
     """
-    x = rows if rows.ndim == 3 else rows[None]  # (count, K+1, n)
-    count, steps, n = x.shape[0], x.shape[1] - 1, x.shape[2]
+    stacked = p.ndim == 3
+    count, steps, n = (p.shape[0] if stacked else 1), inputs.shape[0], p.shape[-1]
+    x = np.empty((count, steps + 1, n))
+    x[:, 0] = x0
     chunk = max(1, _CHUNK_VALUES // n)
     width = min(chunk, steps)
-    forcing = np.empty((count, width, n))
     product = np.empty((count, width, n))
     finite = np.ones(count, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         powers = [np.ascontiguousarray(p.swapaxes(-1, -2))]  # (P^T)^(2^d)
         while 1 << len(powers) <= width:
             powers.append(powers[-1] @ powers[-1])
-    for lo in range(0, steps, chunk):
-        length = min(chunk, steps - lo)
-        y = x[:, lo:lo + length + 1]
-        forcing[:, :length] = y[:, 1:]
-        with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, steps, chunk):
+            length = min(chunk, steps - lo)
+            y = x[:, lo:lo + length + 1]
+            _forcing(inputs, s, lo, y[0, 1:])
+            y[1:, 1:] = y[0, 1:]
             for d, q in enumerate(powers):
-                s = 1 << d
-                if s > length:
+                shift = 1 << d
+                if shift > length:
                     break
-                np.matmul(y[:, :-s], q, out=product[:, :length + 1 - s])
-                y[:, s:] += product[:, :length + 1 - s]
+                np.matmul(y[:, :-shift], q, out=product[:, :length + 1 - shift])
+                y[:, shift:] += product[:, :length + 1 - shift]
             ok = np.isfinite(y).all(axis=(1, 2))
-        if ok.all():
-            continue
-        redo = np.flatnonzero(~ok & np.isfinite(y[:, 0]).all(axis=1))
-        if redo.size:
-            sub = np.empty((length + 1, redo.size, n, 1))  # time-major
-            sub[0, :, :, 0] = y[redo, 0]
-            for i, e in enumerate(redo):  # with no fancy-index temporary
-                sub[1:, i, :, 0] = forcing[e, :length]
-            _step_scan(p if p.ndim == 2 else p[redo], sub)
-            y[redo, 1:] = sub[1:, :, :, 0].swapaxes(0, 1)
-            ok[redo] = np.isfinite(sub).all(axis=(0, 2, 3))
-            del sub  # before the next chunk's rounds
-        finite &= ok
-    return finite
-
-
-def _integrate(p: np.ndarray, s: np.ndarray, w0: np.ndarray,
-               inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """States of the recurrence w_{j+1} = P w_j + S v_j, v_j = ``inputs[j]``,
-    and the scan's mask of the elements that stayed finite.
-
-    One propagator ``p`` (n, n) with ``w0`` (n,) gives states (K+1, n); a
-    stack of m propagators (m, n, n) with initial states (m, n) gives
-    element-major states (m, K+1, n).  The forcing S v_j of every step is
-    written into rows 1.. of the first element by one gemm,
-    ``inputs @ S^T``, and copied to the other elements, and
-    :func:`_affine_scan` then runs the recurrence over the buffer in place:
-    a doubling scan, within rounding of the per-step loop, where each stack
-    element's states equal its own sweep bit for bit.  Non-finite states
-    are returned as they are.
-    """
-    steps, n = inputs.shape[0], p.shape[-1]
-    stacked = p.ndim == 3
-    states = np.empty((p.shape[0] if stacked else 1, steps + 1, n))
-    states[:, 0] = w0
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(inputs, s.T, out=states[0, 1:])
-        states[1:, 1:] = states[0, 1:]  # one input drives every element
-        finite = _affine_scan(p, states)
-    return (states if stacked else states[0]), finite
+            if ok.all():
+                continue
+            redo = np.flatnonzero(~ok & np.isfinite(y[:, 0]).all(axis=1))
+            if redo.size:
+                forcing = y[redo[0], 1:]  # rows that the redo overwrites
+                _forcing(inputs, s, lo, forcing)
+                sub = np.empty((length + 1, redo.size, n, 1))  # time-major
+                sub[0, :, :, 0] = y[redo, 0]
+                sub[1:, :, :, 0] = forcing[:, None]
+                _step_scan(p[redo] if stacked else p, sub)
+                y[redo, 1:] = sub[1:, :, :, 0].swapaxes(0, 1)
+                ok[redo] = np.isfinite(sub).all(axis=(0, 2, 3))
+                del sub  # before the next chunk's rounds
+            finite &= ok
+    return (x if stacked else x[0]), finite
 
 
 def _check_finite(states: np.ndarray, finite: np.ndarray, scheme: str) -> None:
@@ -413,15 +399,13 @@ def _euler_states(a: np.ndarray, b: np.ndarray, w0: np.ndarray,
                   u_values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Explicit Euler recursion w_{j+1} = w_j + h*(a w_j + b u_j), for one drift or a stack.
 
-    :func:`_integrate` with P = I + h a and S = h b on u_0 .. u_{K-1}, for one
-    drift ``a`` (n, n) or a stack of m drifts (m, n, n).  Returns the states,
-    (K+1, n) or element-major (m, K+1, n), as they are, an element that
-    diverged holding non-finite states, and the scan's mask, (1,) or (m,),
-    of the elements that stayed finite.  Raising is the caller's: a caller
-    that needs finite states passes both to :func:`_check_finite` with its
-    own label.
+    :func:`_affine_scan` with P = I + h a and S = h b on u_0 .. u_{K-1}, for one
+    drift ``a`` (n, n) or a stack of m drifts (m, n, n): the states as they
+    are and the mask of the elements that stayed finite.  A caller that
+    needs finite states passes both to :func:`_check_finite` with its own
+    label.
     """
-    return _integrate(np.eye(a.shape[-1]) + h * a, h * b, w0, u_values[:-1])
+    return _affine_scan(np.eye(a.shape[-1]) + h * a, h * b, w0, u_values[:-1])
 
 
 def simulate_euler(sys: ReducedPHSystem, u: Signal) -> Trajectory:
@@ -459,8 +443,8 @@ def simulate_discrete_gradient(sys: ReducedPHSystem, u: Signal) -> Trajectory:
     a = sys.drift()
     m_minus = np.eye(sys.n) - 0.5 * h * a
     m_plus = np.eye(sys.n) + 0.5 * h * a
-    states, finite = _integrate(np.linalg.solve(m_minus, m_plus),
-                                np.linalg.solve(m_minus, h * sys.B), sys.w_hat, u.values[1:])
+    states, finite = _affine_scan(np.linalg.solve(m_minus, m_plus),
+                                  np.linalg.solve(m_minus, h * sys.B), sys.w_hat, u.values[1:])
     _check_finite(states, finite, "discrete-gradient scheme")
     return Trajectory(u.grid, states)
 

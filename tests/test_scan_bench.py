@@ -16,7 +16,8 @@ def test_one_tiny_repeat_times_every_case_on_every_side():
     report = scan_bench.compare(src, src, repeats=1, tiny=True)
     assert list(report) == ["simulate euler n=2 K=200", "simulate midpoint n=2 K=200",
                             "simulate euler diverging n=2 K=200",
-                            "evaluate 8 candidates n=8 K=200", "calibrate wide-n8 model=0",
+                            "evaluate 8 candidates n=8 K=200", "gradient wide-n8 model=0",
+                            "calibrate wide-n8 model=0",
                             "calibrate wide-n8 model=6", "calibrate oscillator",
                             "calibrate oscillator diagonal_R",
                             "calibrate oscillator sigma_init=1e6", "cli calibrate oscillator"]

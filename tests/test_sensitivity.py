@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import phsid as p
 import phsid.sensitivity as sensitivity
+import phsid.systems as systems
 from conftest import (
     diverging_system,
     oscillator_guess,
@@ -485,14 +486,49 @@ class TestStackedCoefficients:
         sys, traj, y_data = _random_problem(43, n, 2, 50)
         sweeps = []
 
-        def recording_scan(propagator, rows):
-            sweeps.append(rows.shape)
-            real_scan(propagator, rows)
+        def recording_scan(propagator, source, x0, inputs):
+            states, finite = real_scan(propagator, source, x0, inputs)
+            sweeps.append(states.shape)
+            return states, finite
 
         real_scan = sensitivity._affine_scan
         with mock.patch.object(sensitivity, "_affine_scan", recording_scan):
             p.sensitivity_coefficients(sys, traj, y_data, p.tangent_basis(n, "full"))
         assert sweeps == [(51, n)]
+
+    def test_overflow_redo_equals_the_per_step_adjoint_loop(self):
+        # J = 0, R = diag(3/h, 0.5): P = diag(-2, 1 - h/2), whose powers
+        # overflow within the one chunk, so the rounds leave NaN and the
+        # per-step loop redoes the Euler sweep and the adjoint.  B = (0, 1)
+        # and w0 = (0, 1) keep the first component zero, so both sweeps stay
+        # finite, and the coefficients equal those of the per-step adjoint
+        # loop bit for bit
+        grid = p.TimeGrid(1.0, 2000)
+        h, n = grid.h, 2
+        sys = p.ReducedPHSystem(p.SkewSymmetricMatrix.zeros(n),
+                                p.PSDMatrix.from_matrix(np.diag([3.0 / h, 0.5])),
+                                np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
+        u = p.generate_input(grid, 1, p.NoiseSpec(seed=3))
+        y_data = random_signal(philox(44), grid, 1)
+        basis = p.tangent_basis(n, "full")
+        with mock.patch.object(systems, "_step_scan", wraps=systems._step_scan) as step_scan:
+            traj = p.simulate_euler(sys, u)
+            assert step_scan.call_count == 1
+            coeffs = p.sensitivity_coefficients(sys, traj, y_data, basis)
+            assert step_scan.call_count == 2
+        # row t holds lambda_{K-t}, as the kernel's states do
+        w, propagator = traj.states, np.eye(n) + h * sys.drift()
+        forcing = (h * (w[:-1] @ sys.B - y_data.values[:-1])[::-1]) @ sys.B.T
+        adjoint = np.zeros((grid.num_nodes, n))
+        for t, f in enumerate(forcing):
+            adjoint[t + 1] = propagator.T @ adjoint[t] + f
+        g = h * (adjoint[:-1].T @ w[-2::-1])
+        expected = [g[d.i, d.j] - g[d.j, d.i] if d.block == "J"
+                    else -g[d.i, d.i] if d.block == "R" and d.i == d.j
+                    else -(g[d.i, d.j] + g[d.j, d.i]) if d.block == "R"
+                    else adjoint[-1, d.i] for d in basis]
+        assert coeffs.tobytes() == np.array(expected).tobytes()
+        assert np.isfinite(coeffs).all()
 
     def test_peak_memory_is_a_few_state_buffers(self):
         # the 272 directions at n = 16 cost no more memory than a few

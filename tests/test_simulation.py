@@ -194,12 +194,14 @@ def assert_diverged_element_is_returned(steps):
         assert np.array_equal(states[i], single)
 
 
-def plain_loop(p_mat, rows):
-    """The per-step loop x_{j+1} = P x_j + f_j over ``rows`` (K+1, [m,] n),
-    written apart from the kernel."""
-    out = rows.copy()
-    for j in range(len(rows) - 1):
-        out[j + 1] = (p_mat @ out[j][..., None])[..., 0] + rows[j + 1]
+def plain_loop(p_mat, s, x0, inputs):
+    """The per-step loop x_{j+1} = P x_j + S v_j, time-major (K+1, [m,] n),
+    written apart from the kernel; its forcing is one gemm, ``inputs @ S.T``."""
+    forcing = inputs @ s.T
+    out = np.empty((len(inputs) + 1, *np.shape(x0)))
+    out[0] = x0
+    for j, f in enumerate(forcing):
+        out[j + 1] = (p_mat @ out[j][..., None])[..., 0] + f
     return out
 
 
@@ -217,12 +219,17 @@ def random_propagators(rng, n, count, h, midpoint, adjoint):
     return props.swapaxes(-1, -2) if adjoint else props
 
 
+def random_drive(rng, n, stack, steps, k=2):
+    """A random S (n, k), initial states (*stack, n) and inputs (K, k)."""
+    return rng.normal(size=(n, k)), rng.normal(size=(*stack, n)), rng.normal(size=(steps, k))
+
+
 class TestAffineScan:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(n=st.integers(1, 8), count=st.integers(0, 4), shared=st.booleans(),
+    @given(n=st.integers(1, 8), count=st.integers(0, 4), k=st.integers(1, 3),
            adjoint=st.booleans(), midpoint=st.booleans(), t_end=st.floats(0.5, 20.0),
            steps=st.integers(1, 2500), seed=st.integers(0, 2**32 - 1))
-    def test_states_within_replay_tolerance(self, n, count, shared, adjoint, midpoint,
+    def test_states_within_replay_tolerance(self, n, count, k, adjoint, midpoint,
                                             t_end, steps, seed):
         # the doubling scan reorders the per-step loop's sums: on Euler and
         # midpoint propagators of random models, plain or transposed as the
@@ -230,76 +237,68 @@ class TestAffineScan:
         # state (perfbench's REPLAY_RTOL; 7.9e-13 measured at worst), from
         # K = 1 on and past the first chunk at n = 8.  count = 0 is one
         # sweep (K+1, n), count >= 1 an element-major stack (count, K+1, n)
-        # with one shared P or one P per element
+        # with one P per element
         h = t_end / steps
         rng = philox(seed)
-        props = random_propagators(rng, n, 1 if shared or not count else count, h, midpoint,
-                                   adjoint)
-        p_mat = props if count and not shared else props[0]
-        stack = (count,) if count else ()
-        rows = rng.normal(size=(steps + 1, *stack, n))
-        scanned = np.moveaxis(rows, 0, -2).copy()
-        _affine_scan(p_mat, scanned)
+        props = random_propagators(rng, n, max(count, 1), h, midpoint, adjoint)
+        p_mat = props if count else props[0]
+        s, x0, inputs = random_drive(rng, n, (count,) if count else (), steps, k)
+        scanned, finite = _affine_scan(p_mat, s, x0, inputs)
+        assert scanned.shape == ((count,) if count else ()) + (steps + 1, n)
+        assert finite.all() and len(finite) == max(count, 1)
         scanned = np.moveaxis(scanned, -2, 0)
-        expected = plain_loop(p_mat, rows)
+        expected = plain_loop(p_mat, s, x0, inputs)
         scale = np.abs(expected).max(axis=(0, -1))
         assert (np.abs(scanned - expected).max(axis=(0, -1)) <= 1e-12 * scale).all()
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(n=st.integers(1, 21), count=st.integers(1, 3), shared=st.booleans(),
-           midpoint=st.booleans(), t_end=st.floats(0.5, 20.0), extra=st.integers(0, 700),
+    @given(n=st.integers(1, 21), count=st.integers(1, 3), midpoint=st.booleans(),
+           t_end=st.floats(0.5, 20.0), extra=st.integers(0, 700),
            seed=st.integers(0, 2**32 - 1))
     def test_chunks_within_replay_tolerance_and_bit_exact_per_element(
-            self, n, count, shared, midpoint, t_end, extra, seed):
+            self, n, count, midpoint, t_end, extra, seed):
         # K spans at least three chunks of _CHUNK_VALUES // n steps, each
         # started from the last state of the one before: every state stays
         # within 1e-12 of each element's largest state of the per-step loop,
         # and each stack element equals its own single sweep bit for bit
         steps = 2 * (_CHUNK_VALUES // n) + 1 + extra
         rng = philox(seed)
-        props = random_propagators(rng, n, 1 if shared else count, t_end / steps, midpoint,
-                                   adjoint=False)
-        p_mat = props[0] if shared else props
-        rows = rng.normal(size=(steps + 1, count, n))
-        scanned = rows.swapaxes(0, 1).copy()
-        _affine_scan(p_mat, scanned)
-        expected = plain_loop(p_mat, rows)
+        props = random_propagators(rng, n, count, t_end / steps, midpoint, adjoint=False)
+        s, x0, inputs = random_drive(rng, n, (count,), steps)
+        scanned, _ = _affine_scan(props, s, x0, inputs)
+        expected = plain_loop(props, s, x0, inputs)
         scale = np.abs(expected).max(axis=(0, -1))
         assert (np.abs(scanned.swapaxes(0, 1) - expected).max(axis=(0, -1)) <= 1e-12 * scale).all()
         for i in range(count):
-            single = rows[:, i].copy()
-            _affine_scan(p_mat if shared else p_mat[i], single)
+            single, finite = _affine_scan(props[i], s, x0[i], inputs)
+            assert finite.tolist() == [True]
             assert np.array_equal(scanned[i], single)
 
     @pytest.mark.parametrize("n", [1, 2, 8, 21, 22, 32])
     def test_per_step_loop_runs_only_after_an_overflow(self, n):
         # the doubling scan serves every n and K, n > 21 too: on finite runs
         # of K = 1, a few steps and more than one chunk, single sweeps and
-        # stacks with a shared P or one per element, the per-step loop never
-        # runs; a run that overflows redoes its chunk with it, and only that
-        # chunk, however many chunks follow
+        # stacks, the per-step loop never runs; a run that overflows redoes
+        # its chunk with it, and only that chunk, however many chunks follow
         rng = philox(n)
         chunk = _CHUNK_VALUES // n
         for steps in (1, 5, chunk + 3):
             props = random_propagators(rng, n, 3, 1.0 / steps, midpoint=False, adjoint=False)
-            for p_mat, shape in ((props[0], (steps + 1, n)), (props[0], (3, steps + 1, n)),
-                                 (props, (3, steps + 1, n))):
-                rows = rng.normal(size=shape)
+            for p_mat in (props[0], props):
+                s, x0, inputs = random_drive(rng, n, p_mat.shape[:-2], steps)
                 with mock.patch.object(systems, "_step_scan",
                                        wraps=systems._step_scan) as step_scan:
-                    finite = _affine_scan(p_mat, rows)
+                    states, finite = _affine_scan(p_mat, s, x0, inputs)
                 assert step_scan.call_count == 0
-                assert np.isfinite(rows).all() and finite.all()
+                assert np.isfinite(states).all() and finite.all()
         # 16 I overflows within 256 steps, in the first chunk at n <= 32
         for steps in (chunk + 3, 3 * chunk):
-            rows = rng.normal(size=(steps + 1, n))
             with mock.patch.object(systems, "_step_scan",
                                    wraps=systems._step_scan) as step_scan:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    finite = _affine_scan(16.0 * np.eye(n), rows)
+                states, finite = _affine_scan(16.0 * np.eye(n), *random_drive(rng, n, (), steps))
             assert step_scan.call_count == 1
             assert len(step_scan.call_args.args[1]) <= chunk + 1
-            assert not np.isfinite(rows[-1]).any() and not finite.any()
+            assert not np.isfinite(states[-1]).any() and not finite.any()
 
 
 class TestFiniteMask:
@@ -307,8 +306,8 @@ class TestFiniteMask:
     @pytest.mark.parametrize("diverging", [(True,), (False, True), (True, False, False, True),
                                            (False, True, True, False)])
     def test_mask_names_the_elements_that_stayed_finite(self, steps, diverging):
-        # per-element P: 16 I from 1e305 overflows within five steps, in the
-        # first chunk at n = 2; K = _CHUNK_VALUES // 2 + 3 runs the finite
+        # per-element P: 16 I from 1e305 overflows at step 3, in the first
+        # chunk at n = 2; K = _CHUNK_VALUES // 2 + 3 runs the finite
         # elements on past that chunk, and K = 3 chunks through two more
         # chunks after the overflow
         n, diverging = 2, np.array(diverging)
@@ -316,33 +315,31 @@ class TestFiniteMask:
         props = random_propagators(rng, n, len(diverging), 1.0 / steps, midpoint=False,
                                    adjoint=False)
         props[diverging] = 16.0 * np.eye(n)
-        rows = rng.normal(size=(len(diverging), steps + 1, n))
-        rows[diverging] *= 1e305
-        scanned = rows.copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = _affine_scan(props, scanned)
+        s, x0, inputs = random_drive(rng, n, (len(diverging),), steps)
+        x0[diverging] = 1e305
+        scanned, finite = _affine_scan(props, s, x0, inputs)
         assert np.array_equal(finite, np.isfinite(scanned).all(axis=(1, 2)))
         assert np.array_equal(finite, ~diverging)
         for i in np.flatnonzero(finite):
-            single = rows[i].copy()
-            assert _affine_scan(props[i], single).all()
+            single, single_finite = _affine_scan(props[i], s, x0[i], inputs)
+            assert single_finite.all()
             assert np.array_equal(scanned[i], single)
 
     @pytest.mark.parametrize("steps", [5, _CHUNK_VALUES // 2 + 3, 2 * (_CHUNK_VALUES // 2) + 3])
     def test_mask_follows_the_rescan_not_the_rounds(self, steps):
-        # a shared 16 I: the elements from 1e305 overflow, and those that
-        # start at zero with zero forcing stay zero, though past 256 steps
-        # the powers overflow and the rounds give them NaN; the per-step
-        # loop redoes their chunks, across chunk boundaries too, and
-        # restores their zeros, and the mask says so
+        # 16 I for every element and zero inputs: the elements from 1e305
+        # overflow, and those that start at zero stay zero, though past 256
+        # steps the powers overflow and the rounds give them NaN; the
+        # per-step loop redoes their chunks, across chunk boundaries too,
+        # and restores their zeros, and the mask says so
         n = 2
-        rows = 1e305 * philox(steps).normal(size=(4, steps + 1, n))
-        rows[[1, 2]] = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = _affine_scan(16.0 * np.eye(n), rows)
-        assert np.array_equal(finite, np.isfinite(rows).all(axis=(1, 2)))
+        x0 = 1e305 * philox(steps).normal(size=(4, n))
+        x0[[1, 2]] = 0.0
+        states, finite = _affine_scan(np.stack([16.0 * np.eye(n)] * 4), np.ones((n, 1)), x0,
+                                      np.zeros((steps, 1)))
+        assert np.array_equal(finite, np.isfinite(states).all(axis=(1, 2)))
         assert np.array_equal(finite, [False, True, True, False])
-        assert not rows[[1, 2]].any()
+        assert not states[[1, 2]].any()
 
     @pytest.mark.parametrize("simulate, rate, w0, u, steps", [
         # Euler's propagator 1 - rate: -16 overflows 1e305 at step 3, and
@@ -373,13 +370,14 @@ class TestFiniteMask:
         assert err.value.step == first
 
 
-def scan_peak(p_mat, rows):
-    """Bytes that :func:`_affine_scan` allocates beyond ``rows`` at its peak."""
+def scan_peak(p_mat, s, x0, inputs):
+    """Bytes that :func:`_affine_scan` allocates beyond the states it returns,
+    at its peak."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _affine_scan(p_mat, rows)
-        return tracemalloc.get_traced_memory()[1] - base
+        states, _ = _affine_scan(p_mat, s, x0, inputs)
+        return tracemalloc.get_traced_memory()[1] - base - states.nbytes
     finally:
         tracemalloc.stop()
 
@@ -387,30 +385,38 @@ def scan_peak(p_mat, rows):
 class TestScanMemory:
     @pytest.mark.parametrize("n, steps", [(2, 8192), (1, 16_384), (8, 2048), (8, 10_000),
                                           (2, 100_000)])
-    def test_temporaries_stay_within_four_chunks_whatever_k(self, n, steps):
-        # the copy of the chunk's forcing and one product buffer are a chunk
-        # each; the powers and the chunk's finiteness test come to a small
-        # part of one more.  Where K n is near _CHUNK_VALUES that is about
-        # twice the rows; at K = 1e5 a sixth
+    def test_temporaries_stay_within_two_chunks_whatever_k(self, n, steps):
+        # one product buffer is a chunk; the powers and the chunk's
+        # finiteness test come to a small part of one more, 1.16 chunks in
+        # all.  No copy of the forcing is kept, which was a third chunk
         rng = philox(steps)
         p_mat = random_propagators(rng, n, 1, 1.0 / steps, midpoint=False, adjoint=False)[0]
-        rows = rng.normal(size=(steps + 1, n))
-        assert scan_peak(p_mat, rows) <= 4 * _CHUNK_VALUES * 8
-        assert np.isfinite(rows).all()
+        assert scan_peak(p_mat, *random_drive(rng, n, (), steps)) <= 2 * _CHUNK_VALUES * 8
 
     def test_a_stack_holds_no_more_than_its_elements_one_at_a_time(self):
         # the Armijo evaluator's shape: 8 candidates of n = 8 at K = 1000,
-        # one chunk.  The forcing copy and the product buffer hold a chunk of
-        # every element, as the candidates' own sweeps would
+        # one chunk.  The product buffer holds a chunk of every element, as
+        # the candidates' own sweeps would
         n, count, steps = 8, 8, 1000
         rng = philox(5)
         props = random_propagators(rng, n, count, 1.0 / steps, midpoint=False, adjoint=False)
-        rows = rng.normal(size=(count, steps + 1, n))
-        singles = [rows[i].copy() for i in range(count)]
-        stacked = scan_peak(props, rows)
-        assert stacked <= sum(scan_peak(props[i], single) for i, single in enumerate(singles))
-        for i, single in enumerate(singles):
-            assert np.array_equal(rows[i], single)
+        s, x0, inputs = random_drive(rng, n, (count,), steps)
+        stacked = scan_peak(props, s, x0, inputs)
+        assert stacked <= sum(scan_peak(props[i], s, x0[i], inputs) for i in range(count))
+        states, _ = _affine_scan(props, s, x0, inputs)
+        for i in range(count):
+            assert np.array_equal(states[i], _affine_scan(props[i], s, x0[i], inputs)[0])
+
+    def test_the_evaluators_stack_holds_at_most_a_quarter_more_than_its_states(self):
+        # 8 candidates of n = 8 at K = 1000, as the Armijo evaluator sweeps
+        # them: the product buffer is as large as the states, the powers and
+        # the finiteness test add 0.21x.  A kept copy of the forcing added
+        # another 1.0x
+        n, count, steps = 8, 8, 1000
+        rng = philox(6)
+        props = random_propagators(rng, n, count, 1.0 / steps, midpoint=False, adjoint=False)
+        states_bytes = count * (steps + 1) * n * 8
+        assert scan_peak(props, *random_drive(rng, n, (count,), steps)) <= 1.25 * states_bytes
 
     @pytest.mark.parametrize("count, diverging", [(0, [0]), (8, [3]), (8, list(range(8)))])
     def test_an_overflow_holds_no_more_whatever_k(self, count, diverging):
@@ -428,17 +434,19 @@ class TestScanMemory:
             props = random_propagators(rng, n, len(stayed), 1.0 / steps, midpoint=False,
                                        adjoint=False)
             props[diverging] = 16.0 * np.eye(n)
-            rows = rng.normal(size=(len(stayed), steps + 1, n))
-            rows[diverging] *= 1e305
-            with np.errstate(over="ignore", invalid="ignore"):
-                peaks.append(scan_peak(props, rows) if count else scan_peak(props[0], rows[0]))
-            assert np.array_equal(np.isfinite(rows).all(axis=(1, 2)), stayed)
+            s, x0, inputs = random_drive(rng, n, (len(stayed),), steps)
+            x0[diverging] = 1e305
+            p_mat, x0 = (props, x0) if count else (props[0], x0[0])
+            peaks.append(scan_peak(p_mat, s, x0, inputs))
+            states, finite = _affine_scan(p_mat, s, x0, inputs)
+            assert np.array_equal(finite, stayed)
+            assert np.array_equal(np.isfinite(states.reshape(len(stayed), -1)).all(axis=1), stayed)
         assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
 
 
 class TestBitExactIntegrators:
     """Both integrators are :func:`_affine_scan` run on their textbook
-    propagator and their forcing ``inputs @ S.T``, bit for bit."""
+    propagator, source and inputs, bit for bit."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(1, 8), k=st.integers(1, 3), steps=st.integers(1, 2500),
@@ -450,19 +458,32 @@ class TestBitExactIntegrators:
         u = random_signal(rng, grid, k)
         h, a = grid.h, sys.drift()
 
-        def kernel_states(propagator, source, inputs):
-            rows = np.concatenate([sys.w_hat[None], inputs @ source.T])
-            _affine_scan(propagator, rows)
-            return rows
-
-        expected = kernel_states(np.eye(n) + h * a, h * sys.B, u.values[:-1])
+        expected, _ = _affine_scan(np.eye(n) + h * a, h * sys.B, sys.w_hat, u.values[:-1])
         assert np.array_equal(p.simulate_euler(sys, u).states, expected)
 
         m_minus = np.eye(n) - 0.5 * h * a
         m_plus = np.eye(n) + 0.5 * h * a
-        expected = kernel_states(np.linalg.solve(m_minus, m_plus),
-                                 np.linalg.solve(m_minus, h * sys.B), u.values[1:])
+        expected, _ = _affine_scan(np.linalg.solve(m_minus, m_plus),
+                                   np.linalg.solve(m_minus, h * sys.B), sys.w_hat, u.values[1:])
         assert np.array_equal(p.simulate_discrete_gradient(sys, u).states, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_forcing_has_the_bits_of_one_gemm(self, n, k):
+        # with P = 0 the states are the forcing.  Every chunk's forcing,
+        # the lone step of a last chunk of one step too, equals its rows of
+        # one gemm over all the inputs, as does a stack's; numpy runs a
+        # one-row product as a gemv, whose sums round differently
+        chunk = _CHUNK_VALUES // n
+        rng = philox(n + 10 * k)
+        for steps in (1, 2, chunk + 1, 2 * chunk + 1, chunk + 2):
+            s, x0, inputs = random_drive(rng, n, (3,), steps, k)
+            expected = inputs @ s.T
+            single, _ = _affine_scan(np.zeros((n, n)), s, x0[0], inputs)
+            stack, _ = _affine_scan(np.zeros((3, n, n)), s, x0, inputs)
+            assert np.array_equal(single[1:], expected)
+            assert all(np.array_equal(states[1:], expected) for states in stack)
+            assert np.array_equal(stack[:, 0], x0)
 
     @pytest.mark.parametrize("simulate", [p.simulate_euler, p.simulate_discrete_gradient])
     def test_peak_memory_is_the_state_buffer(self, simulate):
@@ -480,8 +501,8 @@ class TestBitExactIntegrators:
             finally:
                 tracemalloc.stop()
 
-        # Trajectory adopts the state buffer: the buffer and the scan's two
-        # chunk buffers come to 1.18x the states, a K x n forcing temporary
+        # Trajectory adopts the state buffer: the buffer and the scan's
+        # chunk buffer come to 1.1x the states, a K x n forcing temporary
         # or a copy of the states to 2.0x.
         assert peak() <= 1.5 * states_bytes
 

@@ -20,7 +20,9 @@ model with J = [[0, 1e200], [-1e200, 0]], which overflows at step 2, so the
 call must raise DivergenceError; one call of the Armijo cost evaluator
 ``calibration._BatchEvaluator`` on 8 candidates, spaced evenly from the
 start point to the truth of perfbench's ``wide-n8`` model 0 (n = 8, k = 2,
-K = 1e3), so that the stacked sweep has a case of its own; ``calibrate`` on
+K = 1e3), so that the stacked sweep has a case of its own; the gradient at
+that start point, one ``sensitivity_coefficients`` and its
+``assemble_gradient``, so that the adjoint sweep has one; ``calibrate`` on
 ``wide-n8`` models 0 and 6 and on the oscillator with noise seed 7
 (K = 1e3), the last also with ``structure="diagonal_R"``; the oscillator
 with ``sigma_init=1e6`` and 5 iterations (noise seed 28, K = 500), whose
@@ -110,6 +112,13 @@ def cases(tiny: bool, workdir: Path):
     w = start.w_hat + t * (truth.w_hat - start.w_hat)
     evaluate = calibration._BatchEvaluator(truth.B, u, y)
     yield f"evaluate 8 candidates n=8 K={steps}", lambda: evaluate(j, r, w)
+    model = start.to_system(truth.B)
+    traj, basis = phsid.simulate_euler(model, u), phsid.tangent_basis(8)
+
+    def gradient(model=model, traj=traj, y=y, basis=basis):
+        return phsid.assemble_gradient(phsid.sensitivity_coefficients(model, traj, y, basis), basis)
+
+    yield "gradient wide-n8 model=0", gradient
     problems = [(f"calibrate wide-n8 model={m}", *random_model(m, 8, 2), m, 400, "full")
                 for m in (0, 6)]
     oscillator = (oscillator_truth(), oscillator_guess(), 7, 500)
