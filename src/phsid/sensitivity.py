@@ -39,9 +39,9 @@ the residual r_j = B^T w_j - y_data_j and P = I + h (J-R),
 
 is the integrators' recurrence run backwards: ``phsid.systems._affine_scan``
 with P^T, S = B, the initial state 0 and the inputs h r_j from j = K-1 down,
-a recursive-doubling scan over chunks of steps (within rounding of the
-per-step loop, which redoes exactly the chunks whose rounds left the finite
-range from a finite start state), and
+a block-Toeplitz scan over chunks of steps (within rounding of the per-step
+loop, which redoes exactly the chunks whose gemms left the finite range from
+a finite start state), and
 
     G = h * sum_{j<K} lambda_{j+1} w_j^T,
 
@@ -51,9 +51,9 @@ its coefficient off G and lambda_0:
     J[i,j] -> G[i,j] - G[j,i]        R[i,i] -> -G[i,i]
     R[i,j] -> -(G[i,j] + G[j,i])     x[i]   -> lambda_0[i]
 
-The sweep costs O(K n^2 log L) flops in gemms (L the scan's chunk length)
-and a few dozen numpy calls per chunk, and G one gemm, whatever the number
-of directions.
+The sweep costs O(K n (n + 8 min(k, n))) flops, mostly in two gemms and a
+few dozen numpy calls per chunk, and G one gemm, whatever the number of
+directions.
 The adjoint forms the same derivatives as the per-direction route with its
 sums in another order, so the two agree up to rounding, not bit for bit.
 

@@ -35,13 +35,14 @@ v_j = u_{j+1} for the midpoint rule (M = I - h/2 (J-R), N = I + h/2 (J-R)).
 Both run through one kernel, :func:`_affine_scan`, which the backward
 sweep of the adjoint gradient shares: it allocates the states,
 element-major (m, K+1, n) for a stack of m models, and runs the recurrence
-over them chunk by chunk, each chunk's forcing S v_j written into its rows
-by one gemm, ``inputs[chunk] @ S^T``.  The kernel is a recursive-doubling
-scan, at every n and K: round d adds to each row of a chunk the row 2^d
-steps earlier, propagated by P^(2^d).
+over them chunk by chunk.  The kernel is a block-Toeplitz scan, at every n
+and K: one gemm of the inputs of each block of 8 steps by an operator built
+from P and S gives the blocks' last states from a zero start, a
+recursive-doubling scan with P^8 turns them into the blocks' start states,
+and one more gemm writes every state.
 Its states differ from the per-step loop ``P @ w + S @ v_j`` by rounding,
-at most 7.9e-13 of max|w| in the measurements; the per-step loop itself
-redoes exactly the chunks whose rounds left the finite range from a finite
+at most 4.1e-13 of max|w| in the measurements; the per-step loop itself
+redoes exactly the chunks whose gemms left the finite range from a finite
 start state, and nothing past them.  The kernel tests each chunk for
 finiteness once and returns which elements stayed finite, so
 :func:`_check_finite` reads the states again only where one did not; it
@@ -270,9 +271,11 @@ def cholesky_reduce(sys: PHSystem) -> ReducedPHSystem:
     return ReducedPHSystem(j_red, r_red, v.T @ sys.B, v.T @ sys.x_hat)
 
 
-# The scan runs the rounds of _CHUNK_VALUES // n steps of every stack element
-# at a time, and holds one round's products of them beside the states.
+# The scan runs _CHUNK_VALUES // n steps of every stack element at a time,
+# in blocks of _BLOCK steps, and holds each block's start and inputs beside
+# the states.
 _CHUNK_VALUES = 1 << 14
+_BLOCK = 8
 
 
 def _step_scan(p: np.ndarray, rows: np.ndarray) -> None:
@@ -295,17 +298,6 @@ def _step_scan(p: np.ndarray, rows: np.ndarray) -> None:
         add(nxt, step, out=nxt)
 
 
-def _forcing(inputs: np.ndarray, s: np.ndarray, lo: int, out: np.ndarray) -> None:
-    """Write ``inputs[lo:lo+len(out)] @ S^T`` into ``out`` with the bits of one
-    gemm over all of ``inputs``: numpy runs a one-row product as a gemv or a
-    dot, whose sums round differently, so a lone row is read off a gemm of two."""
-    if len(out) > 1 or len(inputs) == 1:
-        np.matmul(inputs[lo:lo + len(out)], s.T, out=out)
-    else:
-        first = lo - (lo > 0)
-        out[0] = (inputs[first:first + 2] @ s.T)[lo - first]
-
-
 def _affine_scan(p: np.ndarray, s: np.ndarray, x0: np.ndarray,
                  inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """States of the recurrence x_{j+1} = P x_j + S v_j, v_j = ``inputs[j]``,
@@ -317,73 +309,106 @@ def _affine_scan(p: np.ndarray, s: np.ndarray, x0: np.ndarray,
     input drives every element.  Overflow is ignored throughout, and
     non-finite states are returned as they are.
 
-    The scan is a recursive-doubling prefix scan (Kogge & Stone 1973,
-    Hillis & Steele 1986) over chunks of L = ``_CHUNK_VALUES // n`` steps.
-    One gemm, ``inputs[chunk] @ S^T``, writes a chunk's forcing into the
-    first element's rows, and the other elements copy them.  On the chunk's
-    own rows y, a view that starts at the chunk's start state, the rounds
-    s = 1, 2, 4, ... while s <= L of
+    The scan is a block-Toeplitz scan (Blelloch 1990, Martin & Cundy 2018)
+    over chunks of L = ``_CHUNK_VALUES // n`` steps in blocks of
+    b = ``_BLOCK``.  In row form a block's states from a zero start are its
+    b inputs, one row, times the operator T whose block (j, i) is
+    (P^(i-j) S)^T for i >= j and zero below.  Where k > n the chunk's
+    forcing ``inputs @ S^T`` is formed first, into its rows of the states,
+    and T is built on S = I, so T has b min(k, n) rows.  Per chunk, one gemm
+    by T's last block column gives each block's last state from a zero
+    start; a recursive-doubling scan of those C = L/b rows, round d adding
+    to each the row 2^d blocks earlier times P^(b 2^d), gives the blocks'
+    start states; and one gemm of each block's row [start, inputs] by
+    [(P^1)^T .. (P^b)^T] over T writes the chunk's states, whose last
+    starts the next chunk: about 2n (n + b min(k, n)) flops per step, plus
+    2n^2 log2(C) / b for the starts, in a few dozen calls per chunk, where
+    the per-step loop makes 2n (n + k) in two calls per step.  The operator
+    and the powers of P are built once per call, by doubling.  A stack
+    applies one operator per element by batched matmul, in the shapes of a
+    single sweep, so each element's states equal its own sweep bit for bit.
+    The states differ from the per-step loop by rounding, at most 4.1e-13
+    of max|x| in the measurements.  Memory beyond the states, per element:
+    the chunk's [start, inputs] rows, at most 1.125 chunks; the starts and
+    their products, a quarter chunk; and the operator.
 
-        y[s:] += y[:-s] @ (P^T)^s
-
-    leave in y[i] the state i steps past the chunk's start, and the chunk's
-    last state starts the next chunk.  The powers (P^T)^s are built once per
-    call by repeated squaring from a contiguous P^T.  A stack applies one
-    power per element by batched matmul, in the shapes of a single sweep, so
-    each element's states equal its own sweep bit for bit.  The states
-    differ from the per-step loop by rounding, at most 7.9e-13 of max|x| in
-    the measurements.  Memory beyond the states: one product buffer of a
-    chunk per element, and the powers.
-
-    Each chunk is tested for finiteness once, after its rounds.  The
-    per-step loop, :func:`_step_scan`, redoes exactly the chunks whose rounds
-    left the finite range and whose start state was finite, on a time-major
-    copy of those elements' rows built from the start state and the chunk's
-    forcing, formed again by the same gemm.  The copy, freed before the
-    next chunk, is all an overflow adds to the memory, whatever K.  So a
+    Each chunk is tested for finiteness once, after its gemms.  The
+    per-step loop, :func:`_step_scan`, redoes exactly the chunks that left
+    the finite range and whose start state was finite, on a time-major copy
+    of those elements' rows built from the start state and the chunk's
+    forcing, formed again by one gemm.  The copy, freed before the next
+    chunk, is all an overflow adds to the memory, whatever K.  So a
     divergence shows at the step the per-step loop reaches, and the mask
     reads the redone states.  A chunk whose start state is already
-    non-finite is left as the rounds left it: P x with a non-finite entry
+    non-finite is left as the gemms left it: P x with a non-finite entry
     has no finite entry, so its states are non-finite under either loop.
-    Every other chunk keeps the rounds' bits.
+    Every other chunk keeps the scan's bits.
     """
-    stacked = p.ndim == 3
-    count, steps, n = (p.shape[0] if stacked else 1), inputs.shape[0], p.shape[-1]
+    stacked, p = p.ndim == 3, p.reshape(-1, *p.shape[-2:])
+    count, steps, n = p.shape[0], inputs.shape[0], p.shape[-1]
+    b, fold = _BLOCK, s.shape[1] > n
+    k = n if fold else s.shape[1]
     x = np.empty((count, steps + 1, n))
     x[:, 0] = x0
     chunk = max(1, _CHUNK_VALUES // n)
-    width = min(chunk, steps)
-    product = np.empty((count, width, n))
+    blocks = -(-min(chunk, steps) // b)
     finite = np.ones(count, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = [np.ascontiguousarray(p.swapaxes(-1, -2))]  # (P^T)^(2^d)
-        while 1 << len(powers) <= width:
-            powers.append(powers[-1] @ powers[-1])
+        op = np.zeros((count, n + b * k, b * n))  # [(P^1)^T .. (P^b)^T] over T
+        powers, t = op[:, :n], op[:, n:].reshape(count, b, k, b * n)
+        powers[:, :, :n] = p.swapaxes(-1, -2)
+        t[:, 0, :, :n] = np.eye(n) if fold else s.T
+        doublings = [1 << d for d in range(b.bit_length() - 1)]  # b a power of 2
+        for j in doublings:  # blocks j..2j-1 from blocks 0..j-1
+            np.matmul(powers[:, :, (j - 1) * n:j * n], powers[:, :, :j * n],
+                      out=powers[:, :, j * n:2 * j * n])
+        np.matmul(t[:, 0, :, :n], powers[:, :, :-n], out=t[:, 0, :, n:])
+        for j in doublings:
+            t[:, j:2 * j, :, j * n:] = t[:, :j, :, :-j * n]
+        jumps = [powers[:, :, -n:]]  # (P^(b 2^d))^T
+        while 1 << len(jumps) < blocks:
+            jumps.append(jumps[-1] @ jumps[-1])
+        rows = np.empty((count, blocks, n + b * k))  # per block: start, inputs
+        starts, product = np.empty((2, blocks, count, n))  # time-major
         for lo in range(0, steps, chunk):
             length = min(chunk, steps - lo)
+            full, tail = divmod(length, b)
+            c = full + (tail > 0)
             y = x[:, lo:lo + length + 1]
-            _forcing(inputs, s, lo, y[0, 1:])
-            y[1:, 1:] = y[0, 1:]
-            for d, q in enumerate(powers):
+            v = (np.matmul(inputs[lo:lo + length], s.T, out=y[0, 1:]) if fold
+                 else inputs[lo:lo + length])
+            rows[:, :full, n:] = v[:full * b].reshape(full, b * k)
+            if tail:
+                rows[:, full, n:] = 0.0
+                rows[:, full, n:n + tail * k] = v[full * b:].reshape(-1)
+            starts[0] = y[:, 0]
+            np.matmul(rows[:, :c - 1, n:], op[:, n:, -n:], out=starts[1:c].swapaxes(0, 1))
+            for d, jump in enumerate(jumps):
                 shift = 1 << d
-                if shift > length:
+                if shift >= c:
                     break
-                np.matmul(y[:, :-shift], q, out=product[:, :length + 1 - shift])
-                y[:, shift:] += product[:, :length + 1 - shift]
+                np.matmul(starts[:c - shift].swapaxes(0, 1), jump,
+                          out=product[:c - shift].swapaxes(0, 1))
+                starts[shift:c] += product[:c - shift]
+            rows[:, :c, :n] = starts[:c].swapaxes(0, 1)
+            np.matmul(rows[:, :full], op, out=y[:, 1:full * b + 1].reshape(count, full, b * n))
+            if tail:
+                np.matmul(rows[:, full:c], op[:, :, :tail * n],
+                          out=y[:, full * b + 1:].reshape(count, 1, tail * n))
             ok = np.isfinite(y).all(axis=(1, 2))
             if ok.all():
                 continue
             redo = np.flatnonzero(~ok & np.isfinite(y[:, 0]).all(axis=1))
             if redo.size:
                 forcing = y[redo[0], 1:]  # rows that the redo overwrites
-                _forcing(inputs, s, lo, forcing)
+                np.matmul(inputs[lo:lo + length], s.T, out=forcing)
                 sub = np.empty((length + 1, redo.size, n, 1))  # time-major
                 sub[0, :, :, 0] = y[redo, 0]
                 sub[1:, :, :, 0] = forcing[:, None]
-                _step_scan(p[redo] if stacked else p, sub)
+                _step_scan(p[redo], sub)
                 y[redo, 1:] = sub[1:, :, :, 0].swapaxes(0, 1)
                 ok[redo] = np.isfinite(sub).all(axis=(0, 2, 3))
-                del sub  # before the next chunk's rounds
+                del sub  # before the next chunk's gemms
             finite &= ok
     return (x if stacked else x[0]), finite
 

@@ -798,7 +798,7 @@ class TestBatchedSearch:
                             outcome(sequential_search, v, g, cost_at_v, b, u, y_data, cfg))
 
     def test_overflowing_candidates_within_one_chunk(self, oscillator, guess_point):
-        # K = 1000 steps is one chunk of the doubling scan at n = 2.  A J of
+        # K = 1000 steps is one chunk of the block scan at n = 2.  A J of
         # 1e200 overflows the powers of its propagator and a rate of 1e5 only
         # its states; both cost +inf, and every other candidate costs what a
         # sweep of its own gives

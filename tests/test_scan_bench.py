@@ -15,6 +15,8 @@ def test_one_tiny_repeat_times_every_case_on_every_side():
     src = _ROOT / "src"
     report = scan_bench.compare(src, src, repeats=1, tiny=True)
     assert list(report) == ["simulate euler n=2 K=200", "simulate midpoint n=2 K=200",
+                            "simulate euler n=64 K=200", "simulate midpoint n=64 K=200",
+                            "simulate euler n=128 K=200", "simulate midpoint n=128 K=200",
                             "simulate euler diverging n=2 K=200",
                             "evaluate 8 candidates n=8 K=200", "gradient wide-n8 model=0",
                             "calibrate wide-n8 model=0",

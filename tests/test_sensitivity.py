@@ -498,7 +498,7 @@ class TestStackedCoefficients:
 
     def test_overflow_redo_equals_the_per_step_adjoint_loop(self):
         # J = 0, R = diag(3/h, 0.5): P = diag(-2, 1 - h/2), whose powers
-        # overflow within the one chunk, so the rounds leave NaN and the
+        # overflow within the one chunk, so the scan leaves NaN and the
         # per-step loop redoes the Euler sweep and the adjoint.  B = (0, 1)
         # and w0 = (0, 1) keep the first component zero, so both sweeps stay
         # finite, and the coefficients equal those of the per-step adjoint

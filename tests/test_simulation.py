@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -19,7 +19,7 @@ from conftest import (
 )
 from phsid import systems
 from phsid.sensitivity import _euler_cost
-from phsid.systems import _CHUNK_VALUES, _affine_scan, _euler_states
+from phsid.systems import _BLOCK, _CHUNK_VALUES, _affine_scan, _euler_states
 
 
 def euler_oracle(a, b, w0, u_values, h):
@@ -92,8 +92,8 @@ class TestSimulateEuler:
         assert 0 < err.value.step < 20
 
     def test_overflowing_propagator_powers_name_step_2(self):
-        # K = 1000 is one chunk of the doubling scan; the powers of the
-        # propagator overflow, so the chunk is not finite and the scan steps
+        # K = 1000 is one chunk of the scan; the powers of the propagator
+        # overflow, so the chunk is not finite and the per-step loop steps
         # from x_0
         grid = p.TimeGrid(1.0, 1000)
         with pytest.raises(p.DivergenceError) as err:
@@ -165,9 +165,9 @@ class TestStackedEuler:
         assert_diverged_element_is_returned(steps=100)
 
     def test_diverged_element_alone_is_rescanned_at_k_1000(self):
-        # K = 1000 is one chunk of the doubling scan; the diverging element's
-        # chunk overflows and it alone is rescanned stepwise, the others keep
-        # their doubling-scan states
+        # K = 1000 is one chunk of the scan; the diverging element's chunk
+        # overflows and it alone is rescanned stepwise, the others keep
+        # their scanned states
         assert_diverged_element_is_returned(steps=1000)
 
 
@@ -231,10 +231,10 @@ class TestAffineScan:
            steps=st.integers(1, 2500), seed=st.integers(0, 2**32 - 1))
     def test_states_within_replay_tolerance(self, n, count, k, adjoint, midpoint,
                                             t_end, steps, seed):
-        # the doubling scan reorders the per-step loop's sums: on Euler and
+        # the block scan reorders the per-step loop's sums: on Euler and
         # midpoint propagators of random models, plain or transposed as the
         # adjoint sweeps them, it stays within 1e-12 of each element's largest
-        # state (perfbench's REPLAY_RTOL; 7.9e-13 measured at worst), from
+        # state (perfbench's REPLAY_RTOL; 4.1e-13 measured at worst), from
         # K = 1 on and past the first chunk at n = 8.  count = 0 is one
         # sweep (K+1, n), count >= 1 an element-major stack (count, K+1, n)
         # with one P per element
@@ -274,9 +274,35 @@ class TestAffineScan:
             assert finite.tolist() == [True]
             assert np.array_equal(scanned[i], single)
 
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 8), count=st.integers(1, 4), k=st.integers(1, 3),
+           zero=st.booleans(), steps=st.integers(1, 3 * _BLOCK) | st.sampled_from(
+               ["chunk - 1", "chunk + 1", "2 chunks + 1"]), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, count=2, k=2, zero=False, steps=5, seed=0)
+    def test_each_element_has_the_bits_of_its_own_sweep(self, n, count, k, zero, steps, seed):
+        # every stack element equals its own single sweep bit for bit: K of
+        # one step to three blocks, so one-row products and one-block tails
+        # too, and K about the chunk boundaries; k > n folds the forcing,
+        # and P = 0 leaves only the inputs' product
+        chunk = _CHUNK_VALUES // n
+        if isinstance(steps, str):
+            steps = {"chunk - 1": chunk - 1, "chunk + 1": chunk + 1,
+                     "2 chunks + 1": 2 * chunk + 1}[steps]
+        rng = philox(seed)
+        props = random_propagators(rng, n, count, 1.0 / steps, midpoint=False, adjoint=False)
+        if zero:
+            props[:] = 0.0
+        s, x0, inputs = random_drive(rng, n, (count,), steps, k)
+        scanned, finite = _affine_scan(props, s, x0, inputs)
+        assert finite.all()
+        for i in range(count):
+            single, single_finite = _affine_scan(props[i], s, x0[i], inputs)
+            assert single_finite.tolist() == [True]
+            assert np.array_equal(scanned[i], single)
+
     @pytest.mark.parametrize("n", [1, 2, 8, 21, 22, 32])
     def test_per_step_loop_runs_only_after_an_overflow(self, n):
-        # the doubling scan serves every n and K, n > 21 too: on finite runs
+        # the block scan serves every n and K, n > 21 too: on finite runs
         # of K = 1, a few steps and more than one chunk, single sweeps and
         # stacks, the per-step loop never runs; a run that overflows redoes
         # its chunk with it, and only that chunk, however many chunks follow
@@ -386,17 +412,18 @@ class TestScanMemory:
     @pytest.mark.parametrize("n, steps", [(2, 8192), (1, 16_384), (8, 2048), (8, 10_000),
                                           (2, 100_000)])
     def test_temporaries_stay_within_two_chunks_whatever_k(self, n, steps):
-        # one product buffer is a chunk; the powers and the chunk's
-        # finiteness test come to a small part of one more, 1.16 chunks in
-        # all.  No copy of the forcing is kept, which was a third chunk
+        # the blocks' rows [start, inputs] are 1.125 chunks at n <= 2 (k = 2
+        # is folded into the states' rows at n = 1) and 0.375 at n = 8; the
+        # block starts, the operator and the chunk's finiteness test bring
+        # that to 1.56 chunks at most, 0.90 at n = 8
         rng = philox(steps)
         p_mat = random_propagators(rng, n, 1, 1.0 / steps, midpoint=False, adjoint=False)[0]
         assert scan_peak(p_mat, *random_drive(rng, n, (), steps)) <= 2 * _CHUNK_VALUES * 8
 
     def test_a_stack_holds_no_more_than_its_elements_one_at_a_time(self):
         # the Armijo evaluator's shape: 8 candidates of n = 8 at K = 1000,
-        # one chunk.  The product buffer holds a chunk of every element, as
-        # the candidates' own sweeps would
+        # one chunk.  The blocks' rows, starts and operator are held per
+        # element, as the candidates' own sweeps would hold them (0.95x)
         n, count, steps = 8, 8, 1000
         rng = philox(5)
         props = random_propagators(rng, n, count, 1.0 / steps, midpoint=False, adjoint=False)
@@ -409,9 +436,8 @@ class TestScanMemory:
 
     def test_the_evaluators_stack_holds_at_most_a_quarter_more_than_its_states(self):
         # 8 candidates of n = 8 at K = 1000, as the Armijo evaluator sweeps
-        # them: the product buffer is as large as the states, the powers and
-        # the finiteness test add 0.21x.  A kept copy of the forcing added
-        # another 1.0x
+        # them: the blocks' rows take 0.375x the states, and the starts, the
+        # operator, the powers and the finiteness test bring that to 1.00x
         n, count, steps = 8, 8, 1000
         rng = philox(6)
         props = random_propagators(rng, n, count, 1.0 / steps, midpoint=False, adjoint=False)
@@ -469,20 +495,21 @@ class TestBitExactIntegrators:
 
     @pytest.mark.parametrize("n", [1, 2, 8])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_forcing_has_the_bits_of_one_gemm(self, n, k):
-        # with P = 0 the states are the forcing.  Every chunk's forcing,
-        # the lone step of a last chunk of one step too, equals its rows of
-        # one gemm over all the inputs, as does a stack's; numpy runs a
-        # one-row product as a gemv, whose sums round differently
+    def test_zero_propagator_gives_the_forcing(self, n, k):
+        # with P = 0 the states are the forcing S v_j.  Every chunk's states,
+        # the lone step of a last chunk of one step too, stay within the
+        # replay tolerance of one gemm over all the inputs, single sweep and
+        # stack alike, and each stack element has its single sweep's bits
         chunk = _CHUNK_VALUES // n
         rng = philox(n + 10 * k)
         for steps in (1, 2, chunk + 1, 2 * chunk + 1, chunk + 2):
             s, x0, inputs = random_drive(rng, n, (3,), steps, k)
             expected = inputs @ s.T
+            scale = np.abs(expected).max()
             single, _ = _affine_scan(np.zeros((n, n)), s, x0[0], inputs)
             stack, _ = _affine_scan(np.zeros((3, n, n)), s, x0, inputs)
-            assert np.array_equal(single[1:], expected)
-            assert all(np.array_equal(states[1:], expected) for states in stack)
+            assert np.abs(single[1:] - expected).max() <= 1e-12 * scale
+            assert all(np.array_equal(states[1:], single[1:]) for states in stack)
             assert np.array_equal(stack[:, 0], x0)
 
     @pytest.mark.parametrize("simulate", [p.simulate_euler, p.simulate_discrete_gradient])
@@ -528,8 +555,8 @@ class TestDiscreteGradient:
         assert_midpoint_overflow_at_step_2(steps=4)
 
     def test_overflowing_chunk_is_rescanned_to_report_step(self):
-        # K = 1000 is one chunk of the doubling scan: its states overflow and
-        # it is rescanned stepwise from x_0
+        # K = 1000 is one chunk of the scan: its states overflow and it is
+        # rescanned stepwise from x_0
         assert_midpoint_overflow_at_step_2(steps=1000)
 
     def test_skew_only_conserves_energy(self):

@@ -14,8 +14,9 @@ side, BASE timed against itself, shows how far the host alone moves a
 case's base/change ratio.
 
 Cases: ``simulate_euler`` and ``simulate_discrete_gradient`` at
-n in {2, 8, 16, 32} x K in {1e3, 1e4, 1e5} (perfbench's random n, k=2 truth of
-model seed n, h = 1e-3); ``simulate_euler`` at K = 1e5 of a lossless n = 2
+n in {2, 8, 16, 32} x K in {1e3, 1e4, 1e5} and at n in {64, 128} x K = 1e4
+(perfbench's random n, k=2 truth of model seed n, h = 1e-3);
+``simulate_euler`` at K = 1e5 of a lossless n = 2
 model with J = [[0, 1e200], [-1e200, 0]], which overflows at step 2, so the
 call must raise DivergenceError; one call of the Armijo cost evaluator
 ``calibration._BatchEvaluator`` on 8 candidates, spaced evenly from the
@@ -31,8 +32,8 @@ through ``phsid.cli.main`` on CSV and JSON files the worker writes once
 into a temporary directory (noise seed 7, K = 1e3), its printed lines
 discarded; it repeats ``main`` in the worker's process, so it leaves out
 the interpreter's start-up and imports that a ``phsid`` command pays.
-``--tiny`` runs the simulations at n = 2, the rest at K = 200
-and calibrations of 2 iterations, for tests.
+``--tiny`` runs the simulations at n in {2, 64, 128} and K = 200, the rest
+at K = 200 and calibrations of 2 iterations, for tests.
 
 Before timing, each worker runs every case once more with the cost
 evaluator that ``calibrate`` hands to ``armijo_search`` wrapped, and counts
@@ -81,14 +82,15 @@ def cases(tiny: bool, workdir: Path):
     from workloads import grid, oscillator_guess, oscillator_truth, random_model
 
     sizes = ((2,), (200,)) if tiny else ((2, 8, 16, 32), (1_000, 10_000, 100_000))
-    for n in sizes[0]:
+    shapes = [(n, steps) for n in sizes[0] for steps in sizes[1]]
+    shapes += [(n, 200 if tiny else 10_000) for n in (64, 128)]
+    for n, steps in shapes:
         truth, _ = random_model(n, n, 2)
-        for steps in sizes[1]:
-            u = phsid.generate_input(grid(steps), 2, phsid.NoiseSpec(seed=n))
-            for label, simulate in (("euler", phsid.simulate_euler),
-                                    ("midpoint", phsid.simulate_discrete_gradient)):
-                yield f"simulate {label} n={n} K={steps}", (
-                    lambda simulate=simulate, u=u, truth=truth: simulate(truth, u))
+        u = phsid.generate_input(grid(steps), 2, phsid.NoiseSpec(seed=n))
+        for label, simulate in (("euler", phsid.simulate_euler),
+                                ("midpoint", phsid.simulate_discrete_gradient)):
+            yield f"simulate {label} n={n} K={steps}", (
+                lambda simulate=simulate, u=u, truth=truth: simulate(truth, u))
     steps = sizes[1][-1]
     diverging = phsid.ReducedPHSystem(
         phsid.SkewSymmetricMatrix.from_matrix([[0.0, 1e200], [-1e200, 0.0]]),
