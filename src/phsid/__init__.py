@@ -2,9 +2,6 @@
 port-Hamiltonian systems from time-domain input-output data."""
 
 from .calibration import (
-    PSD_MODES,
-    PSD_NONE,
-    PSD_PROJECT,
     ArmijoStep,
     CalibrationConfig,
     CalibrationResult,

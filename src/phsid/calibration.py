@@ -23,10 +23,10 @@ The loop fits v = (J, R, w0) to reference output data by repeating
 until the cost drops below ``eps_stop`` or a guard (iteration cap, halving
 cap, exactly-zero gradient) trips.  The retraction re-mirrors the triangular
 free parameters, so J stays exactly skew and R exactly symmetric at every
-iterate; with ``psd_mode="project"`` the R block is additionally replaced by
-its Frobenius-nearest PSD matrix, keeping the iterate admissible.  The
-sufficient-decrease condition is evaluated at the retracted candidate, so
-every recorded step satisfies the Armijo inequality exactly as stored.
+iterate, and the R block is replaced by its Frobenius-nearest PSD matrix,
+which keeps the iterate admissible.  The sufficient-decrease condition is
+evaluated at the retracted candidate, so every recorded step satisfies the
+Armijo inequality exactly as stored.
 
 |g|^2 is the squared Euclidean norm of the basis-coefficient vector; the
 basis elements themselves are not normalized, which rescales the step
@@ -61,10 +61,6 @@ from .sensitivity import (
 from .systems import ReducedPHSystem, Signal, Trajectory, _check_parts, _euler_states, output
 from .systems import simulate_euler  # noqa: F401 -- perfbench/tracing.py wraps it at this name
 
-PSD_PROJECT = "project"
-PSD_NONE = "none"
-PSD_MODES = (PSD_PROJECT, PSD_NONE)
-
 # Most step-size candidates armijo_search hands to the cost evaluator at once.
 _BATCH_WIDTH = 8
 
@@ -88,7 +84,6 @@ class CalibrationConfig:
     max_iter: int = 500
     max_halvings: int = 60
     structure: str = field(default=STRUCTURE_FULL, metadata={"choices": STRUCTURES})
-    psd_mode: str = field(default=PSD_PROJECT, metadata={"choices": PSD_MODES})
 
     def __post_init__(self):
         for name in ("sigma_init", "gamma", "eps_stop"):
@@ -155,15 +150,15 @@ def cost(sys: ReducedPHSystem, u: Signal, y_data: Signal) -> float:
                        "cost evaluation")[1]
 
 
-def _trial_points(v: ParameterPoint, g: Gradient, sigmas: list[float], psd_mode: str):
+def _trial_points(v: ParameterPoint, g: Gradient, sigmas: list[float]):
     """Stacked step sizes, J, R and w0 of the trial points v - sigma * g.
 
     The triangular free parameters are updated for every sigma at once and
     mirrored by ``phsid.matrices``' mirror, the one ``from_strict_lower`` and
     ``from_lower`` use, so J is exactly skew and R exactly symmetric.  Rows
-    whose J or R overflowed are dropped.  With ``psd_mode="project"``, the R
-    blocks go through one call of the stacked projection core, which leaves
-    the blocks that are already PSD as they are.
+    whose J or R overflowed are dropped.  The R blocks go through one call of
+    the stacked projection core, which leaves the blocks that are already
+    PSD as they are.
     """
     s = np.array(sigmas, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -171,10 +166,7 @@ def _trial_points(v: ParameterPoint, g: Gradient, sigmas: list[float], psd_mode:
         r = _sym_from_lower(v.R.array - s[:, None, None] * g.h_R.array)
         w = v.w_hat - s[:, None] * g.h_x
     keep = np.isfinite(j).all(axis=(1, 2)) & np.isfinite(r).all(axis=(1, 2))
-    s, j, r, w = s[keep], j[keep], r[keep], w[keep]
-    if psd_mode == PSD_PROJECT:
-        r = _project_psd_stack(r)
-    return [s, j, r, w]
+    return [s[keep], j[keep], _project_psd_stack(r[keep]), w[keep]]
 
 
 def armijo_search(v: ParameterPoint, g: Gradient, cost_at_v: float,
@@ -210,7 +202,7 @@ def armijo_search(v: ParameterPoint, g: Gradient, cost_at_v: float,
                 sigmas.append(sigma)
                 sigma *= 0.5
             untried -= len(sigmas)
-            batch = _trial_points(v, g, sigmas, cfg.psd_mode)
+            batch = _trial_points(v, g, sigmas)
             pending = ([np.concatenate(pair) for pair in zip(pending, batch)]
                        if len(pending[0]) else batch)
         if not len(pending[0]):
@@ -225,7 +217,7 @@ def armijo_search(v: ParameterPoint, g: Gradient, cost_at_v: float,
             # underflows to -0.0 it must still not admit an unchanged cost
             if (np.isfinite(cand_cost) and cand_cost - cost_at_v <= -cfg.gamma * s[i] * g_sq
                     and (cand_cost < cost_at_v or g_sq == 0.0)):
-                # PSDMatrix rejects an R that psd_mode="none" left outside the cone
+                # a check only: the projection put every R in the cone
                 point = ParameterPoint(SkewSymmetricMatrix(j[i]), PSDMatrix(r[i]), w[i])
                 return ArmijoStep(float(s[i]), point, float(cand_cost), i)
         pending = [a[len(costs):] for a in pending]
@@ -332,7 +324,7 @@ def calibrate(v0: ParameterPoint, u: Signal, y_data: Signal, b,
             message = str(exc)
             break
         except InvalidModelError as exc:
-            message = f"iterate left the admissible set (psd_mode='{cfg.psd_mode}'): {exc}"
+            message = f"iterate left the admissible set: {exc}"
             break
         v = step.point
         states = evaluate.states_of(step.row)

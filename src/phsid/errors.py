@@ -26,17 +26,24 @@ class MalformedFileError(PhsidError):
 
 
 class DivergenceError(PhsidError):
-    """Non-finite values appeared during time integration.
+    """Non-finite values appeared during time integration, or in a quantity
+    computed from its finite states.
 
     Attributes
     ----------
-    step : int
-        Index of the first step at which a non-finite state was produced.
+    step : int or None
+        Index of the first step at which ``quantity`` was non-finite; None
+        for a quantity summed over all steps, such as the cost.
+    quantity : str
+        What became non-finite: ``"state"``, or e.g. ``"cost"``, ``"energy"``.
     """
 
-    def __init__(self, step, detail=""):
+    def __init__(self, step, detail="", quantity="state"):
         self.step = step
-        msg = f"state became non-finite at step {step}"
+        self.quantity = quantity
+        msg = f"{quantity} became non-finite"
+        if step is not None:
+            msg += f" at step {step}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)

@@ -78,7 +78,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, DivergenceError
 from .matrices import PSDMatrix, SkewSymmetricMatrix, SymmetricMatrix, _frozen_vector, _is_integer
 from .systems import (
     ReducedPHSystem,
@@ -314,7 +314,8 @@ def sensitivity_coefficients(sys: ReducedPHSystem, traj: Trajectory,
 def _euler_cost(drift: np.ndarray, b: np.ndarray, w0: np.ndarray, u_values: np.ndarray,
                 y_values: np.ndarray, h: float, label: str) -> tuple[np.ndarray, float]:
     """Explicit Euler states under ``drift`` from ``w0`` and their output
-    mismatch cost; a DivergenceError names ``label`` as its scheme.
+    mismatch cost; a DivergenceError, raised where a state or the cost of
+    finite states is not finite, names ``label`` as its scheme.
 
     The drift J - R needs R only symmetric: the Euler map and the cost are
     defined on all of matrix space, which keeps central differences
@@ -322,7 +323,10 @@ def _euler_cost(drift: np.ndarray, b: np.ndarray, w0: np.ndarray, u_values: np.n
     """
     states, finite = _euler_states(drift, b, w0, u_values, h)
     _check_finite(states, finite, label)
-    return states, float(_output_cost(states, b, y_values, h))
+    value = float(_output_cost(states, b, y_values, h))
+    if not math.isfinite(value):
+        raise DivergenceError(None, label, quantity="cost")
+    return states, value
 
 
 def _output_cost(states: np.ndarray, b: np.ndarray, y_values: np.ndarray, h: float):

@@ -85,6 +85,15 @@ class TestCost:
             p.cost(diverging_system(), zeros, zeros)
         assert err.value.step == 2
 
+    def test_overflow_from_finite_states_is_a_divergence(self, oscillator, guess_point):
+        # the states stay near 1e300, finite; their squared residuals do not
+        u, y_data = p.generate_reference(oscillator, p.TimeGrid(1.0, 1000), p.NoiseSpec(seed=7))
+        v = p.ParameterPoint(guess_point.J, guess_point.R, np.array([1e-300, 1e300]))
+        with pytest.raises(p.DivergenceError,
+                           match=r"^cost became non-finite \(cost evaluation\)$") as err:
+            p.cost(v.to_system(oscillator.B), u, y_data)
+        assert (err.value.quantity, err.value.step) == ("cost", None)
+
 
 class TestConfig:
     def test_defaults(self):
@@ -95,11 +104,10 @@ class TestConfig:
         assert cfg.max_iter == 500
         assert cfg.max_halvings == 60
         assert cfg.structure == "full"
-        assert cfg.psd_mode == "project"
 
     @pytest.mark.parametrize("kwargs", [
         {"sigma_init": 0.0}, {"gamma": 0.0}, {"gamma": 1.0}, {"eps_stop": -1.0},
-        {"max_iter": -1}, {"structure": "banded"}, {"psd_mode": "clip"},
+        {"max_iter": -1}, {"structure": "banded"},
         {"sigma_init": np.inf}, {"sigma_init": np.nan}, {"eps_stop": np.inf},
         {"max_iter": 2.5}, {"max_iter": np.inf}, {"max_iter": "3"}, {"max_halvings": 1.5},
         {"max_halvings": -1}, {"max_halvings": True},
@@ -293,16 +301,6 @@ class TestArmijo:
                 p.armijo_search(guess_point, g, 1.0, evaluate, cfg)
         assert seen == [-1.25e308]
 
-    def test_psd_mode_none_rejects_inadmissible_accepted_iterate(self):
-        v = p.ParameterPoint(p.SkewSymmetricMatrix.zeros(2),
-                             p.PSDMatrix.from_matrix([[0.1, 0.0], [0.0, 0.1]]),
-                             np.zeros(2))
-        g = p.assemble_gradient([0.0, 1.0, 1.0, 0.5, 0.0, 0.0],
-                                p.tangent_basis(2, "full"))
-        cfg = p.CalibrationConfig(psd_mode="none")
-        with pytest.raises(p.InvalidModelError):
-            p.armijo_search(v, g, 1.0, lambda j, r, w: np.full(len(w), -1.0), cfg)
-
 
 class TestCalibrate:
     @pytest.mark.parametrize("b, u_ports, y_ports, y_steps, match", [
@@ -365,21 +363,6 @@ class TestCalibrate:
             off = it.R.array - np.diag(it.R.array.diagonal())
             assert np.all(off == 0.0)
 
-    def test_psd_mode_none_matches_project_on_benign_run(self, oscillator, guess_point):
-        # on this data the raw iterates never leave the cone, so projection
-        # is inactive and both modes produce the same result
-        grid = p.TimeGrid(1.0, 1000)
-        u, y_data = p.generate_reference(oscillator, grid, p.NoiseSpec(seed=25))
-        res_none = p.calibrate(guess_point, u, y_data, oscillator.B,
-                               p.CalibrationConfig(psd_mode="none"))
-        assert res_none.converged
-        for it in res_none.iterates:
-            assert np.linalg.eigvalsh(it.R.array)[0] >= -1e-12
-        res_proj = p.calibrate(guess_point, u, y_data, oscillator.B,
-                               p.CalibrationConfig(psd_mode="project"))
-        assert res_none.cost_history == res_proj.cost_history
-        np.testing.assert_array_equal(res_none.v_opt.R.array, res_proj.v_opt.R.array)
-
     def test_line_search_failure_yields_diagnosed_result(self, oscillator, guess_point):
         # a colossal first step always overshoots; with no halvings allowed the
         # search fails and calibrate reports it instead of raising
@@ -391,8 +374,7 @@ class TestCalibrate:
         assert res.iterations == 0
         assert "halvings" in res.message
 
-    def test_cone_exit_with_psd_mode_none_is_diagnosed(self, oscillator, guess_point,
-                                                       monkeypatch):
+    def test_cone_exit_is_diagnosed(self, oscillator, guess_point, monkeypatch):
         grid = p.TimeGrid(1.0, 500)
         u, y_data = p.generate_reference(oscillator, grid, p.NoiseSpec(seed=29))
 
@@ -400,10 +382,18 @@ class TestCalibrate:
             raise p.InvalidModelError("positive semidefiniteness violated")
         import phsid.calibration as calibration
         monkeypatch.setattr(calibration, "armijo_search", escaping_search)
-        res = p.calibrate(guess_point, u, y_data, oscillator.B,
-                          p.CalibrationConfig(psd_mode="none"))
+        res = p.calibrate(guess_point, u, y_data, oscillator.B)
         assert not res.converged
-        assert "admissible" in res.message
+        assert res.message == ("iterate left the admissible set: "
+                               "positive semidefiniteness violated")
+
+    def test_start_cost_overflow_is_a_divergence(self, oscillator, guess_point):
+        # the start states stay finite near 1e300; their cost does not
+        u, y_data = p.generate_reference(oscillator, p.TimeGrid(1.0, 1000), p.NoiseSpec(seed=7))
+        v0 = p.ParameterPoint(guess_point.J, guess_point.R, np.array([1e-300, 1e300]))
+        with pytest.raises(p.DivergenceError,
+                           match=r"^cost became non-finite \(cost evaluation\)$"):
+            p.calibrate(v0, u, y_data, oscillator.B)
 
     def test_iteration_limit_reported(self, oscillator, guess_point):
         grid = p.TimeGrid(1.0, 1000)
@@ -525,8 +515,7 @@ def sequential_search(v, g, cost_at_v, b, u, y_data, cfg):
             w0 = v.w_hat - sigma * g.h_x
         if all(np.isfinite(x).all() for x in (j_lower, r_lower, w0)):
             j = p.SkewSymmetricMatrix.from_strict_lower(j_lower).array
-            r_sym = p.SymmetricMatrix.from_lower(r_lower)
-            r = p.project_psd(r_sym).array if cfg.psd_mode == "project" else r_sym.array
+            r = p.project_psd(p.SymmetricMatrix.from_lower(r_lower)).array
             try:
                 c = sensitivity._euler_cost(j - r, b, w0, u.values, y_data.values, u.grid.h,
                                             "reference search")[1]
@@ -534,8 +523,6 @@ def sequential_search(v, g, cost_at_v, b, u, y_data, cfg):
                 c = np.inf
             if (np.isfinite(c) and c - cost_at_v <= -cfg.gamma * sigma * g.norm_sq
                     and (c < cost_at_v or g.norm_sq == 0.0)):
-                if cfg.psd_mode == "none":
-                    p.PSDMatrix(r_sym.array)  # the accepted iterate must be admissible
                 return sigma, j, r, w0, c
         if halvings == cfg.max_halvings:
             raise p.LineSearchError(sigma, halvings)
@@ -579,15 +566,15 @@ def assert_same_result(pair):
 class TestBatchedSearch:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(n=st.integers(1, 6), k=st.integers(1, 3), structure=st.sampled_from(p.STRUCTURES),
-           psd_mode=st.sampled_from(p.PSD_MODES), steps=st.integers(5, 150),
+           steps=st.integers(5, 150),
            max_halvings=st.integers(0, 22).filter(lambda m: (m + 1) % 8),
            log_sigma=st.floats(-2.0, 6.0), r_scale=st.sampled_from([1.0, 1e-3]),
            width_one=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_equals_sequential_search(self, n, k, structure, psd_mode, steps, max_halvings,
-                                      log_sigma, r_scale, width_one, seed):
+    def test_equals_sequential_search(self, n, k, structure, steps, max_halvings, log_sigma,
+                                      r_scale, width_one, seed):
         # max_halvings + 1 candidates never fill the last batch; a start near
-        # the cone's boundary lets psd_mode="none" leave it; a pass bound of
-        # 1 B makes the evaluator cost one candidate per call
+        # the cone's boundary makes the projection act; a pass bound of 1 B
+        # makes the evaluator cost one candidate per call
         rng = philox(seed)
         truth = random_reduced_system(rng, n, k)
         u = random_signal(rng, p.TimeGrid(1.0, steps), k)
@@ -598,7 +585,7 @@ class TestBatchedSearch:
         g = p.assemble_gradient(
             p.sensitivity_coefficients(sys_v, p.simulate_euler(sys_v, u), y_data, basis), basis)
         cfg = p.CalibrationConfig(sigma_init=10.0**log_sigma, max_halvings=max_halvings,
-                                  structure=structure, psd_mode=psd_mode)
+                                  structure=structure)
         args = (v, g, p.cost(sys_v, u, y_data), truth.B, u, y_data, cfg)
         pass_bytes = 1 if width_one else calibration._PASS_BYTES
         with warnings.catch_warnings():
@@ -609,10 +596,10 @@ class TestBatchedSearch:
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(n=st.integers(1, 4), k=st.integers(1, 2), structure=st.sampled_from(p.STRUCTURES),
-           psd_mode=st.sampled_from(p.PSD_MODES), gamma=st.sampled_from([1e-4, 0.1, 0.5, 0.9]),
-           log_sigma=st.floats(-2.0, 4.0), seed=st.integers(0, 2**32 - 1))
-    def test_adaptive_width_equals_one_candidate_per_call(self, n, k, structure, psd_mode,
-                                                          gamma, log_sigma, seed):
+           gamma=st.sampled_from([1e-4, 0.1, 0.5, 0.9]), log_sigma=st.floats(-2.0, 4.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_adaptive_width_equals_one_candidate_per_call(self, n, k, structure, gamma,
+                                                          log_sigma, seed):
         # the evaluator sweeps up to the row it expects a search to accept,
         # the first search's from gamma and sigma_init; a pass bound of 1 B
         # costs one candidate per call, the sequential reference.  Every
@@ -622,7 +609,7 @@ class TestBatchedSearch:
         u = random_signal(rng, p.TimeGrid(1.0, 200), k)
         y_data = p.output(truth, p.simulate_euler(truth, u))
         cfg = p.CalibrationConfig(sigma_init=10.0**log_sigma, gamma=gamma, max_iter=30,
-                                  structure=structure, psd_mode=psd_mode)
+                                  structure=structure)
         assert_same_result(self.both_widths(perturbed(truth, rng, 0.3), u, y_data, truth.B, cfg))
 
     @pytest.mark.parametrize("structure", p.STRUCTURES)
@@ -837,7 +824,7 @@ def replay_calibrate(v0, u, y_data, b, cfg):
             message = str(exc)
             break
         except p.InvalidModelError as exc:
-            message = f"iterate left the admissible set (psd_mode='{cfg.psd_mode}'): {exc}"
+            message = f"iterate left the admissible set: {exc}"
             break
         v = p.ParameterPoint(p.SkewSymmetricMatrix(j), p.PSDMatrix(r), w0)
         sys = v.to_system(b)
@@ -860,13 +847,13 @@ class TestReplay:
     # for bit, so a moved bit in the loop shows here
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n=st.integers(1, 4), k=st.integers(1, 2), structure=st.sampled_from(p.STRUCTURES),
-           psd_mode=st.sampled_from(p.PSD_MODES), steps=st.integers(5, 200),
-           max_iter=st.integers(1, 5), r_scale=st.sampled_from([1.0, 1e-3]),
-           max_halvings=st.sampled_from([2, 60]), seed=st.integers(0, 2**32 - 1))
-    def test_calibrate_equals_its_public_replay(self, n, k, structure, psd_mode, steps,
-                                                max_iter, r_scale, max_halvings, seed):
-        # an R near the cone's boundary lets psd_mode="none" leave it, and
-        # two halvings let the search fail
+           steps=st.integers(5, 200), max_iter=st.integers(1, 5),
+           r_scale=st.sampled_from([1.0, 1e-3]), max_halvings=st.sampled_from([2, 60]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_calibrate_equals_its_public_replay(self, n, k, structure, steps, max_iter,
+                                                r_scale, max_halvings, seed):
+        # an R near the cone's boundary makes the projection act, and two
+        # halvings let the search fail
         rng = philox(seed)
         truth = random_reduced_system(rng, n, k)
         u = random_signal(rng, p.TimeGrid(1.0, steps), k)
@@ -874,7 +861,7 @@ class TestReplay:
         v0 = p.ParameterPoint(random_skew(rng, n), random_psd(rng, n, r_scale),
                               rng.normal(size=n))
         cfg = p.CalibrationConfig(max_iter=max_iter, max_halvings=max_halvings,
-                                  structure=structure, psd_mode=psd_mode)
+                                  structure=structure)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = p.calibrate(v0, u, y_data, truth.B, cfg)

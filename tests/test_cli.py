@@ -196,6 +196,24 @@ class TestSimulate:
             "numerical failure: state became non-finite at step 2 (explicit Euler)\n")
         assert not (tmp_path / "w.csv").exists()
 
+    def test_energy_overflow_exits_with_numerical_failure(self, tmp_path, capsys):
+        # the Euler states stay finite, but H = |w|^2 / 2 and the balance
+        # residual do not, and no file may hold inf or nan
+        model = tmp_path / "loud.json"
+        p.save_model(p.PHSystem(p.SkewSymmetricMatrix.from_matrix([[0.0, 1.0], [-1.0, 0.0]]),
+                                p.PSDMatrix.from_matrix([[0.5, 0.0], [0.0, 0.3]]),
+                                p.SPDMatrix.identity(2), np.array([[1e16], [1.0]]),
+                                np.array([1.0, 1e200])), model)
+        u_path = tmp_path / "u.csv"
+        p.save_signal_csv(p.generate_input(p.TimeGrid(1.0, 100), 1, p.NoiseSpec(seed=0)), u_path)
+        rc = cli.main(["simulate", "--model", str(model), "--input", str(u_path),
+                       "--scheme", "euler", "--out", str(tmp_path / "w.csv"),
+                       "--energy-out", str(tmp_path / "e.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: energy became non-finite at step 0 (--energy-out)\n")
+        assert not (tmp_path / "e.csv").exists() and not (tmp_path / "w.csv").exists()
+
     def test_output_conventions_named_in_header(self, tmp_path, model_file, data_files):
         u_path, _ = data_files
         cli.main(["simulate", "--model", str(model_file), "--input", str(u_path),
@@ -296,6 +314,22 @@ class TestCalibrate:
                 == "error: invalid config: sigma_init must be positive and finite\n")
         assert not (tmp_path / "r.json").exists()
 
+    def test_start_cost_overflow_exits_with_numerical_failure(self, tmp_path, data_files,
+                                                             capsys):
+        u_path, y_path = data_files
+        v = oscillator_guess()
+        guess = tmp_path / "loud.json"
+        p.save_model(p.PHSystem(v.J, v.R, p.SPDMatrix.identity(2), np.array([[1.0], [1.0]]),
+                                np.array([1e-300, 1e300])), guess)
+        rc = cli.main(["calibrate", "--data", str(y_path), "--input", str(u_path),
+                       "--guess", str(guess), "--out", str(tmp_path / "r.json"),
+                       "--history", str(tmp_path / "h.csv"),
+                       "--diff", str(tmp_path / "d.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: cost became non-finite (cost evaluation)\n")
+        assert not (tmp_path / "r.json").exists()
+
     def test_invalid_guess_rejected(self, tmp_path, data_files):
         u_path, y_path = data_files
         bad = tmp_path / "bad.json"
@@ -366,7 +400,7 @@ class TestCalibrationSettings:
             assert cfg == p.CalibrationConfig(**{f.name: expected}), extra
             assert type(getattr(cfg, f.name)) is type(expected), extra
 
-    @pytest.mark.parametrize("name, bad", [("structure", "banded"), ("psd_mode", "clip")])
+    @pytest.mark.parametrize("name, bad", [("structure", "banded")])
     def test_unknown_choice_rejected_with_its_name(self, tmp_path, guess_file, data_files,
                                                    received, capsys, name, bad):
         flag = "--" + name.replace("_", "-")
@@ -376,6 +410,12 @@ class TestCalibrationSettings:
         cfg_path.write_text(json.dumps({name: bad}))
         assert self.run(tmp_path, guess_file, data_files, "--config", str(cfg_path)) == 1
         assert capsys.readouterr().err == f"error: invalid config: unknown {name} '{bad}'\n"
+        assert received == []
+
+    def test_removed_psd_mode_flag_is_a_usage_error(self, tmp_path, guess_file, data_files,
+                                                    received, capsys):
+        assert self.run(tmp_path, guess_file, data_files, "--psd-mode", "project") == 1
+        assert "unrecognized arguments: --psd-mode project" in capsys.readouterr().err
         assert received == []
 
     def test_non_numeric_setting_rejected_with_its_name(self, tmp_path, guess_file, data_files,

@@ -397,6 +397,14 @@ class TestConfigAndResultFiles:
         with pytest.raises(p.MalformedFileError, match="unknown"):
             p.load_config(path)
 
+    def test_config_removed_psd_mode_key_rejected(self, tmp_path):
+        # the projection of R onto the PSD cone is not a setting
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"psd_mode": "project"}))
+        with pytest.raises(p.MalformedFileError,
+                           match=r"^unknown config fields: \['psd_mode'\]$"):
+            p.load_config(path)
+
     def test_config_invalid_value_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"gamma": 2.0}))

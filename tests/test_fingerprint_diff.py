@@ -69,7 +69,7 @@ def test_array_moves_reports_how_far_each_moved_hex_list_moved(tmp_path):
 
 def test_array_file_names_one_file_per_case_and_key(tmp_path):
     names = {fingerprint_diff.array_file(tmp_path, case, key).name
-             for case in ("oscillator seed=7 full project", "wide-n8 model=0")
+             for case in ("oscillator seed=7 full", "wide-n8 model=0")
              for key in ("v_opt", "y_opt")}
     assert len(names) == 4
     assert all(" " not in name and "=" not in name for name in names)

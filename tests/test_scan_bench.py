@@ -1,5 +1,8 @@
 import importlib.util
+import types
 from pathlib import Path
+
+import pytest
 
 import phsid
 from conftest import oscillator_system
@@ -26,7 +29,10 @@ def test_one_tiny_repeat_times_every_case_on_every_side():
     # at K = 200 both wide-n8 starts are already below eps_stop
     searched = ["calibrate oscillator", "calibrate oscillator diagonal_R",
                 "calibrate oscillator sigma_init=1e6", "cli calibrate oscillator"]
+    # a simulation of 200 steps at n = 2 lasts far less than a sample
+    assert report["simulate euler n=2 K=200"]["calls"] > 1
     for name, row in report.items():
+        assert row["calls"] >= 1
         counts = row["base"].get("evaluator_calls"), row["base"].get("swept_rows")
         assert (counts[0] is not None) == (name in searched)
         if name in searched:
@@ -38,6 +44,18 @@ def test_one_tiny_repeat_times_every_case_on_every_side():
         assert row["speedup"] > 0
         for key in ("paired_speedup", "aa_paired_speedup"):
             assert row[key]["median"] > 0 and row[key]["iqr"] == 0
+
+
+@pytest.mark.parametrize("seconds, calls", [(0.003, 7), (0.02, 1), (0.05, 1)])
+def test_call_count_is_the_fewest_calls_that_last_a_sample(monkeypatch, seconds, calls):
+    clock = [0.0]
+
+    def call():
+        clock[0] += seconds
+
+    monkeypatch.setattr(scan_bench, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    assert scan_bench.SAMPLE_S == 0.02
+    assert scan_bench.calls_for(call) == calls
 
 
 def test_searches_counts_the_calls_and_rows_of_every_search():

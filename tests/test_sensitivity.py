@@ -437,6 +437,16 @@ class TestFiniteDifferenceGradient:
             p.finite_difference_gradient(v, sys.B, zeros, zeros, p.tangent_basis(2, "full"))
         assert err.value.step == 2
 
+    def test_cost_overflow_names_the_probe(self):
+        # B = (1, 1e300): the states stay finite, but their outputs square
+        # past the float range at every probe
+        truth = oscillator_system()
+        u, y_data = p.generate_reference(truth, p.TimeGrid(1.0, 1000), p.NoiseSpec(seed=7))
+        with pytest.raises(p.DivergenceError, match=r"^cost became non-finite "
+                           r"\(finite-difference probe along J\[1,0\]\)$"):
+            p.finite_difference_gradient(oscillator_guess(), np.array([[1.0], [1e300]]), u,
+                                         y_data, p.tangent_basis(2, "full"))
+
 
 def _random_problem(seed, n, k, steps):
     """A random system, input and unrelated output data on a unit-time grid."""

@@ -15,8 +15,8 @@ shows.  Given ARRAY_DIR, it also saves each digested array there as
 say how far a moved array moved.
 
 Calibration cases: the oscillator on noise seeds 7, 22, 25, 101 and 102
-with both structures and both PSD modes; the benchmark's random n=8, k=2
-truths of model seeds 0, 6 and 1; an overflowing first step
+with both structures; the benchmark's random n=8, k=2 truths of model seeds
+0, 6 and 1; an overflowing first step
 (sigma_init=1e6), a search whose first candidates diverge (sigma_init=1e3)
 and a line-search failure (sigma_init=1e18, no halvings).
 
@@ -54,9 +54,8 @@ def cases():
     for seed in (7, 22, 25, 101, 102):
         u, y = p.generate_reference(truth, p.TimeGrid(1.0, 1000), p.NoiseSpec(seed=seed))
         for structure in p.STRUCTURES:
-            for psd_mode in p.PSD_MODES:
-                cfg = p.CalibrationConfig(structure=structure, psd_mode=psd_mode)
-                yield f"oscillator seed={seed} {structure} {psd_mode}", start, u, y, truth.B, cfg
+            yield (f"oscillator seed={seed} {structure}", start, u, y, truth.B,
+                   p.CalibrationConfig(structure=structure))
     for model in (0, 6, 1):
         wide_truth, wide_start = random_model(model, 8, 2)
         u, y = p.generate_reference(wide_truth, p.TimeGrid(1.0, 1000), p.NoiseSpec(seed=model))

@@ -8,7 +8,7 @@ temporary directory.  Then runs the working tree's
 with BASE's ``src`` and once with the working tree's ``src`` as PYTHONPATH,
 and prints a unified diff of each pair of outputs.  After each diff it lists
 every case whose JSON line differs with the names of the keys that moved,
-e.g. ``oscillator seed=7 full project: cost_history, v_opt``.  Then it
+e.g. ``oscillator seed=7 full: cost_history, v_opt``.  Then it
 prints how far each moved array moved, ``max|new - old| / max|old|``: for
 the lists printed as hex floats (``cost_history``, ``gradient_sq_norms``,
 ``start_coefficients``, ...) from the two JSON lines, and for the arrays

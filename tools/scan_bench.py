@@ -6,12 +6,16 @@ Extracts ``src/`` of BASE (default ``HEAD``) with ``git archive`` into a
 temporary directory, as ``fingerprint_diff.py`` does, and starts one worker
 process per side: ``base`` and ``aa`` with BASE's ``src`` as PYTHONPATH,
 ``change`` with the working tree's.  A worker builds every case and runs
-each once as a warm-up.  Then, R times (default 7) for every case, the
-three workers time it back to back, the side that goes first rotating, so
-that a slow phase of the host hits every side of a round.  A worker times a
-case as the median of ``CALLS`` calls with ``perf_counter``.  The ``aa``
-side, BASE timed against itself, shows how far the host alone moves a
-case's base/change ratio.
+each once as a warm-up, then counts the calls of it that last at least
+``SAMPLE_S`` (20 ms) in all.  The base worker's count is fixed as the
+case's call count for every side.  Then, R times (default 7) for every
+case, the three workers time it back to back, the side that goes first
+rotating, so that a slow phase of the host hits every side of a round.  A
+worker times a case as the mean of its call count of back-to-back calls,
+with ``perf_counter`` read once before and once after, so that a
+sub-millisecond case is timed over a sample as long as a slow one's.  The
+``aa`` side, BASE timed against itself, shows how far the host alone moves
+a case's base/change ratio.
 
 Cases: ``simulate_euler`` and ``simulate_discrete_gradient`` at
 n in {2, 8, 16, 32} x K in {1e3, 1e4, 1e5} and at n in {64, 128} x K = 1e4
@@ -40,8 +44,9 @@ evaluator that ``calibrate`` hands to ``armijo_search`` wrapped, and counts
 its calls and the rows (costed candidates) they return; those counts are
 not timed.
 
-The report, printed or written to FILE as JSON, gives per case and side the
-median and interquartile range of the R timings in ms, the ratio of the
+The report, printed or written to FILE as JSON, gives ``sample_ms`` and
+per case its ``calls``, per side the median and interquartile range of the
+R timings in ms (each the mean of ``calls`` calls), the ratio of the
 medians (``speedup``, base over change), the median and interquartile range
 of the R per-pair ratios (``paired_speedup``) and of the R base/aa ratios
 (``aa_paired_speedup``), for the cases that run a line search each side's
@@ -69,7 +74,7 @@ sys.dont_write_bytecode = True
 sys.path.insert(0, str(ROOT / "tools"))
 from fingerprint_diff import extract_src  # noqa: E402
 
-CALLS = 5
+SAMPLE_S = 0.02
 
 
 def cases(tiny: bool, workdir: Path):
@@ -182,26 +187,35 @@ def searches(call) -> dict:
     return counts
 
 
+def calls_for(call) -> int:
+    """How many back-to-back calls of ``call`` last at least ``SAMPLE_S``."""
+    calls, start = 0, time.perf_counter()
+    while time.perf_counter() - start < SAMPLE_S:
+        call()
+        calls += 1
+    return calls
+
+
 def serve(tiny: bool) -> None:
-    """The worker: print the case names and each line-search case's counts,
-    then answer each case name read from stdin with the median seconds of
-    ``CALLS`` calls of it."""
+    """The worker: print the case names, each case's call count and each
+    line-search case's counts, then answer each line ``<calls> <name>`` read
+    from stdin with the mean seconds per call of that many calls of it."""
     with tempfile.TemporaryDirectory() as workdir:
         built = dict(cases(tiny, Path(workdir)))
         for call in built.values():
             call()
+        calls = {name: calls_for(call) for name, call in built.items()}
         counts = {name: searches(call) for name, call in built.items()}
-        print(json.dumps({"names": list(built),
+        print(json.dumps({"names": list(built), "calls": calls,
                           "counts": {name: c for name, c in counts.items()
                                      if c["evaluator_calls"]}}), flush=True)
         for line in sys.stdin:
-            call = built[line.strip()]
-            seconds = []
-            for _ in range(CALLS):
-                start = time.perf_counter()
+            repeat, name = line.rstrip("\n").split(" ", 1)
+            call, repeat = built[name], int(repeat)
+            start = time.perf_counter()
+            for _ in range(repeat):
                 call()
-                seconds.append(time.perf_counter() - start)
-            print(json.dumps(float(np.median(seconds))), flush=True)
+            print(json.dumps((time.perf_counter() - start) / repeat), flush=True)
 
 
 class Worker:
@@ -213,7 +227,7 @@ class Worker:
         self.proc = subprocess.Popen(argv, env=env, stdin=subprocess.PIPE,
                                      stdout=subprocess.PIPE, text=True)
         header = json.loads(self._answer())
-        self.names, self.counts = header["names"], header["counts"]
+        self.names, self.calls, self.counts = header["names"], header["calls"], header["counts"]
 
     def _answer(self) -> str:
         line = self.proc.stdout.readline()
@@ -221,8 +235,8 @@ class Worker:
             raise RuntimeError(f"worker exited with status {self.proc.wait()}")
         return line
 
-    def time(self, name: str) -> float:
-        self.proc.stdin.write(name + "\n")
+    def time(self, name: str, calls: int) -> float:
+        self.proc.stdin.write(f"{calls} {name}\n")
         self.proc.stdin.flush()
         return json.loads(self._answer())
 
@@ -237,25 +251,27 @@ def _spread(values) -> tuple[float, float]:
 
 
 def compare(base_src: Path, tree_src: Path, repeats: int, tiny: bool) -> dict:
-    """Per case, the median and IQR (ms) of each side's timings, the ratio
-    base / change of the medians, the median and IQR of the per-pair ratios
-    base / change and base / aa, and each side's line-search counts."""
+    """Per case, the call count of one timing, the median and IQR (ms) of
+    each side's timings, the ratio base / change of the medians, the median
+    and IQR of the per-pair ratios base / change and base / aa, and each
+    side's line-search counts."""
     workers = {}
     try:
         for side, src in (("base", base_src), ("change", tree_src), ("aa", base_src)):
             workers[side] = Worker(src, tiny)
+        calls = workers["base"].calls
         ms = {name: {side: [] for side in workers} for name in workers["base"].names}
         for r in range(repeats):
             order = list(workers)[r % len(workers):] + list(workers)[:r % len(workers)]
             for name, times in ms.items():
                 for side in order:
-                    times[side].append(1e3 * workers[side].time(name))
+                    times[side].append(1e3 * workers[side].time(name, calls[name]))
     finally:
         for worker in workers.values():
             worker.close()
     report = {}
     for name, times in ms.items():
-        row = {}
+        row = {"calls": calls[name]}
         for side, values in times.items():
             median, iqr = _spread(values)
             row[side] = {"median_ms": round(median, 4), "iqr_ms": round(iqr, 4)}
@@ -299,7 +315,7 @@ def main(argv: list[str]) -> int:
     base = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.base],
                           check=True, capture_output=True, text=True).stdout.strip()
     report = {"base": base, "change": "working tree", "repeats": args.repeats,
-              "calls_per_timing": CALLS, "machine": machine(), "cases": cases_report}
+              "sample_ms": 1e3 * SAMPLE_S, "machine": machine(), "cases": cases_report}
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
