@@ -105,19 +105,6 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _energy(reduced, traj, u):
-    """H at every node and the balance residual of every step; raises
-    DivergenceError at the first CSV row where either overflowed."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        energy = hamiltonian(traj)
-        residual = energy_balance_residual(reduced, traj, u)
-    finite = np.isfinite(energy)
-    finite[1:] &= np.isfinite(residual)
-    if not finite.all():
-        raise DivergenceError(int(np.argmin(finite)), "--energy-out", quantity="energy")
-    return energy, residual
-
-
 @single_blas_thread()
 def _cmd_simulate(args) -> int:
     reduced = cholesky_reduce(load_model(args.model))
@@ -130,7 +117,8 @@ def _cmd_simulate(args) -> int:
         traj = simulate_discrete_gradient(reduced, u)
         y = midpoint_output(reduced, traj)
         y_name = "y_mid"
-    columns = _energy(reduced, traj, u) if args.energy_out else None
+    if args.energy_out:  # checked before any file is written
+        columns = hamiltonian(traj), energy_balance_residual(reduced, traj, u)
     save_trajectory_csv(traj, args.out, name="w")
     if args.out_y:
         save_signal_csv(y, args.out_y, name=y_name)

@@ -57,14 +57,14 @@ directions.
 The adjoint forms the same derivatives as the per-direction route with its
 sums in another order, so the two agree up to rounding, not bit for bit.
 
-The tangent basis is an index set: each :class:`Direction` names one entry
-of one lower triangle (a skew pair of J, a symmetric entry of R, a
-coordinate of w0), never a dense matrix.  The one map from directions to
-entries is :class:`BasisSet`'s cached index arrays into a (3, n, n) stack of
-J, R and x blocks, x[i] at (i, i): :func:`sensitivity_coefficients` gathers
-every coefficient through it and :func:`assemble_gradient` scatters them
-onto zero lower triangles, mirrored by ``phsid.matrices``, bit for bit what
-the dense ±1 basis matrices gave.  :func:`finite_difference_gradient` takes
+The tangent basis is an index set: :class:`BasisSet` is the pair (n,
+structure), and its cached (block, i, j) index arrays into a (3, n, n)
+stack of J, R and x blocks, x[i] at (i, i), name one lower-triangle entry
+per direction (a skew pair of J, a symmetric entry of R, a coordinate of
+w0), never a dense matrix.  :func:`sensitivity_coefficients` gathers every
+coefficient through them and :func:`assemble_gradient` scatters them onto
+zero lower triangles, mirrored by ``phsid.matrices``, bit for bit what the
+dense ±1 basis matrices gave.  :func:`finite_difference_gradient` takes
 each probe's ±1 pattern from :func:`assemble_gradient` of a unit vector, one
 probe at a time, and evaluates every point's cost through
 :func:`_euler_cost`, as ``phsid.calibration`` does.
@@ -146,23 +146,35 @@ class Direction:
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Canonical ordered tangent basis: skew block, symmetric block, coordinate vectors."""
+    """Canonical basis of the tangent space of the admissible set.
 
-    directions: tuple[Direction, ...]
-    structure: str
+    Ordering: the n(n-1)/2 elementary skew directions (one +1/-1 pair each,
+    +1 in the strict lower triangle, pairs in row-major order), then the
+    symmetric directions (n unit diagonal matrices followed by the elementary
+    off-diagonal pairs, omitted for ``diagonal_R``), then the n coordinate
+    vectors for the initial state.
+    """
+
     n: int
+    structure: str = STRUCTURE_FULL
 
     def __post_init__(self):
-        if any(d.i >= self.n for d in self.directions):
-            raise DimensionMismatchError(f"basis direction outside dimension {self.n}")
-        if len(set(self.directions)) < len(self.directions):
-            raise ValueError("basis directions must be distinct")
+        if self.structure not in STRUCTURES:
+            raise ValueError(f"unknown structure {self.structure!r}, expected one of {STRUCTURES}")
+        if not (_is_integer(self.n) and self.n >= 1):
+            raise DimensionMismatchError("dimension must be >= 1")
+        object.__setattr__(self, "n", int(self.n))
 
     def __len__(self) -> int:
-        return len(self.directions)
+        return len(self._index[0])
 
     def __iter__(self):
         return iter(self.directions)
+
+    @property
+    def directions(self) -> tuple[Direction, ...]:
+        block, i, j = (a.tolist() for a in self._index)
+        return tuple(map(Direction, ("JRx"[b] for b in block), i, j))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -172,8 +184,15 @@ class BasisSet:
     def _index(self) -> tuple[np.ndarray, ...]:
         """(block, i, j) index arrays of the directions into a (3, n, n) stack
         of J, R and x blocks, x[i] at (i, i)."""
-        rows = [("JRx".index(d.block), d.i, d.j) for d in self.directions]
-        return tuple(np.array(rows, dtype=np.intp).reshape(-1, 3).T)
+        rows, cols = np.tril_indices(self.n, -1)
+        diagonal = np.arange(self.n, dtype=np.intp)
+        pairs = len(rows) if self.structure == STRUCTURE_FULL else 0
+        block = np.repeat(np.arange(3, dtype=np.intp), [len(rows), self.n + pairs, self.n])
+        i, j = (np.concatenate([a, diagonal, a[:pairs], diagonal]) for a in (rows, cols))
+        return block, i, j
+
+
+tangent_basis = BasisSet  # tangent_basis(n, structure): the canonical basis
 
 
 @dataclass(frozen=True)
@@ -195,29 +214,6 @@ class Gradient:
     def norm_sq(self) -> float:
         """Squared Euclidean norm of the coefficient vector."""
         return float(np.dot(self.coefficients, self.coefficients))
-
-
-def tangent_basis(n: int, structure: str = STRUCTURE_FULL) -> BasisSet:
-    """Canonical basis of the tangent space of the admissible set.
-
-    Ordering: the n(n-1)/2 elementary skew directions (one +1/-1 pair each,
-    +1 in the strict lower triangle, pairs in row-major order), then the
-    symmetric directions (n unit diagonal matrices followed by the elementary
-    off-diagonal pairs, omitted for ``diagonal_R``), then the n coordinate
-    vectors for the initial state.
-    """
-    if structure not in STRUCTURES:
-        raise ValueError(f"unknown structure {structure!r}, expected one of {STRUCTURES}")
-    if not (_is_integer(n) and n >= 1):
-        raise DimensionMismatchError("dimension must be >= 1")
-    n = int(n)
-    strict = [(i, j) for i in range(n) for j in range(i)]
-    directions = [Direction("J", i, j) for i, j in strict]
-    directions += [Direction("R", i, i) for i in range(n)]
-    if structure == STRUCTURE_FULL:
-        directions += [Direction("R", i, j) for i, j in strict]
-    directions += [Direction("x", i, i) for i in range(n)]
-    return BasisSet(tuple(directions), structure, n)
 
 
 def _check_basis(basis: BasisSet, n: int) -> None:
@@ -295,20 +291,24 @@ def sensitivity_coefficients(sys: ReducedPHSystem, traj: Trajectory,
     the recurrence and how each direction reads its coefficient off G and
     lambda_0.  The coefficients equal the per-direction
     :func:`solve_sensitivity` route up to rounding: the sums run in another
-    order.
+    order.  A coefficient that overflows raises DivergenceError.
     """
     _check_parts(sys, traj=traj, y_data=y_data)
     _check_basis(basis, sys.n)
     h, w = traj.grid.h, traj.states
-    propagator = np.eye(sys.n) + h * sys.drift()
-    residual = w[:-1] @ sys.B - y_data.values[:-1]
-    # row t holds lambda_{K-t}: from zero, forced by h B r_j backwards in time
-    adjoint, _ = _affine_scan(propagator.T, sys.B, 0.0, h * residual[::-1])
-    # pairs lambda_{j+1} = adjoint[K-1-j] with w_j
-    g = h * (adjoint[:-1].T @ w[-2::-1])
-    entries = np.stack([g - g.T, -(g + g.T), np.diag(adjoint[-1])])
+    with np.errstate(over="ignore", invalid="ignore"):  # the coefficients are checked
+        propagator = np.eye(sys.n) + h * sys.drift()
+        residual = w[:-1] @ sys.B - y_data.values[:-1]
+        # row t holds lambda_{K-t}: from zero, forced by h B r_j backwards in time
+        adjoint, _ = _affine_scan(propagator.T, sys.B, 0.0, h * residual[::-1])
+        # pairs lambda_{j+1} = adjoint[K-1-j] with w_j
+        g = h * (adjoint[:-1].T @ w[-2::-1])
+        entries = np.stack([g - g.T, -(g + g.T), np.diag(adjoint[-1])])
     np.fill_diagonal(entries[1], -np.diag(g))
-    return entries[basis._index]
+    coefficients = entries[basis._index]
+    if not np.isfinite(coefficients).all():
+        raise DivergenceError(None, "adjoint sweep", quantity="gradient")
+    return coefficients
 
 
 def _euler_cost(drift: np.ndarray, b: np.ndarray, w0: np.ndarray, u_values: np.ndarray,
@@ -363,14 +363,14 @@ def finite_difference_gradient(v: ParameterPoint, b: np.ndarray, u: Signal,
     j0, r0, w0 = v.J.array, v.R.array, v.w_hat
     unit = np.zeros(len(basis))
     out = np.empty(len(basis))
-    for idx, d in enumerate(basis.directions):
+    for idx, label in enumerate(basis.labels):
         unit[idx] = 1.0
         pattern = assemble_gradient(unit, basis)  # the direction's dense ±1 blocks
         unit[idx] = 0.0
         plus, minus = (
             _euler_cost((j0 + e * pattern.h_J.array) - (r0 + e * pattern.h_R.array), sys.B,
                         w0 + e * pattern.h_x, u.values, y_data.values, u.grid.h,
-                        f"finite-difference probe along {d.label}")[1]
+                        f"finite-difference probe along {label}")[1]
             for e in (eps, -eps))
         out[idx] = (plus - minus) / (2.0 * eps)
     return out

@@ -474,9 +474,18 @@ def simulate_discrete_gradient(sys: ReducedPHSystem, u: Signal) -> Trajectory:
     return Trajectory(u.grid, states)
 
 
+def _finite_energy(values: np.ndarray, label: str) -> np.ndarray:
+    """``values``, or DivergenceError at their first non-finite index."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise DivergenceError(int(np.argmin(finite)), label, quantity="energy")
+    return values
+
+
 def hamiltonian(traj: Trajectory) -> np.ndarray:
-    """Reduced-coordinate energy H(w_j) = |w_j|^2 / 2 at every node."""
-    return 0.5 * np.sum(traj.states * traj.states, axis=1)
+    """Reduced-coordinate energy H(w_j) = |w_j|^2 / 2 at every node, checked for overflow."""
+    with np.errstate(over="ignore"):
+        return _finite_energy(0.5 * np.sum(traj.states * traj.states, axis=1), "hamiltonian")
 
 
 def midpoint_output(sys: ReducedPHSystem, traj: Trajectory) -> Signal:
@@ -501,13 +510,15 @@ def energy_balance_residual(sys: ReducedPHSystem, traj: Trajectory, u: Signal) -
     with g_j = (w_j + w_{j+1})/2 and y_{j+1} = B^T g_j.  For trajectories
     produced by :func:`simulate_discrete_gradient` the residual is zero up to
     round-off; for explicit Euler it measures the O(h^2) per-step energy
-    defect.
+    defect.  Raises DivergenceError at the first step where it overflows.
     """
     _check_parts(sys, traj=traj, u=u)
     h = traj.grid.h
     w = traj.states
-    g = 0.5 * (w[:-1] + w[1:])
-    energy = 0.5 * np.sum(w * w, axis=1)
-    dissipated = np.sum((g @ sys.R.array) * g, axis=1)
-    supplied = np.sum((g @ sys.B) * u.values[1:], axis=1)
-    return (energy[1:] - energy[:-1]) - h * (-dissipated + supplied)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = 0.5 * (w[:-1] + w[1:])
+        energy = 0.5 * np.sum(w * w, axis=1)
+        dissipated = np.sum((g @ sys.R.array) * g, axis=1)
+        supplied = np.sum((g @ sys.B) * u.values[1:], axis=1)
+        residual = (energy[1:] - energy[:-1]) - h * (-dissipated + supplied)
+        return _finite_energy(residual, "energy balance residual")

@@ -387,6 +387,21 @@ class TestCalibrate:
         assert res.message == ("iterate left the admissible set: "
                                "positive semidefiniteness violated")
 
+    def test_gradient_overflow_is_a_divergence(self):
+        # J = 0, B = (1, 0): the start cost is finite, but G[0, 1] = h sum
+        # lambda_0 w_1 with w_1 near 1e307 is not; no warning escapes, and
+        # no skew matrix of non-finite entries is formed
+        grid = p.TimeGrid(10.0, 100)
+        v0 = p.ParameterPoint(p.SkewSymmetricMatrix.zeros(2),
+                              p.PSDMatrix.from_matrix(np.diag([0.1, 0.1])),
+                              np.array([1.0, 1e307]))
+        b = np.array([[1.0], [0.0]])
+        u, y_data = p.Signal.zeros(grid, 1), p.Signal(grid, np.full((101, 1), -100.0))
+        assert np.isfinite(p.cost(v0.to_system(b), u, y_data))
+        with pytest.raises(p.DivergenceError,
+                           match=r"^gradient became non-finite \(adjoint sweep\)$"):
+            p.calibrate(v0, u, y_data, b)
+
     def test_start_cost_overflow_is_a_divergence(self, oscillator, guess_point):
         # the start states stay finite near 1e300; their cost does not
         u, y_data = p.generate_reference(oscillator, p.TimeGrid(1.0, 1000), p.NoiseSpec(seed=7))

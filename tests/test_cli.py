@@ -211,7 +211,7 @@ class TestSimulate:
                        "--energy-out", str(tmp_path / "e.csv")])
         assert rc == 3
         assert capsys.readouterr().err == (
-            "numerical failure: energy became non-finite at step 0 (--energy-out)\n")
+            "numerical failure: energy became non-finite at step 0 (hamiltonian)\n")
         assert not (tmp_path / "e.csv").exists() and not (tmp_path / "w.csv").exists()
 
     def test_output_conventions_named_in_header(self, tmp_path, model_file, data_files):
@@ -454,6 +454,21 @@ class TestCheckGradient:
         rc = cli.main(["check-gradient", "--data", str(y_path),
                        "--input", str(u_path), "--guess", str(guess_file)])
         assert rc == 3
+
+    def test_gradient_overflow_exits_with_numerical_failure(self, tmp_path, data_files,
+                                                           capsys):
+        # B = (1, 1e300): the adjoint gradient overflows before the first
+        # probe, and one line names it, with no warning
+        u_path, y_path = data_files
+        v = oscillator_guess()
+        guess = tmp_path / "loud.json"
+        p.save_model(p.PHSystem(v.J, v.R, p.SPDMatrix.identity(2), np.array([[1.0], [1e300]]),
+                                v.w_hat), guess)
+        rc = cli.main(["check-gradient", "--data", str(y_path), "--input", str(u_path),
+                       "--guess", str(guess)])
+        assert rc == 3
+        assert capsys.readouterr() == (
+            "", "numerical failure: gradient became non-finite (adjoint sweep)\n")
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
     def test_invalid_eps_is_input_error(self, guess_file, data_files, capsys, eps):

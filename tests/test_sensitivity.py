@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 from unittest import mock
@@ -34,6 +35,18 @@ def dense(label, n):
     else:
         h_x[i] = 1.0
     return h_j, h_r, h_x
+
+
+def reference_directions(n, structure):
+    """The basis as the canonical listing of Direction objects, built one by
+    one: the oracle for BasisSet's index arrays."""
+    strict = [(i, j) for i in range(n) for j in range(i)]
+    directions = [p.Direction("J", i, j) for i, j in strict]
+    directions += [p.Direction("R", i, i) for i in range(n)]
+    if structure == "full":
+        directions += [p.Direction("R", i, j) for i, j in strict]
+    directions += [p.Direction("x", i, i) for i in range(n)]
+    return tuple(directions)
 
 
 class TestTangentBasis:
@@ -90,41 +103,53 @@ class TestTangentBasis:
         with pytest.raises(ValueError):
             p.Direction(*triple)
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(n=st.integers(1, 40), structure=st.sampled_from(p.STRUCTURES))
+    def test_index_arrays_equal_the_direction_listing(self, n, structure):
+        reference = reference_directions(n, structure)
+        basis = p.BasisSet(n, structure)
+        expected = np.array([("JRx".index(d.block), d.i, d.j) for d in reference],
+                            dtype=np.intp).reshape(-1, 3).T
+        for got, want in zip(basis._index, expected, strict=True):
+            assert got.dtype == np.intp
+            np.testing.assert_array_equal(got, want)
+        assert basis.directions == reference
+        assert basis.labels == tuple(d.label for d in reference)
+        assert len(basis) == len(reference)
+        assert p.tangent_basis(n, structure) == basis
+
+    def test_fields_are_the_dimension_and_structure(self):
+        assert [f.name for f in dataclasses.fields(p.BasisSet)] == ["n", "structure"]
+        assert p.BasisSet(3) == p.BasisSet(3, "full") != p.BasisSet(3, "diagonal_R")
+
     @pytest.mark.parametrize("n", [0, -1, True, 1.5, np.nan, "2"])
     def test_dimension_must_be_an_integer_of_at_least_one(self, n):
-        with pytest.raises(p.DimensionMismatchError, match="dimension must be >= 1"):
-            p.tangent_basis(n)
+        with pytest.raises(p.DimensionMismatchError, match="^dimension must be >= 1$"):
+            p.BasisSet(n, "full")
 
     def test_integral_dimension_becomes_int(self):
-        basis = p.tangent_basis(2.0)
+        basis = p.BasisSet(2.0)
         assert basis.n == 2 and type(basis.n) is int
-        assert basis.directions == p.tangent_basis(np.int64(2)).directions
-
-    def test_basis_direction_outside_dimension_rejected(self):
-        with pytest.raises(p.DimensionMismatchError):
-            p.BasisSet((p.Direction("x", 2, 2),), "full", 2)
-
-    def test_repeated_basis_direction_rejected(self):
-        # assemble_gradient writes each coefficient into its direction's entry,
-        # so a repeated direction would keep only its last coefficient
-        with pytest.raises(ValueError, match="^basis directions must be distinct$"):
-            p.BasisSet((p.Direction("R", 0, 0), p.Direction("J", 1, 0),
-                        p.Direction("R", 0, 0)), "full", 2)
+        assert basis == p.BasisSet(np.int64(2))
+        assert basis.directions == p.BasisSet(np.int64(2)).directions
 
     def test_basis_memory_is_linear_in_its_length(self):
         # the dense basis peaked at 9.2 MB here: 1056 pairs of 32 x 32 matrices
         tracemalloc.start()
         try:
             basis = p.tangent_basis(32)
+            index = basis._index
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(basis) == 32 * 32 + 32
+        assert [len(a) for a in index] == [32 * 32 + 32] * 3
         assert peak <= 0.5e6
 
-    def test_unknown_structure_rejected(self):
-        with pytest.raises(ValueError):
-            p.tangent_basis(2, "sparse")
+    @pytest.mark.parametrize("structure", ["sparse", "FULL", None])
+    def test_unknown_structure_rejected(self, structure):
+        with pytest.raises(ValueError, match=r"^unknown structure .*, expected one of "
+                           r"\('full', 'diagonal_R'\)$"):
+            p.BasisSet(2, structure)
 
 
 class TestSolveSensitivity:
@@ -505,6 +530,18 @@ class TestStackedCoefficients:
         with mock.patch.object(sensitivity, "_affine_scan", recording_scan):
             p.sensitivity_coefficients(sys, traj, y_data, p.tangent_basis(n, "full"))
         assert sweeps == [(51, n)]
+
+    def test_gradient_overflow_is_a_divergence(self):
+        # B = (1, 1e300): the states stay finite, but the residuals B^T w and
+        # the adjoint built from them leave the float range; no warning escapes
+        truth = oscillator_system()
+        u, y_data = p.generate_reference(truth, p.TimeGrid(1.0, 1000), p.NoiseSpec(seed=7))
+        sys = oscillator_guess().to_system(np.array([[1.0], [1e300]]))
+        traj = p.simulate_euler(sys, u)
+        with pytest.raises(p.DivergenceError,
+                           match=r"^gradient became non-finite \(adjoint sweep\)$") as err:
+            p.sensitivity_coefficients(sys, traj, y_data, p.tangent_basis(2, "full"))
+        assert (err.value.quantity, err.value.step) == ("gradient", None)
 
     def test_overflow_redo_equals_the_per_step_adjoint_loop(self):
         # J = 0, R = diag(3/h, 0.5): P = diag(-2, 1 - h/2), whose powers

@@ -636,6 +636,22 @@ class TestEnergyBalance:
         energy = p.hamiltonian(traj)
         assert abs(energy[-1] - energy[0]) <= 1e-10
 
+    def test_overflow_names_the_first_node_and_step(self):
+        # finite states whose energy overflows at node 3: H raises there, and
+        # the balance residual at step 2, the first step that reads node 3;
+        # no warning escapes
+        grid = p.TimeGrid(1.0, 4)
+        traj = p.Trajectory(grid, np.array([[1.0], [1.0], [1.0], [1e200], [1.0]]))
+        sys = p.ReducedPHSystem(p.SkewSymmetricMatrix.zeros(1), p.PSDMatrix.zeros(1),
+                                np.zeros((1, 1)), np.zeros(1))
+        with pytest.raises(p.DivergenceError,
+                           match=r"^energy became non-finite at step 3 \(hamiltonian\)$") as err:
+            p.hamiltonian(traj)
+        assert (err.value.quantity, err.value.step) == ("energy", 3)
+        with pytest.raises(p.DivergenceError, match=r"^energy became non-finite at step 2 "
+                           r"\(energy balance residual\)$"):
+            p.energy_balance_residual(sys, traj, p.Signal.zeros(grid, 1))
+
     def test_grid_mismatch_rejected(self, oscillator):
         grid = p.TimeGrid(1.0, 10)
         other = p.TimeGrid(1.0, 11)

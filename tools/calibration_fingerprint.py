@@ -30,6 +30,11 @@ the random n=3 and n=8, k=2 truths of model seeds 3 and 8 with
 Q = G G^T / n + 0.5 I (G standard normal, Philox keyed with 100 + n); the
 reduced J, R, B and w_hat are digested, so a moved bit of the Cholesky
 factor shows.
+
+Basis cases: ``tangent_basis(n, structure)`` for n in 1, 2, 8 and 32 and
+both structures; the SHA-256 of its labels and of each of its three
+(block, i, j) index arrays, dtype included, so a moved, reordered or
+retyped direction shows.
 """
 
 import hashlib
@@ -87,13 +92,23 @@ def reductions():
         yield f"cholesky_reduce n={n}", p.cholesky_reduce(full)
 
 
+def bases():
+    for n in (1, 2, 8, 32):
+        for structure in p.STRUCTURES:
+            yield f"tangent_basis n={n} {structure}", p.tangent_basis(n, structure)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def digest(array_dir: Path | None, case: str, key: str, *arrays) -> str:
     """SHA-256 of the concatenated bytes of ``arrays``, which are also saved
     as one flat ``.npy`` array under ``array_dir`` when it is given."""
     flat = np.concatenate([np.ravel(np.asarray(a, dtype=float)) for a in arrays])
     if array_dir is not None:
         np.save(array_file(array_dir, case, key), flat)
-    return hashlib.sha256(flat.tobytes()).hexdigest()
+    return sha256(flat.tobytes())
 
 
 def start_gradients(start, u, y, b, structure):
@@ -132,6 +147,11 @@ def main(argv: list[str]):
         blocks = {"J": red.J.array, "R": red.R.array, "B": red.B, "w_hat": red.w_hat}
         print(json.dumps({"case": label, **{key: digest(array_dir, label, key, block)
                                             for key, block in blocks.items()}}))
+    for label, basis in bases():
+        index = dict(zip(("block", "i", "j"), basis._index, strict=True))
+        print(json.dumps({"case": label, "labels": sha256("\n".join(basis.labels).encode()),
+                          **{key: sha256(a.dtype.str.encode() + a.tobytes())
+                             for key, a in index.items()}}))
 
 
 if __name__ == "__main__":
