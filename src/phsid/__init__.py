@@ -46,7 +46,6 @@ from .sensitivity import (
     STRUCTURE_FULL,
     STRUCTURES,
     BasisSet,
-    Direction,
     Gradient,
     ParameterPoint,
     assemble_gradient,

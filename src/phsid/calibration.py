@@ -190,23 +190,28 @@ def armijo_search(v: ParameterPoint, g: Gradient, cost_at_v: float,
     The first candidate in order that passes the test is accepted, so the
     result is that of trying one sigma at a time.  The returned step names
     the accepted candidate's row in the last call.  Raises
-    :class:`LineSearchError` once ``max_halvings`` halvings are exhausted.
+    :class:`LineSearchError` once ``max_halvings`` halvings are exhausted,
+    or once sigma has underflowed to 0 and that candidate failed too.
     """
     g_sq = g.norm_sq
     pending = [np.empty(0)] * 4  # replaced, not extended, by the first batch
-    sigma, untried = cfg.sigma_init, cfg.max_halvings + 1
+    # the next step size and its halvings, None past the last candidate
+    sigma, halvings = cfg.sigma_init, 0
     while True:
-        while len(pending[0]) < _BATCH_WIDTH and untried:
+        while len(pending[0]) < _BATCH_WIDTH and sigma is not None:
             sigmas = []
-            for _ in range(min(_BATCH_WIDTH - len(pending[0]), untried)):
+            while sigma is not None and len(pending[0]) + len(sigmas) < _BATCH_WIDTH:
                 sigmas.append(sigma)
-                sigma *= 0.5
-            untried -= len(sigmas)
+                # every candidate past the first sigma = 0 would repeat it
+                if halvings == cfg.max_halvings or not sigma:
+                    sigma = None
+                else:
+                    sigma, halvings = 0.5 * sigma, halvings + 1
             batch = _trial_points(v, g, sigmas)
             pending = ([np.concatenate(pair) for pair in zip(pending, batch)]
                        if len(pending[0]) else batch)
         if not len(pending[0]):
-            raise LineSearchError(sigmas[-1], cfg.max_halvings)
+            raise LineSearchError(sigmas[-1], halvings)
         s, j, r, w = pending
         costs = cost_evaluator(j, r, w)
         if not 0 < len(costs) <= len(s):
@@ -260,7 +265,8 @@ class _BatchEvaluator:
         # Python floats: a bound past the float range is inf, not a warning
         bound = 4 * (1 - float(cfg.gamma)) * float(cost_at_v) / float(g_sq)
         sigma, row = cfg.sigma_init, 0
-        while sigma >= bound and row < cfg.max_halvings:
+        # sigma = 0, the search's last candidate, ends it where the bound underflowed to 0.0
+        while sigma >= bound and sigma and row < cfg.max_halvings:
             sigma, row = 0.5 * sigma, row + 1
         self._row = row
 

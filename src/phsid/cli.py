@@ -111,13 +111,14 @@ def _cmd_simulate(args) -> int:
     u = load_signal_csv(args.input)
     if args.scheme == "euler":
         traj = simulate_euler(reduced, u)
-        y = output(reduced, traj)
-        y_name = "y"
+        y_of, y_name = output, "y"
     else:
         traj = simulate_discrete_gradient(reduced, u)
-        y = midpoint_output(reduced, traj)
-        y_name = "y_mid"
-    if args.energy_out:  # checked before any file is written
+        y_of, y_name = midpoint_output, "y_mid"
+    # formed only when asked for, and checked before any file is written
+    if args.out_y:
+        y = y_of(reduced, traj)
+    if args.energy_out:
         columns = hamiltonian(traj), energy_balance_residual(reduced, traj, u)
     save_trajectory_csv(traj, args.out, name="w")
     if args.out_y:

@@ -61,10 +61,13 @@ The tangent basis is an index set: :class:`BasisSet` is the pair (n,
 structure), and its cached (block, i, j) index arrays into a (3, n, n)
 stack of J, R and x blocks, x[i] at (i, i), name one lower-triangle entry
 per direction (a skew pair of J, a symmetric entry of R, a coordinate of
-w0), never a dense matrix.  :func:`sensitivity_coefficients` gathers every
-coefficient through them and :func:`assemble_gradient` scatters them onto
-zero lower triangles, mirrored by ``phsid.matrices``, bit for bit what the
-dense ±1 basis matrices gave.  :func:`finite_difference_gradient` takes
+w0), never a dense matrix nor an object per direction.
+:func:`sensitivity_coefficients` gathers every coefficient through them
+and :func:`assemble_gradient` scatters them onto zero lower triangles,
+mirrored by ``phsid.matrices``, bit for bit what the dense ±1 basis
+matrices gave.  :func:`solve_sensitivity` reads the (block, i, j) of its
+one row k of them, and ``BasisSet.labels`` formats each row as ``J[i,j]``,
+``R[i,j]`` or ``x[i]``.  :func:`finite_difference_gradient` takes
 each probe's ±1 pattern from :func:`assemble_gradient` of a unit vector, one
 probe at a time, and evaluates every point's cost through
 :func:`_euler_cost`, as ``phsid.calibration`` does.
@@ -83,7 +86,6 @@ from .matrices import PSDMatrix, SkewSymmetricMatrix, SymmetricMatrix, _frozen_v
 from .systems import (
     ReducedPHSystem,
     Signal,
-    TimeGrid,
     Trajectory,
     _affine_scan,
     _check_blocks,
@@ -118,32 +120,6 @@ class ParameterPoint:
         return ReducedPHSystem(self.J, self.R, b, self.w_hat)
 
 
-@dataclass(frozen=True, slots=True)
-class Direction:
-    """One element of the tangent basis, named by a lower-triangle index.
-
-    ``("J", i, j)`` with j < i stands for the skew pair +1 at [i, j], -1 at
-    [j, i]; ``("R", i, j)`` with j <= i for the symmetric pair (or unit
-    diagonal) 1 at [i, j] and [j, i]; ``("x", i, i)`` for the unit vector e_i
-    of the initial state.  Any other triple is rejected, so a direction always
-    has exactly one nonzero block.
-    """
-
-    block: str
-    i: int
-    j: int
-
-    def __post_init__(self):
-        valid = {"J": 0 <= self.j < self.i, "R": 0 <= self.j <= self.i,
-                 "x": 0 <= self.j == self.i}
-        if not valid.get(self.block, False):
-            raise ValueError(f"not a tangent basis direction: {(self.block, self.i, self.j)}")
-
-    @property
-    def label(self) -> str:
-        return f"x[{self.i}]" if self.block == "x" else f"{self.block}[{self.i},{self.j}]"
-
-
 @dataclass(frozen=True)
 class BasisSet:
     """Canonical basis of the tangent space of the admissible set.
@@ -168,17 +144,12 @@ class BasisSet:
     def __len__(self) -> int:
         return len(self._index[0])
 
-    def __iter__(self):
-        return iter(self.directions)
-
-    @property
-    def directions(self) -> tuple[Direction, ...]:
-        block, i, j = (a.tolist() for a in self._index)
-        return tuple(map(Direction, ("JRx"[b] for b in block), i, j))
-
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(d.label for d in self.directions)
+        """``J[i,j]``, ``R[i,j]`` or ``x[i]`` per direction, in basis order."""
+        block, i, j = (a.tolist() for a in self._index)
+        return tuple(f"x[{r}]" if b == 2 else f"{'JR'[b]}[{r},{c}]"
+                     for b, r, c in zip(block, i, j))
 
     @cached_property
     def _index(self) -> tuple[np.ndarray, ...]:
@@ -222,34 +193,34 @@ def _check_basis(basis: BasisSet, n: int) -> None:
 
 
 def solve_sensitivity(sys: ReducedPHSystem, traj: Trajectory,
-                      direction: Direction, grid: TimeGrid) -> Trajectory:
-    """Integrate the sensitivity ODE for one tangent basis direction.
+                      basis: BasisSet, index: int) -> Trajectory:
+    """Integrate the sensitivity ODE along direction ``index`` of ``basis``.
 
-    Uses the same Euler stencil and grid as the state, run by the per-step
-    loop ``phsid.systems._step_scan`` from s_0 (e_i for x, else zero).  The
-    source enters node-wise at the left endpoints w = w[:-1]: h_J w for a J
-    pair, -h_R w for an R pair, zero for x.  Its nonzero columns are copies
-    of state columns: h * (w @ E.T) for the ±1 matrix E of the direction has
-    h * w[:, j] in column i and h * -w[:, i] in column j (J), and the R
-    source is its negation, whose zero columns are -0.0.
+    Uses the same Euler stencil and grid as the state ``traj``, run by the
+    per-step loop ``phsid.systems._step_scan`` from s_0 (e_i for x, else
+    zero).  The source enters node-wise at the left endpoints w = w[:-1]:
+    h_J w for a J pair, -h_R w for an R pair, zero for x.  Its nonzero
+    columns are copies of state columns: h * (w @ E.T) for the ±1 matrix E of
+    the direction has h * w[:, j] in column i and h * -w[:, i] in column j
+    (J), and the R source is its negation, whose zero columns are -0.0.
     """
-    if traj.grid != grid:
-        raise DimensionMismatchError("trajectory grid does not match the requested grid")
     _check_parts(sys, traj=traj)
-    n, d, w, h = sys.n, direction, traj.states, grid.h
-    if d.i >= n:
-        raise DimensionMismatchError(f"direction {d.label} outside dimension {n}")
-    sign = -1.0 if d.block == "R" else 1.0
-    states = np.full((grid.steps + 1, n), sign * 0.0)
+    _check_basis(basis, sys.n)
+    if not (_is_integer(index) and 0 <= index < len(basis)):
+        raise ValueError(f"basis index {index!r} is not an integer in [0, {len(basis)})")
+    block, i, j = (int(a[int(index)]) for a in basis._index)
+    n, w, h = sys.n, traj.states, traj.grid.h
+    sign = -1.0 if block == 1 else 1.0
+    states = np.full((traj.grid.num_nodes, n), sign * 0.0)
     states[0] = 0.0
-    if d.block == "x":
-        states[0, d.i] = 1.0
+    if block == 2:
+        states[0, i] = 1.0
     else:
-        states[1:, d.i] = h * (sign * w[:-1, d.j])
-        if d.j != d.i:
-            states[1:, d.j] = h * -w[:-1, d.i]
+        states[1:, i] = h * (sign * w[:-1, j])
+        if j != i:
+            states[1:, j] = h * -w[:-1, i]
     _step_scan(np.eye(n) + h * sys.drift(), states)
-    return Trajectory(grid, states)
+    return Trajectory(traj.grid, states)
 
 
 def directional_derivative(sys: ReducedPHSystem, traj: Trajectory,

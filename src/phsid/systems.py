@@ -446,9 +446,12 @@ def simulate_euler(sys: ReducedPHSystem, u: Signal) -> Trajectory:
 
 
 def output(sys: ReducedPHSystem, traj: Trajectory) -> Signal:
-    """Node-wise output y_j = B^T w_j."""
+    """Node-wise output y_j = B^T w_j; DivergenceError at the first node where
+    it overflows."""
     _check_parts(sys, traj=traj)
-    return Signal(traj.grid, traj.states @ sys.B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = traj.states @ sys.B
+    return Signal(traj.grid, _finite_nodes(values, "node-wise convention", "output"))
 
 
 def simulate_discrete_gradient(sys: ReducedPHSystem, u: Signal) -> Trajectory:
@@ -474,32 +477,37 @@ def simulate_discrete_gradient(sys: ReducedPHSystem, u: Signal) -> Trajectory:
     return Trajectory(u.grid, states)
 
 
-def _finite_energy(values: np.ndarray, label: str) -> np.ndarray:
-    """``values``, or DivergenceError at their first non-finite index."""
+def _finite_nodes(values: np.ndarray, label: str, quantity: str) -> np.ndarray:
+    """``values``, one entry or row per node or step, or DivergenceError
+    naming ``quantity`` at the first that is not finite."""
     finite = np.isfinite(values)
     if not finite.all():
-        raise DivergenceError(int(np.argmin(finite)), label, quantity="energy")
+        rows = finite.reshape(len(values), -1).all(axis=1)
+        raise DivergenceError(int(np.argmin(rows)), label, quantity=quantity)
     return values
 
 
 def hamiltonian(traj: Trajectory) -> np.ndarray:
     """Reduced-coordinate energy H(w_j) = |w_j|^2 / 2 at every node, checked for overflow."""
     with np.errstate(over="ignore"):
-        return _finite_energy(0.5 * np.sum(traj.states * traj.states, axis=1), "hamiltonian")
+        return _finite_nodes(0.5 * np.sum(traj.states * traj.states, axis=1), "hamiltonian",
+                             "energy")
 
 
 def midpoint_output(sys: ReducedPHSystem, traj: Trajectory) -> Signal:
     """Output in the discrete-gradient convention, y_{j+1} = B^T (w_j + w_{j+1}) / 2.
 
     The node-0 value is the instantaneous output B^T w_0 (the degenerate-step
-    limit of the discrete gradient).
+    limit of the discrete gradient).  Raises DivergenceError at the first
+    node where it overflows.
     """
     _check_parts(sys, traj=traj)
     w = traj.states
     values = np.empty((w.shape[0], sys.k))
-    values[0] = w[0] @ sys.B
-    values[1:] = (0.5 * (w[:-1] + w[1:])) @ sys.B
-    return Signal(traj.grid, values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values[0] = w[0] @ sys.B
+        values[1:] = (0.5 * (w[:-1] + w[1:])) @ sys.B
+    return Signal(traj.grid, _finite_nodes(values, "midpoint convention", "output"))
 
 
 def energy_balance_residual(sys: ReducedPHSystem, traj: Trajectory, u: Signal) -> np.ndarray:
@@ -521,4 +529,4 @@ def energy_balance_residual(sys: ReducedPHSystem, traj: Trajectory, u: Signal) -
         dissipated = np.sum((g @ sys.R.array) * g, axis=1)
         supplied = np.sum((g @ sys.B) * u.values[1:], axis=1)
         residual = (energy[1:] - energy[:-1]) - h * (-dissipated + supplied)
-        return _finite_energy(residual, "energy balance residual")
+        return _finite_nodes(residual, "energy balance residual", "energy")

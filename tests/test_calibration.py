@@ -23,6 +23,14 @@ from conftest import (
 )
 
 
+def first_zero_halving(sigma):
+    """How many halvings take ``sigma`` to 0.0: 1078 for sigma = 10."""
+    halvings = 0
+    while sigma:
+        sigma, halvings = 0.5 * sigma, halvings + 1
+    return halvings
+
+
 def scripted_cost(sys, u_values, y_values, h):
     """Independent cost script: plain Euler loop plus left-endpoint sum."""
     w = sys.w_hat.copy()
@@ -223,6 +231,21 @@ class TestArmijo:
         with pytest.raises(p.LineSearchError):
             p.armijo_search(guess_point, g, 1.0, lambda j, r, w: np.ones(len(w)), cfg)
 
+    def test_search_ends_at_the_first_zero_step(self, guess_point):
+        # sigma = 10 halves to 0.0 after 1078 halvings; every later candidate
+        # would repeat that one, so it is the last tried of the 5001 allowed
+        g = p.assemble_gradient(np.ones(6), p.tangent_basis(2, "full"))
+        widths = []
+
+        def evaluate(j, r, w):
+            widths.append(len(w))
+            return np.ones(len(w))
+
+        with pytest.raises(p.LineSearchError) as err:
+            p.armijo_search(guess_point, g, 1.0, evaluate, p.CalibrationConfig(max_halvings=5000))
+        assert (err.value.last_sigma, err.value.halvings) == (0.0, first_zero_halving(10.0))
+        assert sum(widths) == first_zero_halving(10.0) + 1
+
     def test_trial_points_are_built_a_batch_at_a_time(self, guess_point):
         # a search that accepts its first batch allocates about the same
         # whatever the halving budget; an array over all 10**6 + 1 step
@@ -373,6 +396,37 @@ class TestCalibrate:
         assert not res.converged
         assert res.iterations == 0
         assert "halvings" in res.message
+
+    def test_search_at_the_rounding_floor_ends_at_sigma_zero(self, oscillator, monkeypatch):
+        # from the truth with w0 off by 1e-15 the fit reaches the rounding
+        # floor, cost 4.2e-32, in 4 steps; there every search fails, and the
+        # fifth ends at its first sigma = 0 instead of sweeping all 5001 rows
+        u, y_data = p.generate_reference(oscillator, p.TimeGrid(1.0, 100), p.NoiseSpec(seed=7))
+        start = p.ParameterPoint(oscillator.J, oscillator.R,
+                                 oscillator.w_hat + np.array([1e-15, 0.0]))
+        rows = []
+        evaluate = calibration._BatchEvaluator.__call__
+
+        def counted(self, *stacks):
+            costs = evaluate(self, *stacks)
+            rows.append(len(costs))
+            return costs
+
+        monkeypatch.setattr(calibration._BatchEvaluator, "__call__", counted)
+        cfg = p.CalibrationConfig(eps_stop=1e-300, max_halvings=5000)
+        res = p.calibrate(start, u, y_data, oscillator.B, cfg)
+        assert res.iterations == 4 and res.final_cost < 1e-31
+        assert res.message.startswith(f"no admissible step size after {first_zero_halving(10.0)} "
+                                      "halvings (last tried sigma=0);")
+        assert sum(rows) <= 1200
+
+    def test_first_search_expects_no_row_past_sigma_zero(self, oscillator):
+        # 4 (1 - gamma) C / |g|^2 underflows to 0.0, which every sigma meets,
+        # so the first search is expected at the row of the first sigma = 0
+        u, y_data = p.generate_reference(oscillator, p.TimeGrid(1.0, 10), p.NoiseSpec(seed=7))
+        evaluator = calibration._BatchEvaluator(oscillator.B, u, y_data)
+        evaluator.first_search(5e-324, 1e300, p.CalibrationConfig(max_halvings=100_000))
+        assert evaluator._row == first_zero_halving(10.0)
 
     def test_cone_exit_is_diagnosed(self, oscillator, guess_point, monkeypatch):
         grid = p.TimeGrid(1.0, 500)
@@ -539,7 +593,7 @@ def sequential_search(v, g, cost_at_v, b, u, y_data, cfg):
             if (np.isfinite(c) and c - cost_at_v <= -cfg.gamma * sigma * g.norm_sq
                     and (c < cost_at_v or g.norm_sq == 0.0)):
                 return sigma, j, r, w0, c
-        if halvings == cfg.max_halvings:
+        if halvings == cfg.max_halvings or sigma == 0.0:
             raise p.LineSearchError(sigma, halvings)
         sigma *= 0.5
 

@@ -30,6 +30,17 @@ def guess_file(tmp_path):
     return path
 
 
+def still_model(tmp_path, b, x_hat):
+    """Files of a model with J = R = 0 and of a zero input over 10 steps, so
+    the state stays at x_hat."""
+    model = tmp_path / "still.json"
+    p.save_model(p.PHSystem(p.SkewSymmetricMatrix.zeros(2), p.PSDMatrix.zeros(2),
+                            p.SPDMatrix.identity(2), np.array(b), np.array(x_hat)), model)
+    u_path = tmp_path / "u.csv"
+    p.save_signal_csv(p.Signal.zeros(p.TimeGrid(1.0, 10), 1), u_path)
+    return str(model), str(u_path)
+
+
 @pytest.fixture
 def data_files(tmp_path, model_file):
     u_path = tmp_path / "u.csv"
@@ -106,6 +117,18 @@ class TestGenerate:
         assert (capsys.readouterr().err
                 == f"error: field '{field}' has an entry too large for a float\n")
         assert not (tmp_path / "u.csv").exists()
+
+    def test_output_overflow_exits_with_numerical_failure(self, tmp_path, capsys):
+        # B = (1e300, 0) and x_hat = (1e10, 0): y_0 = 1e310 is past the float
+        # range, and neither file is written
+        model, _ = still_model(tmp_path, [[1e300], [0.0]], [1e10, 0.0])
+        u_path, y_path = tmp_path / "gen_u.csv", tmp_path / "gen_y.csv"
+        rc = cli.main(["generate", "--model", model, "--T", "1", "--steps", "10",
+                       "--out-u", str(u_path), "--out-y", str(y_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: output became non-finite at step 0 (node-wise convention)\n")
+        assert not u_path.exists() and not y_path.exists()
 
     def test_env_seed_fallback(self, tmp_path, model_file, monkeypatch):
         out_a = tmp_path / "a.csv"
@@ -213,6 +236,33 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             "numerical failure: energy became non-finite at step 0 (hamiltonian)\n")
         assert not (tmp_path / "e.csv").exists() and not (tmp_path / "w.csv").exists()
+
+    @pytest.mark.parametrize("scheme, b, x_hat, message", [
+        ("midpoint", [[1.0], [0.0]], [1e308, 0.0], "at step 1 (midpoint convention)"),
+        ("euler", [[1e300], [0.0]], [1e10, 0.0], "at step 0 (node-wise convention)"),
+    ], ids=["midpoint", "euler"])
+    def test_output_overflow_exits_with_numerical_failure(self, tmp_path, capsys, scheme, b,
+                                                          x_hat, message):
+        # the states are finite, y = B^T w (or its midpoint) is not, and no
+        # file may be written
+        model, u_path = still_model(tmp_path, b, x_hat)
+        rc = cli.main(["simulate", "--model", model, "--input", u_path, "--scheme", scheme,
+                       "--out", str(tmp_path / "w.csv"), "--out-y", str(tmp_path / "y.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: output became non-finite {message}\n")
+        assert not (tmp_path / "w.csv").exists() and not (tmp_path / "y.csv").exists()
+
+    def test_output_is_formed_only_for_out_y(self, tmp_path, capsys):
+        # the midpoint of 1e308 and 1e308 overflows, but without --out-y
+        # no output is formed, and the finite states are written
+        model, u_path = still_model(tmp_path, [[1.0], [0.0]], [1e308, 0.0])
+        rc = cli.main(["simulate", "--model", model, "--input", u_path, "--scheme", "midpoint",
+                       "--out", str(tmp_path / "w.csv")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        states = p.load_trajectory_csv(tmp_path / "w.csv").states
+        assert (states[:, 0] == 1e308).all()
 
     def test_output_conventions_named_in_header(self, tmp_path, model_file, data_files):
         u_path, _ = data_files

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phsid as p
@@ -38,15 +38,15 @@ def dense(label, n):
 
 
 def reference_directions(n, structure):
-    """The basis as the canonical listing of Direction objects, built one by
-    one: the oracle for BasisSet's index arrays."""
+    """The basis as the canonical listing of its (block, i, j) triples and
+    their labels, built one by one: the oracle for BasisSet's index arrays."""
     strict = [(i, j) for i in range(n) for j in range(i)]
-    directions = [p.Direction("J", i, j) for i, j in strict]
-    directions += [p.Direction("R", i, i) for i in range(n)]
+    triples = [("J", i, j) for i, j in strict] + [("R", i, i) for i in range(n)]
     if structure == "full":
-        directions += [p.Direction("R", i, j) for i, j in strict]
-    directions += [p.Direction("x", i, i) for i in range(n)]
-    return tuple(directions)
+        triples += [("R", i, j) for i, j in strict]
+    triples += [("x", i, i) for i in range(n)]
+    labels = [f"x[{i}]" if b == "x" else f"{b}[{i},{j}]" for b, i, j in triples]
+    return triples, labels
 
 
 class TestTangentBasis:
@@ -55,15 +55,14 @@ class TestTangentBasis:
         assert len(basis) == 6
         # one skew pair (+1 below the diagonal), the unit diagonal symmetric
         # directions, then the off-diagonal pair, then the initial-state
-        # coordinates
-        assert basis.directions == (
-            p.Direction("J", 1, 0), p.Direction("R", 0, 0), p.Direction("R", 1, 1),
-            p.Direction("R", 1, 0), p.Direction("x", 0, 0), p.Direction("x", 1, 1))
+        # coordinates, as (block, i, j) rows with blocks J, R, x as 0, 1, 2
+        assert [a.tolist() for a in basis._index] == [
+            [0, 1, 1, 1, 2, 2], [1, 0, 1, 1, 0, 1], [0, 0, 1, 0, 0, 1]]
         assert basis.labels == ("J[1,0]", "R[0,0]", "R[1,1]", "R[1,0]", "x[0]", "x[1]")
         # each basis element, assembled alone, is the dense pattern it names
-        for k, d in enumerate(basis):
+        for k, label in enumerate(basis.labels):
             g = p.assemble_gradient(np.eye(6)[k], basis)
-            h_j, h_r, h_x = dense(d.label, 2)
+            h_j, h_r, h_x = dense(label, 2)
             np.testing.assert_array_equal(g.h_J.array, h_j)
             np.testing.assert_array_equal(g.h_R.array, h_r)
             np.testing.assert_array_equal(g.h_x, h_x)
@@ -95,27 +94,18 @@ class TestTangentBasis:
             "J[1,0]", "J[2,0]", "J[2,1]", "R[0,0]", "R[1,1]", "R[2,2]",
             "x[0]", "x[1]", "x[2]")
 
-    @pytest.mark.parametrize("triple", [("J", 1, 1), ("J", 0, 1), ("R", 0, 1), ("x", 1, 0),
-                                        ("R", 1, -1), ("Q", 0, 0)])
-    def test_direction_outside_the_lower_triangle_rejected(self, triple):
-        # a direction names one entry of one block, so a zero direction
-        # (the skew diagonal) or a mixed one cannot be formed
-        with pytest.raises(ValueError):
-            p.Direction(*triple)
-
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(n=st.integers(1, 40), structure=st.sampled_from(p.STRUCTURES))
     def test_index_arrays_equal_the_direction_listing(self, n, structure):
-        reference = reference_directions(n, structure)
+        triples, labels = reference_directions(n, structure)
         basis = p.BasisSet(n, structure)
-        expected = np.array([("JRx".index(d.block), d.i, d.j) for d in reference],
+        expected = np.array([("JRx".index(b), i, j) for b, i, j in triples],
                             dtype=np.intp).reshape(-1, 3).T
         for got, want in zip(basis._index, expected, strict=True):
             assert got.dtype == np.intp
             np.testing.assert_array_equal(got, want)
-        assert basis.directions == reference
-        assert basis.labels == tuple(d.label for d in reference)
-        assert len(basis) == len(reference)
+        assert basis.labels == tuple(labels)
+        assert len(basis) == len(triples)
         assert p.tangent_basis(n, structure) == basis
 
     def test_fields_are_the_dimension_and_structure(self):
@@ -131,7 +121,7 @@ class TestTangentBasis:
         basis = p.BasisSet(2.0)
         assert basis.n == 2 and type(basis.n) is int
         assert basis == p.BasisSet(np.int64(2))
-        assert basis.directions == p.BasisSet(np.int64(2)).directions
+        assert basis.labels == p.BasisSet(np.int64(2)).labels
 
     def test_basis_memory_is_linear_in_its_length(self):
         # the dense basis peaked at 9.2 MB here: 1056 pairs of 32 x 32 matrices
@@ -159,8 +149,7 @@ class TestSolveSensitivity:
             p.SkewSymmetricMatrix.zeros(2), p.PSDMatrix.zeros(2),
             np.zeros((2, 1)), np.array([0.5, -0.5]))
         traj = p.simulate_euler(sys, p.Signal.zeros(grid, 1))
-        direction = p.tangent_basis(2, "full").directions[4]  # x[0]
-        sens = p.solve_sensitivity(sys, traj, direction, grid)
+        sens = p.solve_sensitivity(sys, traj, p.tangent_basis(2, "full"), 4)  # x[0]
         assert np.all(sens.states == [1.0, 0.0])
 
     def test_interconnection_direction_with_zero_state(self):
@@ -169,8 +158,7 @@ class TestSolveSensitivity:
             p.SkewSymmetricMatrix.from_matrix([[0.0, 1.0], [-1.0, 0.0]]),
             p.PSDMatrix.zeros(2), np.zeros((2, 1)), np.zeros(2))
         traj = p.simulate_euler(sys, p.Signal.zeros(grid, 1))
-        direction = p.tangent_basis(2, "full").directions[0]  # the skew pair
-        sens = p.solve_sensitivity(sys, traj, direction, grid)
+        sens = p.solve_sensitivity(sys, traj, p.tangent_basis(2, "full"), 0)  # the skew pair
         assert np.all(sens.states == 0.0)
 
     def test_matches_state_map_finite_differences(self):
@@ -188,9 +176,10 @@ class TestSolveSensitivity:
         u = p.generate_input(grid, 1, p.NoiseSpec(seed=2))
         traj = p.simulate_euler(sys, u)
         eps = 1e-6
-        for direction in p.tangent_basis(2, "full"):
-            sens = p.solve_sensitivity(sys, traj, direction, grid)
-            h_j, h_r, h_x = dense(direction.label, 2)
+        basis = p.tangent_basis(2, "full")
+        for k, label in enumerate(basis.labels):
+            sens = p.solve_sensitivity(sys, traj, basis, k)
+            h_j, h_r, h_x = dense(label, 2)
             s_plus = euler_map(
                 sys.J.array + eps * h_j, sys.R.array + eps * h_r,
                 sys.B, sys.w_hat + eps * h_x, u.values, grid.h)
@@ -214,46 +203,44 @@ class TestSolveSensitivity:
         propagator = np.eye(3) + grid.h * sys.drift()
         w = traj.states
         for a in ([3.0, 0, 0, 0, 0], [0, 0, 0, -2.5, 0], rng.normal(size=5)):
-            parts = [dense(d.label, 3) for d in basis.directions[:5]]
+            parts = [dense(label, 3) for label in basis.labels[:5]]
             h_j, h_r, _ = (sum(c * x for c, x in zip(a, blk)) for blk in zip(*parts))
             s = np.zeros(3)
             combined = [s]
             for j in range(grid.steps):
                 s = propagator @ s + grid.h * ((h_j - h_r) @ w[j])
                 combined.append(s)
-            solved = sum(c * p.solve_sensitivity(sys, traj, d, grid).states
-                         for c, d in zip(a, basis.directions[:5]))
+            solved = sum(c * p.solve_sensitivity(sys, traj, basis, k).states
+                         for k, c in enumerate(a))
             np.testing.assert_allclose(np.array(combined), solved, rtol=0,
                                        atol=1e-12 * max(1.0, np.abs(solved).max()))
 
-    def test_direction_outside_dimension_rejected(self, oscillator):
-        grid = p.TimeGrid(1.0, 10)
-        traj = p.simulate_euler(oscillator, p.Signal.zeros(grid, 1))
-        for direction in (p.Direction("x", 2, 2), p.Direction("J", 2, 0)):
-            with pytest.raises(p.DimensionMismatchError):
-                p.solve_sensitivity(oscillator, traj, direction, grid)
+    @pytest.mark.parametrize("index", [-1, 6, 10**30, 1.5, np.nan, "0", None, True])
+    def test_index_outside_the_basis_rejected(self, oscillator, index):
+        # the oscillator's full basis has the 6 rows 0..5
+        traj = p.simulate_euler(oscillator, p.Signal.zeros(p.TimeGrid(1.0, 10), 1))
+        message = f"basis index {index!r} is not an integer in [0, 6)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            p.solve_sensitivity(oscillator, traj, p.tangent_basis(2), index)
 
-    @pytest.mark.parametrize("steps, n, match", [
-        (20, 2, "trajectory grid does not match"),
-        (10, 3, "does not match system dimension"),
-    ], ids=["grid", "dimension"])
-    def test_mismatched_trajectory_rejected(self, oscillator, steps, n, match):
-        traj = p.Trajectory(p.TimeGrid(1.0, steps), np.zeros((steps + 1, n)))
-        with pytest.raises(p.DimensionMismatchError, match=match):
-            p.solve_sensitivity(oscillator, traj, p.Direction("x", 0, 0), p.TimeGrid(1.0, 10))
+    @pytest.mark.parametrize("index", [0, 1.0, np.int64(5)])
+    def test_integral_index_accepted(self, oscillator, index):
+        traj = p.simulate_euler(oscillator, p.Signal.zeros(p.TimeGrid(1.0, 10), 1))
+        basis = p.tangent_basis(2)
+        sens = p.solve_sensitivity(oscillator, traj, basis, index)
+        assert sens.states.tobytes() == p.solve_sensitivity(
+            oscillator, traj, basis, int(index)).states.tobytes()
 
-    def test_unknown_block_rejected(self, oscillator):
-        grid = p.TimeGrid(1.0, 10)
-        traj = p.simulate_euler(oscillator, p.Signal.zeros(grid, 1))
-        with pytest.raises(ValueError):
-            p.solve_sensitivity(oscillator, traj, p.Direction("Q", 1, 0), grid)
+    @pytest.mark.parametrize("basis_n", [1, 3])
+    def test_basis_of_another_dimension_rejected(self, oscillator, basis_n):
+        traj = p.simulate_euler(oscillator, p.Signal.zeros(p.TimeGrid(1.0, 10), 1))
+        with pytest.raises(p.DimensionMismatchError, match="^system and basis dimensions differ$"):
+            p.solve_sensitivity(oscillator, traj, p.tangent_basis(basis_n), 0)
 
-    def test_zero_direction_rejected(self, oscillator):
-        # ("J", i, i) would be the skew diagonal, which is zero
-        grid = p.TimeGrid(1.0, 10)
-        traj = p.simulate_euler(oscillator, p.Signal.zeros(grid, 1))
-        with pytest.raises(ValueError):
-            p.solve_sensitivity(oscillator, traj, p.Direction("J", 1, 1), grid)
+    def test_mismatched_trajectory_rejected(self, oscillator):
+        traj = p.Trajectory(p.TimeGrid(1.0, 10), np.zeros((11, 3)))
+        with pytest.raises(p.DimensionMismatchError, match="does not match system dimension"):
+            p.solve_sensitivity(oscillator, traj, p.tangent_basis(2), 4)
 
 
 class TestDirectionalDerivative:
@@ -262,8 +249,9 @@ class TestDirectionalDerivative:
         u = p.generate_input(grid, 1, p.NoiseSpec(seed=4))
         traj = p.simulate_euler(oscillator, u)
         y_data = p.output(oscillator, traj)
-        for direction in p.tangent_basis(2, "full"):
-            sens = p.solve_sensitivity(oscillator, traj, direction, grid)
+        basis = p.tangent_basis(2, "full")
+        for k in range(len(basis)):
+            sens = p.solve_sensitivity(oscillator, traj, basis, k)
             assert p.directional_derivative(oscillator, traj, sens, y_data) == 0.0
 
     def test_zero_sensitivity_gives_zero(self, oscillator):
@@ -283,8 +271,8 @@ class TestDirectionalDerivative:
         traj = p.simulate_euler(sys_guess, u)
         basis = p.tangent_basis(2, "full")
         fd = p.finite_difference_gradient(guess, sys.B, u, y_data, basis, eps=1e-6)
-        for direction, reference in zip(basis, fd):
-            sens = p.solve_sensitivity(sys_guess, traj, direction, grid)
+        for k, reference in enumerate(fd):
+            sens = p.solve_sensitivity(sys_guess, traj, basis, k)
             value = p.directional_derivative(sys_guess, traj, sens, y_data)
             assert abs(value - reference) <= 1e-4 * max(abs(value), abs(reference))
 
@@ -486,8 +474,8 @@ def _random_problem(seed, n, k, steps):
 def _per_direction(sys, traj, y_data, basis):
     """The reference route: one sensitivity solve per basis direction."""
     return np.array([
-        p.directional_derivative(sys, traj, p.solve_sensitivity(sys, traj, d, traj.grid), y_data)
-        for d in basis
+        p.directional_derivative(sys, traj, p.solve_sensitivity(sys, traj, basis, k), y_data)
+        for k in range(len(basis))
     ])
 
 
@@ -503,10 +491,19 @@ def assert_matches_per_direction(sys, traj, y_data, basis):
 class TestStackedCoefficients:
     """sensitivity_coefficients: the coefficients of the whole basis at once."""
 
-    # derandomized so that every run of the suite draws the same examples
+    # derandomized so that every run of the suite draws the same examples,
+    # plus every row of the bases of n = 1, 2, 3 and 8 in both structures
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n=st.integers(1, 6), k=st.integers(1, 3), structure=st.sampled_from(p.STRUCTURES),
            steps=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, k=2, structure="full", steps=300, seed=51)
+    @example(n=1, k=2, structure="diagonal_R", steps=300, seed=51)
+    @example(n=2, k=2, structure="full", steps=300, seed=52)
+    @example(n=2, k=2, structure="diagonal_R", steps=300, seed=52)
+    @example(n=3, k=2, structure="full", steps=300, seed=53)
+    @example(n=3, k=2, structure="diagonal_R", steps=300, seed=53)
+    @example(n=8, k=2, structure="full", steps=300, seed=58)
+    @example(n=8, k=2, structure="diagonal_R", steps=300, seed=58)
     def test_adjoint_matches_per_direction_solves(self, n, k, structure, steps, seed):
         sys, traj, y_data = _random_problem(seed, n, k, steps)
         assert_matches_per_direction(sys, traj, y_data, p.tangent_basis(n, structure))
@@ -570,10 +567,10 @@ class TestStackedCoefficients:
         for t, f in enumerate(forcing):
             adjoint[t + 1] = propagator.T @ adjoint[t] + f
         g = h * (adjoint[:-1].T @ w[-2::-1])
-        expected = [g[d.i, d.j] - g[d.j, d.i] if d.block == "J"
-                    else -g[d.i, d.i] if d.block == "R" and d.i == d.j
-                    else -(g[d.i, d.j] + g[d.j, d.i]) if d.block == "R"
-                    else adjoint[-1, d.i] for d in basis]
+        expected = [g[i, j] - g[j, i] if block == "J"
+                    else -g[i, i] if block == "R" and i == j
+                    else -(g[i, j] + g[j, i]) if block == "R"
+                    else adjoint[-1, i] for block, i, j in reference_directions(n, "full")[0]]
         assert coeffs.tobytes() == np.array(expected).tobytes()
         assert np.isfinite(coeffs).all()
 
@@ -608,14 +605,15 @@ class TestStackedCoefficients:
             real_scan(prop, rows)
 
         real_scan = sensitivity._step_scan
-        for d in p.tangent_basis(n, structure):
+        basis = p.tangent_basis(n, structure)
+        for k, ((block, _, _), label) in enumerate(zip(*reference_directions(n, structure))):
             with mock.patch.object(sensitivity, "_step_scan", recording_scan):
-                p.solve_sensitivity(sys, traj, d, traj.grid)
+                p.solve_sensitivity(sys, traj, basis, k)
             rows = written.pop()
-            h_j, h_r, h_x = dense(d.label, n)
-            if d.block == "J":
+            h_j, h_r, h_x = dense(label, n)
+            if block == "J":
                 expected = h * (w[:-1] @ h_j.T)
-            elif d.block == "R":
+            elif block == "R":
                 expected = h * -(w[:-1] @ h_r.T)
             else:
                 expected = np.zeros((steps, n))

@@ -186,6 +186,20 @@ class TestOutput:
         with pytest.raises(p.DimensionMismatchError):
             p.output(oscillator, traj)
 
+    def test_overflow_names_the_first_node(self):
+        # finite states whose output overflows first at node 2, in either
+        # convention; no warning escapes
+        traj = p.Trajectory(p.TimeGrid(1.0, 3), np.array([[1.0], [1.0], [1e308], [1.0]]))
+        sys = p.ReducedPHSystem(p.SkewSymmetricMatrix.zeros(1), p.PSDMatrix.zeros(1),
+                                np.array([[10.0]]), np.zeros(1))
+        with pytest.raises(p.DivergenceError, match=r"^output became non-finite at step 2 "
+                           r"\(node-wise convention\)$") as err:
+            p.output(sys, traj)
+        assert (err.value.quantity, err.value.step) == ("output", 2)
+        with pytest.raises(p.DivergenceError, match=r"^output became non-finite at step 2 "
+                           r"\(midpoint convention\)$"):
+            p.midpoint_output(sys, traj)
+
 
 # Every public entry point that takes signals or trajectories: the keywords of
 # its parts, in the order it checks them, and a call on the oscillator (n = 2,
@@ -200,8 +214,7 @@ ENTRY_POINTS = {
     "energy_balance_residual": (
         ("traj", "u"), lambda sys, a: p.energy_balance_residual(sys, a["traj"], a["u"])),
     "solve_sensitivity": (
-        ("traj",), lambda sys, a: p.solve_sensitivity(sys, a["traj"], p.Direction("x", 0, 0),
-                                                      GRID)),
+        ("traj",), lambda sys, a: p.solve_sensitivity(sys, a["traj"], p.tangent_basis(2), 4)),
     "directional_derivative": (
         ("traj", "sens", "y_data"),
         lambda sys, a: p.directional_derivative(sys, a["traj"], a["sens"], a["y_data"])),

@@ -18,7 +18,11 @@ Calibration cases: the oscillator on noise seeds 7, 22, 25, 101 and 102
 with both structures; the benchmark's random n=8, k=2 truths of model seeds
 0, 6 and 1; an overflowing first step
 (sigma_init=1e6), a search whose first candidates diverge (sigma_init=1e3)
-and a line-search failure (sigma_init=1e18, no halvings).
+and a line-search failure (sigma_init=1e18, no halvings); and the rounding
+floor: from the oscillator truth with w_hat + (1e-15, 0), K=100, noise seed
+7 and eps_stop=1e-300, the fit reaches cost 4.2e-32 in 4 steps and every
+later search fails, with max_halvings=60 and with max_halvings=2000, where
+sigma underflows to 0 first.
 
 Simulation cases: explicit Euler and the discrete-gradient scheme over
 K=1e4 steps on the random n=8, k=2 truths of model seeds 0 and 6.  With
@@ -72,6 +76,11 @@ def cases():
                        ("line-search failure",
                         p.CalibrationConfig(sigma_init=1e18, max_halvings=0, max_iter=5))):
         yield label, start, u, y, truth.B, cfg
+    u, y = p.generate_reference(truth, p.TimeGrid(1.0, 100), p.NoiseSpec(seed=7))
+    near_truth = p.ParameterPoint(truth.J, truth.R, truth.w_hat + np.array([1e-15, 0.0]))
+    for max_halvings in (60, 2000):
+        yield (f"floor max_halvings={max_halvings}", near_truth, u, y, truth.B,
+               p.CalibrationConfig(eps_stop=1e-300, max_halvings=max_halvings))
 
 
 def simulations():
